@@ -13,6 +13,7 @@ import argparse
 import numpy as np
 
 from preqholo import OrbitSphere, closed_mixing_family, phase_lift, sphere_point
+from preqholo.cli import write_phases_csv
 from preqholo.families import omega_eval as family_omega
 
 
@@ -38,11 +39,7 @@ def main():
     print(f"one-form samples: {np.array2string(np.array(omega_probe), precision=2)}")
 
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("s,phase_rev,kappa_re,kappa_im\n")
-            for s, phase in zip(svals, lift):
-                z = np.exp(2j * np.pi * phase)
-                fh.write(f"{float(s)!r},{float(phase)!r},{float(z.real)!r},{float(z.imag)!r}\n")
+        write_phases_csv(zip(svals, lift), args.csv)
         print(f"wrote {args.csv}")
 
 

@@ -20,7 +20,6 @@ from .dynamics import (
     hamiltonian_vector_field,
     integrate_isotopy,
     normalize,
-    reparametrize,
     scale_hamiltonian,
     zero_hamiltonian,
 )
@@ -43,9 +42,7 @@ from .families import (
 from .holonomy import (
     PhaseState,
     UnitPhase,
-    action_integral,
     base_point_spread,
-    berry_phase,
     circle_distance,
     kappa,
     kappa_at_fixed_point,
@@ -56,10 +53,10 @@ from .sphere import (
     Chart,
     ChartDomainError,
     OrbitSphere,
+    area_form,
     fibonacci_sphere,
     integrate_over_sphere,
     omega_area_triangle,
-    omega_eval,
     potential_eval,
     sphere_point,
     spherical_coords,

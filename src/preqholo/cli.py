@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import __version__
 from .config import ConfigError, Scenario, build_family, build_loop, resolve_base_points
 from .dynamics import IntegrationError, LoopClosureError
 from .families import UnwrapError, omega_eval as family_omega, phase_lift
-from .holonomy import kappa
+from .holonomy import kappa, phase_spread
 from .sphere import OrbitSphere, spherical_coords, sphere_point
 from .verify import verify_suite
 
@@ -59,22 +58,17 @@ def _write_results(record: dict, out_dir: str) -> Path:
     return target
 
 
-def _write_phases_csv(rows, out_dir: str) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / "phases.csv"
+def write_phases_csv(rows, target) -> None:
+    """Write (s, phase lift) rows as ``phases.csv`` text to the target file."""
     lines = ["s,phase_rev,kappa_re,kappa_im"]
     for s, phase in rows:
+        s, phase = float(s), float(phase)
         z = np.exp(2j * np.pi * phase)
-        lines.append(f"{float(s)!r},{float(phase)!r},{float(z.real)!r},{float(z.imag)!r}")
-    target.write_text("\n".join(lines) + "\n")
-    return target
+        lines.append(f"{s!r},{phase!r},{float(z.real)!r},{float(z.imag)!r}")
+    Path(target).write_text("\n".join(lines) + "\n")
 
 
-def _write_points_csv(points_data, out_dir: str) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    target = path / "points.csv"
+def _write_points_csv(points_data, target: Path) -> None:
     lines = ["theta,phi,phase_rev,kappa_re,kappa_im"]
     for entry in points_data:
         lines.append(
@@ -82,7 +76,6 @@ def _write_points_csv(points_data, out_dir: str) -> Path:
             f"{entry['kappa_re']!r},{entry['kappa_im']!r}"
         )
     target.write_text("\n".join(lines) + "\n")
-    return target
 
 
 def _point_records(points, phases) -> list[dict]:
@@ -102,51 +95,24 @@ def _point_records(points, phases) -> list[dict]:
     return out
 
 
-def _spread(phases) -> float:
-    vals = np.asarray(phases, dtype=float)
-    diffs = np.abs(vals[:, None] - vals[None, :]) % 1.0
-    return float(np.max(np.minimum(diffs, 1.0 - diffs))) if len(vals) else 0.0
-
-
-def _run_kappa_task(scenario: Scenario, threads: int) -> dict:
+def _run_kappa_task(scenario: Scenario) -> dict:
     M = OrbitSphere(scenario.n)
     loop = build_loop(M, scenario.hamiltonian, scenario.tolerances)
     points = resolve_base_points(scenario.base_points, scenario.seed)
     rel = scenario.tolerances.flow_rel_tol
-
-    def one(q):
-        return kappa(M, loop, q, rel_tol=rel).value
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            phases = list(pool.map(one, points))
-    else:
-        phases = [one(q) for q in points]
+    phases = [kappa(M, loop, q, rel_tol=rel).value for q in points]
 
     record = {
         "task": scenario.task,
         "n": scenario.n,
         "loop": loop.label,
         "points": _point_records(points, phases),
-        "spread": _spread(phases),
+        "spread": phase_spread(phases),
         "meta": _meta(scenario),
     }
     if scenario.task == "action":
         record["action_rev"] = [float(p) for p in phases]
     return record
-
-
-def _unwrap_rows(svals, phases, jump_tol=0.25):
-    """Continuous lift of ordered phase samples; large jumps are an error."""
-    phases = np.asarray(phases, dtype=float) % 1.0
-    diffs = ((np.diff(phases) + 0.5) % 1.0) - 0.5
-    if diffs.size and np.max(np.abs(diffs)) >= jump_tol:
-        raise UnwrapError(
-            f"adjacent phase jumps reach {np.max(np.abs(diffs)):.3f} revolutions; "
-            "increase s_samples"
-        )
-    lift = np.concatenate([[phases[0]], phases[0] + np.cumsum(diffs)])
-    return [(float(s), float(p)) for s, p in zip(svals, lift)]
 
 
 def _run_omega_task(scenario: Scenario) -> dict:
@@ -162,14 +128,13 @@ def _run_omega_task(scenario: Scenario) -> dict:
         omega_rows.append(
             {"s": float(s), "omega": float(np.mean(vals)), "q_spread": float(np.ptp(vals))}
         )
-    phases = [kappa(M, fam.loop_at(float(s)), points[0], rel_tol=rel).value for s in svals]
-    phase_rows = _unwrap_rows(svals, phases)
+    lift_s, lift = phase_lift(M, fam, points[0], s_samples=scenario.s_samples, rel_tol=rel)
     return {
         "task": "omega",
         "n": scenario.n,
         "family": fam.label,
         "omega": omega_rows,
-        "phase_rows": phase_rows,
+        "phase_rows": list(zip(lift_s, lift)),
         "meta": _meta(scenario),
     }
 
@@ -191,13 +156,13 @@ def _run_winding_task(scenario: Scenario) -> dict:
         "winding": winding,
         "degree": -winding,
         "lift_residual": abs(total - winding),
-        "phase_rows": [(float(s), float(p)) for s, p in zip(svals, lift)],
+        "phase_rows": list(zip(svals, lift)),
         "meta": _meta(scenario),
     }
 
 
-def _run_su2_demo(n: int, seed: int, out_dir: str) -> dict:
-    scenario = Scenario(n=n, task="su2-demo", seed=seed, out_dir=out_dir)
+def _run_su2_demo(scenario: Scenario) -> dict:
+    n = scenario.n
     M = OrbitSphere(n)
     tol = scenario.tolerances
     rel = tol.flow_rel_tol
@@ -228,10 +193,10 @@ def _run_su2_demo(n: int, seed: int, out_dir: str) -> dict:
     }
 
 
-def run_scenario(scenario: Scenario, threads: int = 1) -> tuple[dict, int]:
+def run_scenario(scenario: Scenario) -> tuple[dict, int]:
     """Execute one scenario; returns (record, exit_status)."""
     if scenario.task in ("kappa", "action"):
-        record = _run_kappa_task(scenario, threads)
+        record = _run_kappa_task(scenario)
         status = 0
     elif scenario.task == "omega":
         record = _run_omega_task(scenario)
@@ -244,17 +209,17 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> tuple[dict, int]:
         record["meta"] = _meta(scenario)
         status = 0 if record["all_passed"] else 2
     elif scenario.task == "su2-demo":
-        record = _run_su2_demo(scenario.n, scenario.seed, scenario.out_dir)
+        record = _run_su2_demo(scenario)
         status = 0
     else:  # pragma: no cover - guarded by validation
         raise ConfigError(f"unhandled task {scenario.task!r}")
 
-    _write_results(record, scenario.out_dir)
-    if "phase_rows" in record:
-        _write_phases_csv(record.pop("phase_rows"), scenario.out_dir)
-        _write_results(record, scenario.out_dir)
+    phase_rows = record.pop("phase_rows", None)
+    target = _write_results(record, scenario.out_dir)
+    if phase_rows is not None:
+        write_phases_csv(phase_rows, target.with_name("phases.csv"))
     if scenario.out_format == "csv" and "points" in record:
-        _write_points_csv(record["points"], scenario.out_dir)
+        _write_points_csv(record["points"], target.with_name("points.csv"))
     return record, status
 
 
@@ -275,7 +240,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to the scenario JSON file")
     p_run.add_argument("--out", default=None, help="output directory (overrides config)")
     p_run.add_argument("--seed", type=int, default=None, help="seed (overrides config)")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads per point fan-out")
 
     p_verify = sub.add_parser("verify", help="run the structural verification suite")
     p_verify.add_argument("--n", default="1,2,3", help="comma-separated levels, e.g. 1,2,3")
@@ -298,7 +262,7 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 scenario.seed = args.seed
             out_dir = scenario.out_dir
-            record, status = run_scenario(scenario, threads=max(1, args.threads))
+            record, status = run_scenario(scenario)
             log.info("task %s finished with status %d", scenario.task, status)
             return status
         if args.command == "verify":
@@ -325,10 +289,10 @@ def main(argv=None) -> int:
             print("all checks passed" if record["all_passed"] else "SOME CHECKS FAILED")
             return status
         if args.command == "su2-demo":
-            record = _run_su2_demo(args.n, args.seed, args.out)
-            _write_results(record, args.out)
+            scenario = Scenario(n=args.n, task="su2-demo", seed=args.seed, out_dir=args.out)
+            record, status = run_scenario(scenario)
             print(json.dumps(record["holonomy_phases"], indent=2, sort_keys=True))
-            return 0
+            return status
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         log.error("configuration error: %s", exc)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import HamiltonianLoop, scale_hamiltonian, zero_hamiltonian
+from .dynamics import HamiltonianLoop, check_rel_tol, scale_hamiltonian, zero_hamiltonian
 from .families import (
     LoopFamily,
     closed_mixing_family,
@@ -30,6 +30,13 @@ class ConfigError(ValueError):
     """A scenario file failed validation; the message names the bad element."""
 
 
+def _float(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class Tolerances:
     flow_rel_tol: float = 1e-10
@@ -40,12 +47,16 @@ class Tolerances:
     def from_dict(cls, d: dict | None) -> "Tolerances":
         d = dict(d or {})
         out = cls(
-            flow_rel_tol=float(d.pop("flow_rel_tol", 1e-10)),
-            phase_tol=float(d.pop("phase_tol", 1e-6)),
-            closure_tol=float(d.pop("closure_tol", 1e-6)),
+            flow_rel_tol=_float(d.pop("flow_rel_tol", 1e-10), "tolerances.flow_rel_tol"),
+            phase_tol=_float(d.pop("phase_tol", 1e-6), "tolerances.phase_tol"),
+            closure_tol=_float(d.pop("closure_tol", 1e-6), "tolerances.closure_tol"),
         )
         if d:
             raise ConfigError(f"unknown tolerance keys: {sorted(d)}")
+        try:
+            check_rel_tol(out.flow_rel_tol)
+        except ValueError as exc:
+            raise ConfigError(f"tolerances.flow_rel_tol: {exc}") from exc
         return out
 
 
@@ -91,6 +102,10 @@ class Scenario:
         base_points = d.get("base_points", "auto:10")
         _validate_base_points(base_points)
 
+        s_samples = d.get("s_samples", 32)
+        if isinstance(s_samples, bool) or not isinstance(s_samples, int) or s_samples < 2:
+            raise ConfigError(f"s_samples must be an integer >= 2, got {s_samples!r}")
+
         output = d.get("output") or {}
         out_format = output.get("format", "json")
         if out_format not in OUTPUT_FORMATS:
@@ -119,7 +134,7 @@ class Scenario:
             hamiltonian=ham,
             family=fam,
             base_points=base_points,
-            s_samples=int(d.get("s_samples", 32)),
+            s_samples=s_samples,
             tolerances=Tolerances.from_dict(d.get("tolerances")),
             seed=int(d.get("seed", 0)),
             out_dir=str(output.get("dir", "out")),
@@ -175,9 +190,11 @@ def _validate_base_points(value):
             raise ConfigError("base_points auto count must be positive")
         return
     if isinstance(value, list):
-        for entry in value:
+        for i, entry in enumerate(value):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ConfigError("base_points entries must be [theta, phi] pairs")
+            for angle in entry:
+                _float(angle, f"base_points[{i}]")
         return
     raise ConfigError("base_points must be 'auto:<count>' or a list of [theta, phi] pairs")
 
@@ -205,9 +222,9 @@ def build_loop(M: OrbitSphere, spec: dict, tol: Tolerances) -> HamiltonianLoop:
             raise ConfigError(f"zero takes no parameters, got {sorted(params)}")
         return HamiltonianLoop(zero_hamiltonian(), closure_tol=tol.closure_tol, label="zero")
     if name == "invariant":
-        a = float(params.pop("a", 1.0))
-        b = float(params.pop("b", 0.0))
-        z = float(params.pop("z", 0.0))
+        a = _float(params.pop("a", 1.0), "invariant.a")
+        b = _float(params.pop("b", 0.0), "invariant.b")
+        z = _float(params.pop("z", 0.0), "invariant.z")
         if params:
             raise ConfigError(f"invariant takes a, b, z, got extra {sorted(params)}")
         _require_unit_axis(a, b, z)
@@ -219,8 +236,9 @@ def build_loop(M: OrbitSphere, spec: dict, tol: Tolerances) -> HamiltonianLoop:
             raise ConfigError(f"mix takes amplitude, profile, got extra {sorted(params)}")
         if amplitude is None:
             raise ConfigError("mix requires an amplitude")
+        amplitude = _float(amplitude, "mix.amplitude")
         try:
-            return mixing_loop(M, float(amplitude), profile=profile, closure_tol=tol.closure_tol)
+            return mixing_loop(M, amplitude, profile=profile, closure_tol=tol.closure_tol)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if name == "scaled":
@@ -233,7 +251,7 @@ def build_loop(M: OrbitSphere, spec: dict, tol: Tolerances) -> HamiltonianLoop:
         _validate_named(base, HAMILTONIAN_NAMES, "scaled.base")
         inner = build_loop(M, base, tol)
         return HamiltonianLoop(
-            scale_hamiltonian(inner.hamiltonian, float(factor)),
+            scale_hamiltonian(inner.hamiltonian, _float(factor, "scaled.factor")),
             closure_tol=tol.closure_tol,
             label=f"{factor}*{inner.label}",
         )
@@ -251,15 +269,15 @@ def build_family(M: OrbitSphere, spec: dict, tol: Tolerances) -> LoopFamily:
             _validate_named(base, HAMILTONIAN_NAMES, "family.hamiltonian")
             return constant_family(build_loop(M, base, tol))
         if name == "subgroup-rotation":
-            start = float(params.pop("start_angle", 0.0))
-            turns = float(params.pop("turns", 1.0))
+            start = _float(params.pop("start_angle", 0.0), "subgroup-rotation.start_angle")
+            turns = _float(params.pop("turns", 1.0), "subgroup-rotation.turns")
             if params:
                 raise ConfigError(
                     f"subgroup-rotation takes start_angle, turns, got extra {sorted(params)}"
                 )
             return subgroup_rotation_family(M, start_angle=start, turns=turns, closure_tol=tol.closure_tol)
         if name in ("mixing", "closed-mixing"):
-            amplitude = float(params.pop("amplitude", 0.5))
+            amplitude = _float(params.pop("amplitude", 0.5), f"{name}.amplitude")
             profile = params.pop("profile", "cosine-ramp")
             if params:
                 raise ConfigError(f"{name} takes amplitude, profile, got extra {sorted(params)}")

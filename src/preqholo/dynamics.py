@@ -17,6 +17,13 @@ _ATOL = 1e-13
 _MEAN_GRID = 257
 
 
+def check_rel_tol(rel_tol: float) -> None:
+    """Raise ValueError unless rel_tol lies in REL_TOL_RANGE."""
+    lo, hi = REL_TOL_RANGE
+    if not (lo <= rel_tol <= hi):
+        raise ValueError(f"rel_tol must lie in [{lo:g}, {hi:g}]")
+
+
 class IntegrationError(RuntimeError):
     """Flow or transport integration failed; carries the offending time."""
 
@@ -125,9 +132,7 @@ def integrate_isotopy(
     The right-hand side is orthogonal to u for any state, so |u| is a first
     integral; samples and segment joints are renormalized to the unit sphere.
     """
-    lo, hi = REL_TOL_RANGE
-    if not (lo <= rel_tol <= hi):
-        raise ValueError(f"rel_tol must lie in [{lo:g}, {hi:g}]")
+    check_rel_tol(rel_tol)
     u0 = unit_vector(q)
     stops = _segment_times(t_span[0], t_span[1], f.breakpoints)
 
@@ -202,33 +207,12 @@ def normalize(M: OrbitSphere, f: TimeDepHamiltonian) -> TimeDepHamiltonian:
     )
 
 
-def reparametrize(f: TimeDepHamiltonian, T: float) -> TimeDepHamiltonian:
-    """Rescale a Hamiltonian family on [0, T] to unit period.
-
-    The time-1 flow of the result equals the time-T flow of the input.
-    """
-    if T <= 0:
-        raise ValueError("period T must be positive")
-    T = float(T)
-    sd = None
-    if f.s_deriv is not None:
-        sd = lambda t, u: T * f.s_deriv(T * t, u)
-    return TimeDepHamiltonian(
-        eval=lambda t, u: T * f.eval(T * t, u),
-        grad=lambda t, u: T * np.asarray(f.grad(T * t, u), dtype=float),
-        s_deriv=sd,
-        label=f"{f.label} @ period {T:g}",
-        time_independent=f.time_independent,
-        breakpoints=tuple(b / T for b in f.breakpoints),
-    )
-
-
 @dataclass(frozen=True)
 class HamiltonianLoop:
     """A unit-period isotopy expected to close up to ``closure_tol``.
 
-    Closure is asserted on a probe set of points, not proven; callers that
-    transport phases additionally check closure at their own base point.
+    ``closure_defect`` measures closure on a probe set of points;
+    ``transport_phase`` checks it at its own base point.
     """
 
     hamiltonian: TimeDepHamiltonian
@@ -244,10 +228,3 @@ class HamiltonianLoop:
             worst = max(worst, float(np.linalg.norm(traj.endpoint - unit_vector(q))))
         return worst
 
-    def require_closed(self, M: OrbitSphere, points=None, rel_tol: float = 1e-10) -> None:
-        defect = self.closure_defect(M, points, rel_tol)
-        if defect > self.closure_tol:
-            raise LoopClosureError(
-                f"loop '{self.label}' fails closure: defect {defect:.3e} "
-                f"exceeds tolerance {self.closure_tol:.3e}"
-            )

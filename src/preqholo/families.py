@@ -152,14 +152,20 @@ def lift_circle_samples(
 
     Adjacent samples are joined by the nearest circle representative; any
     wrapped jump of at least ``jump_tol`` revolutions triggers a dyadic
-    refinement of the grid, up to ``max_samples`` points.
+    refinement of the grid, up to ``max_samples`` points.  Refinement reuses
+    the samples already taken: every other point of the doubled grid equals
+    a point of the old one bit for bit.
     """
     m = int(s_samples)
     if m < 2:
         raise ValueError("need at least two samples")
+    seen: dict[float, float] = {}
     while m <= max_samples:
         svals = np.linspace(0.0, 1.0, m + 1)
-        phases = np.array([float(eval_phase(s)) % 1.0 for s in svals])
+        for s in svals:
+            if s not in seen:
+                seen[s] = float(eval_phase(s)) % 1.0
+        phases = np.array([seen[s] for s in svals])
         diffs = ((np.diff(phases) + 0.5) % 1.0) - 0.5
         if np.max(np.abs(diffs)) < jump_tol:
             lift = np.concatenate([[phases[0]], phases[0] + np.cumsum(diffs)])

@@ -28,11 +28,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .dynamics import (
-    REL_TOL_RANGE,
     HamiltonianLoop,
     IntegrationError,
     LoopClosureError,
     TimeDepHamiltonian,
+    _segment_times,
+    check_rel_tol,
     hamiltonian_vector_field,
 )
 from .sphere import (
@@ -87,12 +88,10 @@ class UnitPhase:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Transport state at a given time: position, phase lift, active frame."""
+    """Transport state at t = 1: endpoint, phase lift in the start frame, switch count."""
 
-    t: float
     point: np.ndarray
     phase: float
-    chart: Chart
     transitions: int
 
 
@@ -112,9 +111,7 @@ def transport_phase(
     from q fails to return to q within the loop's closure tolerance, and
     IntegrationError if the step-size control breaks down.
     """
-    lo, hi = REL_TOL_RANGE
-    if not (lo <= rel_tol <= hi):
-        raise ValueError(f"rel_tol must lie in [{lo:g}, {hi:g}]")
+    check_rel_tol(rel_tol)
     th_lo, th_hi = thresholds
     if not (0.0 < th_lo < th_hi < math.pi):
         raise ValueError("thresholds must satisfy 0 < lo < hi < pi")
@@ -129,7 +126,7 @@ def transport_phase(
     y = np.append(u0, 0.0)
     t = 0.0
     transitions = 0
-    stops = sorted(b for b in f.breakpoints if 1e-14 < b < 1.0 - 1e-14) + [1.0]
+    stops = _segment_times(0.0, 1.0, f.breakpoints)[1:]
 
     def make_rhs(active: Chart):
         def rhs(tt, yy):
@@ -199,9 +196,7 @@ def transport_phase(
                 f"loop '{loop.label}' does not close at the base point: "
                 f"defect {defect:.3e} exceeds tolerance {loop.closure_tol:.3e}"
             )
-    return PhaseState(
-        t=1.0, point=endpoint, phase=phase, chart=start_chart, transitions=transitions
-    )
+    return PhaseState(point=endpoint, phase=phase, transitions=transitions)
 
 
 def kappa(
@@ -218,11 +213,6 @@ def kappa(
     """
     state = transport_phase(M, loop, q, rel_tol=rel_tol, thresholds=thresholds)
     return UnitPhase.from_revolutions(state.phase)
-
-
-def action_integral(M: OrbitSphere, loop: HamiltonianLoop, q, rel_tol: float = 1e-10) -> float:
-    """The mod-1 action of the loop in revolutions; the argument of kappa."""
-    return kappa(M, loop, q, rel_tol=rel_tol).value
 
 
 def kappa_at_fixed_point(
@@ -243,13 +233,18 @@ def kappa_at_fixed_point(
     return UnitPhase.from_revolutions(-float(f.eval(0.0, u)))
 
 
+def phase_spread(phases) -> float:
+    """Largest pairwise circle distance between phases in revolutions; 0 for none."""
+    vals = np.asarray(phases, dtype=float)
+    diffs = np.abs(vals[:, None] - vals[None, :]) % 1.0
+    return float(np.max(np.minimum(diffs, 1.0 - diffs))) if len(vals) else 0.0
+
+
 def base_point_spread(
     M: OrbitSphere, loop: HamiltonianLoop, points, rel_tol: float = 1e-10
 ) -> float:
     """Largest pairwise circle distance between kappa values over the points."""
-    vals = np.array([kappa(M, loop, q, rel_tol=rel_tol).value for q in points])
-    diffs = np.abs(vals[:, None] - vals[None, :]) % 1.0
-    return float(np.max(np.minimum(diffs, 1.0 - diffs)))
+    return phase_spread([kappa(M, loop, q, rel_tol=rel_tol).value for q in points])
 
 
 def product_loop(xi: HamiltonianLoop, psi: HamiltonianLoop) -> HamiltonianLoop:
@@ -282,12 +277,3 @@ def product_loop(xi: HamiltonianLoop, psi: HamiltonianLoop) -> HamiltonianLoop:
         label=f"({xi.label}).({psi.label})",
     )
 
-
-def berry_phase(M: OrbitSphere, loop: HamiltonianLoop, q_on_leaf, rel_tol: float = 1e-10) -> UnitPhase:
-    """Geometric phase of the transported leaf family through the base point.
-
-    For a simply connected Lagrangian leaf (great-circle arcs here) the phase
-    of the transported weighted-leaf family equals the loop holonomy, so this
-    is kappa evaluated at a point of the leaf.
-    """
-    return kappa(M, loop, q_on_leaf, rel_tol=rel_tol)

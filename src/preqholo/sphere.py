@@ -118,14 +118,14 @@ def chart_tangents(p) -> tuple[np.ndarray, np.ndarray]:
     return e_theta, e_phi
 
 
-def omega_eval(M: OrbitSphere, p, v, w, tangency_tol: float = 1e-10) -> float:
+def area_form(M: OrbitSphere, p, v, w, tangency_tol: float = 1e-10) -> float:
     """Area form on a pair of tangent vectors: (k/2) * u . (v x w)."""
     u = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
     for vec in (v, w):
         if abs(float(np.dot(u, vec))) > tangency_tol * max(1.0, float(np.linalg.norm(vec))):
-            raise ValueError("omega_eval requires tangent vectors (u . v = 0)")
+            raise ValueError("area_form requires tangent vectors (u . v = 0)")
     return 0.5 * M.k * float(np.dot(u, np.cross(v, w)))
 
 

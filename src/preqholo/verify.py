@@ -27,6 +27,7 @@ from .holonomy import (
     circle_distance,
     kappa,
     kappa_at_fixed_point,
+    phase_spread,
     product_loop,
     transport_phase,
 )
@@ -80,8 +81,7 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
         sphere_point(math.pi / 2, math.pi / 2),
     ]
     vals = [kappa(M, loop_a, q, rel_tol=rel).value for q in ref_points]
-    res = max(circle_distance(v, parity) for v in vals)
-    res = max(res, max(circle_distance(v, w) for v in vals for w in vals))
+    res = max(max(circle_distance(v, parity) for v in vals), phase_spread(vals))
     checks.append(_check("three-point-agreement", res, tol.phase_tol))
 
     # Base-point independence on a time-dependent loop.

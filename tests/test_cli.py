@@ -6,7 +6,7 @@ import pytest
 
 from preqholo.cli import main
 from preqholo.config import ConfigError, Scenario, Tolerances, build_family, build_loop, resolve_base_points
-from preqholo import OrbitSphere
+from preqholo import AlgebraDirection, OrbitSphere, invariant_loop, kappa, sphere_point
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -176,15 +176,26 @@ class TestRunTask:
         assert record["error"]["kind"] == "numerical"
         assert record["error"]["element"] == "hamiltonian"
 
-    def test_threads_match_serial(self, tmp_path):
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        cfg1 = write_config(tmp_path, kappa_config(out1), name="c1.json")
-        cfg2 = write_config(tmp_path, kappa_config(out2), name="c2.json")
-        assert main(["run", cfg1]) == 0
-        assert main(["run", cfg2, "--threads", "4"]) == 0
-        r1 = (out1 / "results.json").read_bytes()
-        r2 = (out2 / "results.json").read_bytes()
-        assert r1 == r2
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"task": "omega", "s_samples": "abc"}, "s_samples"),
+            ({"task": "omega", "s_samples": -3}, "s_samples"),
+            ({"task": "winding", "s_samples": -3}, "s_samples"),
+            ({"tolerances": {"flow_rel_tol": 1}}, "tolerances.flow_rel_tol"),
+            ({"hamiltonian": {"name": "invariant", "a": "x"}}, "invariant.a"),
+            ({"base_points": [["a", 1]]}, "base_points"),
+        ],
+    )
+    def test_bad_values_are_config_errors(self, tmp_path, overrides, key):
+        out = tmp_path / "out"
+        cfg_data = kappa_config(out, **overrides)
+        cfg_data["family"] = {"name": "subgroup-rotation", "turns": 1.0}
+        cfg = write_config(tmp_path, cfg_data)
+        assert main(["run", cfg, "--out", str(out)]) == 1
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "config"
+        assert key in error["message"]
 
     def test_csv_format_writes_points(self, tmp_path):
         out = tmp_path / "out"
@@ -204,6 +215,21 @@ class TestVerifyAndDemo:
             for v in axis_vals.values():
                 d = abs(v - record["expected_phase"]) % 1.0
                 assert min(d, 1 - d) < 1e-6
+
+    def test_su2_demo_task_honours_tolerances(self, tmp_path):
+        out = tmp_path / "demo"
+        tolerances = {"flow_rel_tol": 1e-9, "phase_tol": 1e-5, "closure_tol": 1e-7}
+        cfg = write_config(
+            tmp_path,
+            {"n": 1, "task": "su2-demo", "tolerances": tolerances, "output": {"dir": str(out)}},
+        )
+        assert main(["run", cfg]) == 0
+        record = json.loads((out / "results.json").read_text())
+        assert record["meta"]["config"]["tolerances"] == tolerances
+        M = OrbitSphere(1)
+        loop = invariant_loop(M, AlgebraDirection(0.6, 0.8), closure_tol=1e-7)
+        direct = kappa(M, loop, sphere_point(math.pi / 2, 0.0), rel_tol=1e-9).value
+        assert record["holonomy_phases"]["3-4-5"]["equator-0"] == direct
 
     def test_verify_single_level(self, tmp_path):
         out = tmp_path / "v"

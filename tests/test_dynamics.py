@@ -15,10 +15,8 @@ from preqholo import (
     integrate_over_sphere,
     invariant_hamiltonian,
     invariant_loop,
-    kappa,
     normalize,
     omega_area_triangle,
-    reparametrize,
     scale_hamiltonian,
     sphere_point,
     unit_vector,
@@ -218,43 +216,9 @@ def test_normalize_time_dependent_and_idempotent(sphere1):
         assert np.allclose(gg.eval(t, pts), g.eval(t, pts), atol=1e-12)
 
 
-def test_reparametrize_identity_and_closure(sphere1):
-    M = sphere1
-    f = scale_hamiltonian(invariant_hamiltonian(M, DIR_A), -1.0)
-
-    same = reparametrize(f, 1.0)
-    pts = fibonacci_sphere(5)
-    assert np.allclose(same.eval(0.3, pts), f.eval(0.3, pts), atol=1e-14)
-
-    unit = reparametrize(f, math.pi)
-    from preqholo import HamiltonianLoop
-
-    loop = HamiltonianLoop(unit, closure_tol=1e-8, label="reparam")
-    assert loop.closure_defect(M, fibonacci_sphere(20)) < 1e-8
-
-
-def test_reparametrize_invariance_of_holonomy(sphere1):
-    # the same geometric loop presented with three parametrizations
-    M = sphere1
-    h = invariant_hamiltonian(M, DIR_A)
-    q = sphere_point(0.7, 1.9)
-    values = []
-    for T in (math.pi, 2.0, 7.3):
-        f_T = scale_hamiltonian(h, -math.pi / T)  # period T for the same circle
-        from preqholo import HamiltonianLoop
-
-        loop = HamiltonianLoop(reparametrize(f_T, T), label=f"T={T}")
-        values.append(kappa(M, loop, q).value)
-    for v in values[1:]:
-        d = abs(v - values[0]) % 1.0
-        assert min(d, 1 - d) < 1e-8
-
-
 def test_closure_probe_detects_open_isotopy(sphere1):
-    from preqholo import HamiltonianLoop, LoopClosureError
+    from preqholo import HamiltonianLoop
 
     f = scale_hamiltonian(invariant_hamiltonian(sphere1, DIR_A), -0.5 * math.pi)
     open_loop = HamiltonianLoop(f, closure_tol=1e-6, label="half turn")
     assert open_loop.closure_defect(sphere1) > 0.1
-    with pytest.raises(LoopClosureError):
-        open_loop.require_closed(sphere1)

@@ -144,6 +144,22 @@ def test_lift_refines_coarse_grid():
     assert lift[-1] - lift[0] == pytest.approx(3.0, abs=1e-12)
 
 
+def test_lift_refinement_reuses_samples():
+    calls = []
+
+    def phase(s):
+        calls.append(s)
+        return (1.5 * s) % 1.0
+
+    # steps of 0.75 and 0.375 rev fail the jump test; 8 intervals pass
+    svals, lift = lift_circle_samples(phase, 2)
+    assert len(calls) == 9
+    assert len(set(calls)) == 9
+    direct_s, direct_lift = lift_circle_samples(lambda s: (1.5 * s) % 1.0, 8)
+    assert np.array_equal(svals, direct_s)
+    assert np.array_equal(lift, direct_lift)
+
+
 def test_lift_unwrap_failure():
     rng = np.random.default_rng(0)
     with pytest.raises(UnwrapError):

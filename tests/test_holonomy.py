@@ -13,9 +13,7 @@ from preqholo import (
     LoopClosureError,
     OrbitSphere,
     UnitPhase,
-    action_integral,
     base_point_spread,
-    berry_phase,
     circle_distance,
     fibonacci_sphere,
     invariant_hamiltonian,
@@ -89,18 +87,12 @@ def test_kappa_examples():
 
 def test_action_integral_values():
     q = sphere_point(1.0, 1.0)
-    assert circle_distance(action_integral(OrbitSphere(1), zero_loop(), q), 0.0) < 1e-12
+    assert circle_distance(kappa(OrbitSphere(1), zero_loop(), q).value, 0.0) < 1e-12
     M1 = OrbitSphere(1)
-    assert circle_distance(action_integral(M1, invariant_loop(M1, DIR_A), q), 0.5) < 1e-8
+    assert circle_distance(kappa(M1, invariant_loop(M1, DIR_A), q).value, 0.5) < 1e-8
     # oracle for n=3: the critical value of the generator, (-f(p)) mod 1 = 1/2
     M3 = OrbitSphere(3)
-    assert circle_distance(action_integral(M3, invariant_loop(M3, DIR_B), q), 0.5) < 1e-8
-
-
-def test_action_equals_kappa_value(sphere1):
-    q = sphere_point(2.0, 0.3)
-    loop = mixing_loop(sphere1, 0.7)
-    assert action_integral(sphere1, loop, q) == kappa(sphere1, loop, q).value
+    assert circle_distance(kappa(M3, invariant_loop(M3, DIR_B), q).value, 0.5) < 1e-8
 
 
 def test_fixed_point_shortcut(sphere1):
@@ -183,12 +175,6 @@ def test_multiplicativity_random_pairs(sphere2, rng):
         rhs = kappa(M, xi, q).value + kappa(M, psi, q).value
         worst = max(worst, circle_distance(lhs, rhs))
     assert worst < 1e-5
-
-
-def test_berry_phase_alias(sphere1):
-    loop = invariant_loop(sphere1, DIR_A)
-    q = sphere_point(math.pi / 2, 1.0)
-    assert berry_phase(sphere1, loop, q).value == kappa(sphere1, loop, q).value
 
 
 def test_frame_threshold_independence(sphere2, rng):

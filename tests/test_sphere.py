@@ -8,10 +8,10 @@ from preqholo import (
     Chart,
     ChartDomainError,
     OrbitSphere,
+    area_form,
     fibonacci_sphere,
     integrate_over_sphere,
     omega_area_triangle,
-    omega_eval,
     potential_eval,
     sphere_point,
     spherical_coords,
@@ -64,7 +64,7 @@ def test_coords_roundtrip(ang):
 def test_omega_on_coordinate_frame_n1(sphere1):
     p = sphere_point(math.pi / 2, 0.0)
     e_th, e_ph = chart_tangents(p)
-    val = omega_eval(sphere1, p, e_th, e_ph)
+    val = area_form(sphere1, p, e_th, e_ph)
     assert val == pytest.approx(sphere1.k / 2, rel=1e-12)
     assert val == pytest.approx(1.0 / (4 * math.pi), rel=1e-12)
 
@@ -74,7 +74,7 @@ def test_omega_chart_formula_n2(sphere2):
     theta = math.pi / 3
     p = sphere_point(theta, 0.0)
     e_th, e_ph = chart_tangents(p)
-    assert omega_eval(sphere2, p, e_th, e_ph) == pytest.approx(
+    assert area_form(sphere2, p, e_th, e_ph) == pytest.approx(
         0.5 * sphere2.k * math.sin(theta), rel=1e-12
     )
 
@@ -82,7 +82,7 @@ def test_omega_chart_formula_n2(sphere2):
 def test_omega_rejects_non_tangent(sphere1):
     p = sphere_point(1.0, 1.0)
     with pytest.raises(ValueError):
-        omega_eval(sphere1, p, p, np.array([0.0, 0.0, 1.0]))
+        area_form(sphere1, p, p, np.array([0.0, 0.0, 1.0]))
 
 
 def test_omega_antisymmetry_bilinearity(sphere2, rng):
@@ -93,10 +93,10 @@ def test_omega_antisymmetry_bilinearity(sphere2, rng):
         v = random_tangent(rng, p)
         w = random_tangent(rng, p)
         a, b = rng.normal(size=2)
-        worst = max(worst, abs(omega_eval(M, p, v, w) + omega_eval(M, p, w, v)))
-        worst = max(worst, abs(omega_eval(M, p, v, v)))
-        lin = omega_eval(M, p, a * v + b * w, w) - (
-            a * omega_eval(M, p, v, w) + b * omega_eval(M, p, w, w)
+        worst = max(worst, abs(area_form(M, p, v, w) + area_form(M, p, w, v)))
+        worst = max(worst, abs(area_form(M, p, v, v)))
+        lin = area_form(M, p, a * v + b * w, w) - (
+            a * area_form(M, p, v, w) + b * area_form(M, p, w, w)
         )
         worst = max(worst, abs(lin))
     assert worst < 1e-12

@@ -11,6 +11,7 @@ from preqholo import (
     OrbitSphere,
     SU2Element,
     act,
+    area_form,
     closed_form_flow,
     exp_su2,
     hamiltonian_vector_field,
@@ -21,7 +22,6 @@ from preqholo import (
     integrate_isotopy,
     mixing_flow,
     mixing_loop,
-    omega_eval,
     scale_hamiltonian,
     sphere_point,
     unit_vector,
@@ -168,7 +168,7 @@ def test_omega_pairing_of_invariant_fields(theta, phi):
     # omega(X_A, X_B) = -2 k cos(theta)
     M = OrbitSphere(3)
     p = sphere_point(theta, phi)
-    val = omega_eval(M, p, invariant_field(M, DIR_A, p), invariant_field(M, DIR_B, p))
+    val = area_form(M, p, invariant_field(M, DIR_A, p), invariant_field(M, DIR_B, p))
     assert val == pytest.approx(-2 * M.k * math.cos(theta), abs=1e-9)
 
 

@@ -46,8 +46,10 @@ from .holonomy import (
     circle_distance,
     kappa,
     kappa_at_fixed_point,
+    kappas,
     product_loop,
     transport_phase,
+    transport_phases,
 )
 from .sphere import (
     Chart,

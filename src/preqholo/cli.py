@@ -10,6 +10,7 @@ recorded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -23,7 +24,7 @@ from . import __version__
 from .config import ConfigError, Scenario, build_family, build_loop, resolve_base_points
 from .dynamics import IntegrationError, LoopClosureError
 from .families import UnwrapError, omega_eval as family_omega, phase_lift
-from .holonomy import kappa, phase_spread
+from .holonomy import kappa, kappas, phase_spread
 from .sphere import OrbitSphere, spherical_coords, sphere_point
 from .verify import verify_suite
 
@@ -100,7 +101,7 @@ def _run_kappa_task(scenario: Scenario) -> dict:
     loop = build_loop(M, scenario.hamiltonian, scenario.tolerances)
     points = resolve_base_points(scenario.base_points, scenario.seed)
     rel = scenario.tolerances.flow_rel_tol
-    phases = [kappa(M, loop, q, rel_tol=rel).value for q in points]
+    phases = [k.value for k in kappas(M, loop, points, rel_tol=rel)]
 
     record = {
         "task": scenario.task,
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
             if args.out is not None:
                 scenario.out_dir = args.out
             if args.seed is not None:
-                scenario.seed = args.seed
+                scenario = dataclasses.replace(scenario, seed=args.seed)
             out_dir = scenario.out_dir
             record, status = run_scenario(scenario)
             log.info("task %s finished with status %d", scenario.task, status)
@@ -272,9 +273,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"bad --n list: {exc}") from exc
             scenario = Scenario.from_dict(
                 {"task": "verify", "n": n_values[0] if n_values else 0, "n_values": n_values,
-                 "output": {"dir": args.out}}
+                 "seed": args.seed, "output": {"dir": args.out}}
             )
-            scenario.seed = args.seed
             record, status = run_scenario(scenario)
             for level in record["levels"]:
                 for check in level["checks"]:

@@ -76,6 +76,12 @@ class Scenario:
     out_format: str = "json"
     n_values: list[int] = field(default_factory=list)
 
+    def __post_init__(self):
+        # Also reached by scenarios built in code (su2-demo) and by
+        # dataclasses.replace (command-line overrides), not only from_dict.
+        _check_int(self.n, "n", lambda v: v != 0, "a nonzero integer")
+        _check_int(self.seed, "seed", lambda v: v >= 0, "an integer >= 0")
+
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         if not isinstance(d, dict):
@@ -85,8 +91,6 @@ class Scenario:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
 
         n = d.get("n", 1)
-        if isinstance(n, bool) or not isinstance(n, int) or n == 0:
-            raise ConfigError("n must be a nonzero integer")
 
         ham = d.get("hamiltonian")
         fam = d.get("family")
@@ -103,8 +107,7 @@ class Scenario:
         _validate_base_points(base_points)
 
         s_samples = d.get("s_samples", 32)
-        if isinstance(s_samples, bool) or not isinstance(s_samples, int) or s_samples < 2:
-            raise ConfigError(f"s_samples must be an integer >= 2, got {s_samples!r}")
+        _check_int(s_samples, "s_samples", lambda v: v >= 2, "an integer >= 2")
 
         output = d.get("output") or {}
         out_format = output.get("format", "json")
@@ -136,7 +139,7 @@ class Scenario:
             base_points=base_points,
             s_samples=s_samples,
             tolerances=Tolerances.from_dict(d.get("tolerances")),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
             out_dir=str(output.get("dir", "out")),
             out_format=out_format,
             n_values=list(n_values) if isinstance(n_values, list) else [n],
@@ -171,6 +174,12 @@ class Scenario:
         }
 
 
+def _check_int(value, key: str, ok, what: str) -> None:
+    """Raise ConfigError unless value is an int (not a bool) accepted by ok."""
+    if isinstance(value, bool) or not isinstance(value, int) or not ok(value):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
 def _validate_named(spec, names, what):
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError(f"{what} spec must be an object with a 'name' key")
@@ -190,6 +199,8 @@ def _validate_base_points(value):
             raise ConfigError("base_points auto count must be positive")
         return
     if isinstance(value, list):
+        if not value:
+            raise ConfigError("base_points must not be an empty list")
         for i, entry in enumerate(value):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ConfigError("base_points entries must be [theta, phi] pairs")

@@ -15,6 +15,9 @@ REL_TOL_RANGE = (1e-13, 1e-3)
 
 _ATOL = 1e-13
 _MEAN_GRID = 257
+# Component i of a x b is a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3.
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
 
 
 def check_rel_tol(rel_tol: float) -> None:
@@ -90,10 +93,16 @@ def scale_hamiltonian(f: TimeDepHamiltonian, c: float, label: str | None = None)
 
 
 def hamiltonian_vector_field(M: OrbitSphere, f: TimeDepHamiltonian, t: float, p) -> np.ndarray:
-    """Vector field X with omega(X, .) = -df_t, i.e. X = (2/k) u x grad f."""
+    """Vector field X with omega(X, .) = -df_t, i.e. X = (2/k) u x grad f.
+
+    ``p`` is one point ``(3,)`` or a batch ``(N, 3)``.  The cross product is
+    built from cyclically shifted components, with the same arithmetic as
+    ``np.cross`` and a fraction of its call overhead on small inputs.
+    """
     u = np.asarray(p, dtype=float)
     g = np.asarray(f.grad(t, u), dtype=float)
-    return (2.0 / M.k) * np.cross(u, g)
+    cross = u.take(_NEXT, axis=-1) * g.take(_PREV, axis=-1) - u.take(_PREV, axis=-1) * g.take(_NEXT, axis=-1)
+    return (2.0 / M.k) * cross
 
 
 @dataclass
@@ -212,7 +221,7 @@ class HamiltonianLoop:
     """A unit-period isotopy expected to close up to ``closure_tol``.
 
     ``closure_defect`` measures closure on a probe set of points;
-    ``transport_phase`` checks it at its own base point.
+    ``transport_phases`` checks it at every base point it transports.
     """
 
     hamiltonian: TimeDepHamiltonian

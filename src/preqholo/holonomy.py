@@ -15,8 +15,9 @@ argument; the unreduced lift is kept because winding computations on loop
 families need it.
 
 The phase is integrated as one adaptive system together with the trajectory,
-with frame switches located by event detection inside a hysteresis band, so
-a trajectory through a pole never evaluates a singular potential.
+for all base points of a loop at once, with frame switches located by event
+detection inside a hysteresis band, so a trajectory through a pole never
+evaluates a singular potential.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .dynamics import (
 from .sphere import (
     DEFAULT_SWITCH_THETA,
     TWO_PI,
-    Chart,
     OrbitSphere,
     potential_eval,
     unit_vector,
@@ -95,108 +95,158 @@ class PhaseState:
     transitions: int
 
 
-def transport_phase(
+def _chunk_size(rel_tol: float) -> int:
+    """Most points one solve can carry at rel_tol / sqrt(N) above scipy's floor.
+
+    scipy raises any rtol below 100 eps to 100 eps (with a warning), which
+    would quietly loosen the per-point error control of a large batch.
+    """
+    floor = 100.0 * np.finfo(float).eps
+    size = max(1, int((rel_tol / floor) ** 2))
+    while size > 1 and rel_tol / math.sqrt(size) < floor:
+        size -= 1
+    return size
+
+
+def transport_phases(
     M: OrbitSphere,
     loop: HamiltonianLoop,
-    q,
+    points,
     rel_tol: float = 1e-10,
     thresholds: tuple[float, float] = DEFAULT_SWITCH_THETA,
-    check_closure: bool = True,
-) -> PhaseState:
-    """Transport the section phase around the loop trajectory based at q.
+) -> list[PhaseState]:
+    """Transport the section phase around the loop trajectories based at points.
 
-    Requires the loop Hamiltonian to be normalized (zero mean); the result's
+    All base points are carried by one adaptive solve on an N x (3 + 1)
+    state, each in its own frame.  The RK45 error norm is an RMS over the
+    whole state, so rtol and atol are divided by sqrt(N) to keep every point
+    as accurate as a solve of its own; batches too large for that are split.
+    Requires the loop Hamiltonian to be normalized (zero mean); each result's
     ``phase`` is the unreduced lift in revolutions, and its reduction mod 1
-    is the holonomy argument.  Raises LoopClosureError when the trajectory
-    from q fails to return to q within the loop's closure tolerance, and
-    IntegrationError if the step-size control breaks down.
+    is the holonomy argument.  Raises LoopClosureError when a trajectory
+    fails to return to its base point within the loop's closure tolerance,
+    and IntegrationError if the step-size control breaks down.
     """
     check_rel_tol(rel_tol)
     th_lo, th_hi = thresholds
     if not (0.0 < th_lo < th_hi < math.pi):
         raise ValueError("thresholds must satisfy 0 < lo < hi < pi")
+    u0 = np.array([unit_vector(q) for q in points], dtype=float).reshape(-1, 3)
+    size = _chunk_size(rel_tol)
+    states: list[PhaseState] = []
+    for lo in range(0, len(u0), size):
+        states += _transport_batch(M, loop, u0[lo : lo + size], lo, rel_tol, thresholds)
+    return states
 
+
+def _transport_batch(M, loop, u0, offset, rel_tol, thresholds) -> list[PhaseState]:
     f = loop.hamiltonian
-    z_exit_north = math.cos(th_hi)  # leave the north frame below this height
-    z_exit_south = math.cos(th_lo)  # leave the south frame above this height
+    n_pts = len(u0)
+    z_exit_north = math.cos(thresholds[1])  # leave the north frame below this height
+    z_exit_south = math.cos(thresholds[0])  # leave the south frame above this height
 
-    u0 = unit_vector(q)
-    chart = Chart.NORTH if u0[2] >= 0.5 * (z_exit_north + z_exit_south) else Chart.SOUTH
-    start_chart = chart
-    y = np.append(u0, 0.0)
+    # Chart signs: +1 north, -1 south.  A point's margin, sign * u_z minus
+    # its exit level, is positive inside its frame's safe zone.
+    start_sign = np.where(u0[:, 2] >= 0.5 * (z_exit_north + z_exit_south), 1.0, -1.0)
+    sign = start_sign
+    y = np.column_stack([u0, np.zeros(n_pts)])
     t = 0.0
-    transitions = 0
+    transitions = np.zeros(n_pts, dtype=int)
     stops = _segment_times(0.0, 1.0, f.breakpoints)[1:]
+    scale = 1.0 / math.sqrt(n_pts)
 
-    def make_rhs(active: Chart):
+    def make_rhs(sgn):
         def rhs(tt, yy):
-            u = yy[:3]
-            un = u / np.linalg.norm(u)
+            u = yy.reshape(n_pts, 4)[:, :3]
+            un = u / np.sqrt((u * u).sum(axis=1, keepdims=True))
             x_vec = hamiltonian_vector_field(M, f, tt, un)
-            a = potential_eval(M, active, un, x_vec)
-            return np.append(x_vec, a - float(f.eval(tt, un)))
+            out = np.empty((n_pts, 4))
+            out[:, :3] = x_vec
+            out[:, 3] = potential_eval(M, sgn, un, x_vec) - f.eval(tt, un)
+            return out.ravel()
 
         return rhs
 
-    def make_event(z_c: float, direction: float):
+    def make_event(sgn):
+        exit_level = np.where(sgn > 0, z_exit_north, -z_exit_south)
+
         def ev(tt, yy):
-            return yy[2] - z_c
+            return float(np.min(sgn * yy[2::4] - exit_level))
 
         ev.terminal = True
-        ev.direction = direction
-        return ev
+        ev.direction = -1.0
+        return ev, exit_level
 
     while t < 1.0 - 1e-14:
         t_end = next(s for s in stops if s > t + 1e-14)
-        if chart is Chart.NORTH:
-            event = make_event(z_exit_north, -1.0)
-        else:
-            event = make_event(z_exit_south, +1.0)
+        event, exit_level = make_event(sign)
         sol = solve_ivp(
-            make_rhs(chart),
+            make_rhs(sign),
             (t, t_end),
-            y,
+            y.ravel(),
             method="RK45",
-            rtol=rel_tol,
-            atol=_ATOL,
+            rtol=rel_tol * scale,
+            atol=_ATOL * scale,
             events=(event,),
         )
         if sol.status == -1:
             raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t[-1]))
         if sol.status == 1:
             t = float(sol.t_events[0][0])
-            y_e = sol.y_events[0][0]
-            u = y_e[:3] / np.linalg.norm(y_e[:3])
-            phi = math.atan2(u[1], u[0]) % TWO_PI
-            jump = M.n * phi / TWO_PI
-            phase = y_e[3] + (-jump if chart is Chart.NORTH else jump)
-            y = np.append(u, phase)
-            chart = chart.other()
-            transitions += 1
-            if transitions > 10_000:
+            y = sol.y_events[0][0].reshape(n_pts, 4).copy()
+            y[:, :3] /= np.linalg.norm(y[:, :3], axis=1, keepdims=True)
+            # Switch every point at or past its exit level, not only the one
+            # that fired the event: a point crossing in the same step would
+            # otherwise restart beyond its threshold and never be detected.
+            margin = sign * y[:, 2] - exit_level
+            flip = margin <= max(float(margin.min()), 0.0)
+            y[flip, 3] -= sign[flip] * _frame_jump(M, y[flip, :3])
+            sign = np.where(flip, -sign, sign)
+            transitions += flip
+            if transitions.max() > 10_000:
                 raise IntegrationError("chart switch limit exceeded", t=t)
         else:
-            y = sol.y[:, -1].copy()
-            y[:3] /= np.linalg.norm(y[:3])
+            y = sol.y[:, -1].reshape(n_pts, 4).copy()
+            y[:, :3] /= np.linalg.norm(y[:, :3], axis=1, keepdims=True)
             t = t_end
 
-    endpoint = y[:3]
-    phase = float(y[3])
-    if chart is not start_chart:
-        # The phase must be reported in the starting frame; an odd number of
-        # switches leaves it in the other one.  Mismatches only happen away
-        # from the poles, so the azimuth of the endpoint is well defined.
-        phi = math.atan2(endpoint[1], endpoint[0]) % TWO_PI
-        jump = M.n * phi / TWO_PI
-        phase += -jump if chart is Chart.NORTH else jump
-    if check_closure:
-        defect = float(np.linalg.norm(endpoint - u0))
-        if defect > loop.closure_tol:
-            raise LoopClosureError(
-                f"loop '{loop.label}' does not close at the base point: "
-                f"defect {defect:.3e} exceeds tolerance {loop.closure_tol:.3e}"
-            )
-    return PhaseState(point=endpoint, phase=phase, transitions=transitions)
+    # Phases are reported in the starting frame; an odd number of switches
+    # leaves a point in the other one.  Mismatches only happen away from the
+    # poles, so the azimuth of the endpoint is well defined.
+    odd = sign != start_sign
+    y[odd, 3] -= sign[odd] * _frame_jump(M, y[odd, :3])
+    defects = np.linalg.norm(y[:, :3] - u0, axis=1)
+    bad = np.flatnonzero(defects > loop.closure_tol)
+    if len(bad):
+        i = int(bad[0])
+        raise LoopClosureError(
+            f"loop '{loop.label}' does not close at base point {offset + i}: "
+            f"defect {defects[i]:.3e} exceeds tolerance {loop.closure_tol:.3e}"
+        )
+    return [
+        PhaseState(point=y[i, :3].copy(), phase=float(y[i, 3]), transitions=int(transitions[i]))
+        for i in range(n_pts)
+    ]
+
+
+def _frame_jump(M: OrbitSphere, u: np.ndarray) -> np.ndarray:
+    """Phase jump n phi / (2 pi) of the frame transition at points u, in revolutions."""
+    phi = np.arctan2(u[:, 1], u[:, 0]) % TWO_PI
+    return M.n * phi / TWO_PI
+
+
+def transport_phase(
+    M: OrbitSphere,
+    loop: HamiltonianLoop,
+    q,
+    rel_tol: float = 1e-10,
+    thresholds: tuple[float, float] = DEFAULT_SWITCH_THETA,
+) -> PhaseState:
+    """Transport the section phase around the loop trajectory based at q.
+
+    The batch of one of ``transport_phases``.
+    """
+    return transport_phases(M, loop, [q], rel_tol=rel_tol, thresholds=thresholds)[0]
 
 
 def kappa(
@@ -213,6 +263,14 @@ def kappa(
     """
     state = transport_phase(M, loop, q, rel_tol=rel_tol, thresholds=thresholds)
     return UnitPhase.from_revolutions(state.phase)
+
+
+def kappas(
+    M: OrbitSphere, loop: HamiltonianLoop, points, rel_tol: float = 1e-10
+) -> list[UnitPhase]:
+    """Holonomy from every base point, all transported in one batch."""
+    states = transport_phases(M, loop, points, rel_tol=rel_tol)
+    return [UnitPhase.from_revolutions(st.phase) for st in states]
 
 
 def kappa_at_fixed_point(
@@ -244,7 +302,7 @@ def base_point_spread(
     M: OrbitSphere, loop: HamiltonianLoop, points, rel_tol: float = 1e-10
 ) -> float:
     """Largest pairwise circle distance between kappa values over the points."""
-    return phase_spread([kappa(M, loop, q, rel_tol=rel_tol).value for q in points])
+    return phase_spread([k.value for k in kappas(M, loop, points, rel_tol=rel_tol)])
 
 
 def product_loop(xi: HamiltonianLoop, psi: HamiltonianLoop) -> HamiltonianLoop:

@@ -51,6 +51,11 @@ class Chart(Enum):
         z = -1.0 if self is Chart.NORTH else 1.0
         return np.array([0.0, 0.0, z])
 
+    @property
+    def sign(self) -> float:
+        """+1 for the north frame, -1 for the south frame."""
+        return 1.0 if self is Chart.NORTH else -1.0
+
     def other(self) -> "Chart":
         return Chart.SOUTH if self is Chart.NORTH else Chart.NORTH
 
@@ -129,24 +134,29 @@ def area_form(M: OrbitSphere, p, v, w, tangency_tol: float = 1e-10) -> float:
     return 0.5 * M.k * float(np.dot(u, np.cross(v, w)))
 
 
-def potential_eval(M: OrbitSphere, frame: Chart, p, v) -> float:
+def potential_eval(M: OrbitSphere, frame, p, v):
     """Chart primitive of the area form, evaluated on a tangent vector.
 
     In Cartesian terms alpha_N(v) = (k/2) (u x v)_z / (1 + u_z), which makes
-    the regularity at the north pole explicit; the south frame mirrors it.
+    the regularity at the north pole explicit; the south frame mirrors it:
+    alpha_S(v) = -(k/2) (u x v)_z / (1 - u_z).  ``p`` and ``v`` are single
+    vectors ``(3,)`` or batches ``(N, 3)``; ``frame`` is a Chart, or for a
+    batch an array of chart signs (``Chart.sign``), one per row.
     """
     u = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    cz = u[0] * v[1] - u[1] * v[0]
-    if frame is Chart.NORTH:
-        denom = 1.0 + u[2]
-        if denom <= 1e-13:
-            raise ChartDomainError("north-frame potential is singular at the south pole")
-        return 0.5 * M.k * cz / denom
-    denom = 1.0 - u[2]
-    if denom <= 1e-13:
-        raise ChartDomainError("south-frame potential is singular at the north pole")
-    return -0.5 * M.k * cz / denom
+    sign = frame.sign if isinstance(frame, Chart) else np.asarray(frame, dtype=float)
+    ux, uy, uz = u.T
+    vx, vy, _ = v.T
+    denom = 1.0 + sign * uz
+    if denom.min() <= 1e-13:
+        north = np.any((denom <= 1e-13) & (sign > 0))
+        raise ChartDomainError(
+            "north-frame potential is singular at the south pole"
+            if north
+            else "south-frame potential is singular at the north pole"
+        )
+    return 0.5 * M.k * sign * (ux * vy - uy * vx) / denom
 
 
 @lru_cache(maxsize=8)

@@ -185,6 +185,12 @@ class TestRunTask:
             ({"tolerances": {"flow_rel_tol": 1}}, "tolerances.flow_rel_tol"),
             ({"hamiltonian": {"name": "invariant", "a": "x"}}, "invariant.a"),
             ({"base_points": [["a", 1]]}, "base_points"),
+            ({"seed": "abc"}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"seed": 1.7}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"base_points": []}, "base_points"),
+            ({"task": "omega", "base_points": []}, "base_points"),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, overrides, key):
@@ -215,6 +221,13 @@ class TestVerifyAndDemo:
             for v in axis_vals.values():
                 d = abs(v - record["expected_phase"]) % 1.0
                 assert min(d, 1 - d) < 1e-6
+
+    def test_su2_demo_level_zero_is_config_error(self, tmp_path):
+        out = tmp_path / "demo"
+        assert main(["su2-demo", "--n", "0", "--out", str(out)]) == 1
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith("n must be")
 
     def test_su2_demo_task_honours_tolerances(self, tmp_path):
         out = tmp_path / "demo"

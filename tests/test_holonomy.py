@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from conftest import quadratic_hamiltonian
+from reference_transport import reference_transport_phase
 
 from preqholo import (
     DIR_A,
@@ -25,9 +28,11 @@ from preqholo import (
     scale_hamiltonian,
     sphere_point,
     transport_phase,
+    transport_phases,
     unit_vector,
     zero_hamiltonian,
 )
+from preqholo.config import Tolerances, build_loop
 from scipy.integrate import quad
 
 
@@ -264,3 +269,74 @@ def test_transport_oracle_with_independent_quadrature(sphere2):
     )
     cap_term = -(M.n / 2) * (1 - math.cos(r))
     assert st_.phase == pytest.approx(cap_term - f_term, abs=1e-6)
+
+
+_AXIS = {"name": "invariant", "a": 0.48, "b": -0.6, "z": 0.64}
+REGISTRY_SPECS = [
+    {"name": "zero"},
+    _AXIS,
+    {"name": "mix", "amplitude": 1.3, "profile": "cosine-ramp"},
+    {"name": "mix", "amplitude": math.pi, "profile": "constant"},
+    {"name": "mix", "amplitude": 2.0 * math.pi, "profile": "constant"},
+    {"name": "scaled", "base": _AXIS, "factor": 2},
+    {"name": "scaled", "base": _AXIS, "factor": 3},
+]
+
+
+def quadratic_there_and_back():
+    f = quadratic_hamiltonian(1.5)
+    forth = HamiltonianLoop(f, label="xy")
+    back = HamiltonianLoop(scale_hamiltonian(f, -1.0), label="-xy")
+    return product_loop(back, forth)
+
+
+@pytest.mark.parametrize(
+    "n, loop_fn",
+    [(i % 3 + 1, lambda M, spec=spec: build_loop(M, spec, Tolerances()))
+     for i, spec in enumerate(REGISTRY_SPECS)]
+    + [(2, lambda M: quadratic_there_and_back())],
+    ids=[spec["name"] + str(i) for i, spec in enumerate(REGISTRY_SPECS)] + ["quadratic"],
+)
+def test_batched_transport_matches_reference(n, loop_fn):
+    # 1e-8 rev is the frame-independence bound; transitions must match exactly
+    M = OrbitSphere(n)
+    loop = loop_fn(M)
+    pts = fibonacci_sphere(10, rng=np.random.default_rng(n))
+    ref = [reference_transport_phase(M, loop, q) for q in pts]
+    for batch in (transport_phases(M, loop, pts), [transport_phase(M, loop, pts[0])]):
+        for r, b in zip(ref, batch):
+            assert b.transitions == r.transitions
+            assert abs(b.phase - r.phase) < 1e-8
+            assert np.linalg.norm(b.point - r.point) < 1e-8
+
+
+def test_batch_with_repeated_point_switches_both_together(sphere1):
+    # both copies cross their exit levels at the same instant
+    loop = mixing_loop(sphere1, 0.9)
+    q = sphere_point(0.1, 0.4)
+    solo = transport_phase(sphere1, loop, q)
+    assert solo.transitions > 0
+    a, other, b = transport_phases(sphere1, loop, [q, sphere_point(2.0, 1.0), q])
+    assert a.phase == b.phase
+    assert np.array_equal(a.point, b.point)
+    assert a.transitions == b.transitions == solo.transitions
+
+
+def test_tight_tolerance_batch_stays_above_solver_floor():
+    # 40 points at rel_tol 1e-13 are split so rtol / sqrt(N) never reaches
+    # scipy's 100 eps floor, which would warn and loosen the control
+    M = OrbitSphere(1)
+    loop = mixing_loop(M, 0.8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = transport_phases(M, loop, fibonacci_sphere(40), rel_tol=1e-13)
+    assert len(states) == 40
+    assert max(circle_distance(st_.phase, 0.5) for st_ in states) < 1e-8
+
+
+def test_closure_error_names_failing_base_point(sphere1):
+    f = scale_hamiltonian(invariant_hamiltonian(sphere1, DIR_A), -0.37 * math.pi)
+    broken = HamiltonianLoop(f, closure_tol=1e-6, label="open")
+    fixed_point = DIR_A.axis()  # the rotation axis closes, the other point does not
+    with pytest.raises(LoopClosureError, match="base point 1:"):
+        transport_phases(sphere1, broken, [fixed_point, sphere_point(1.0, 1.0)])

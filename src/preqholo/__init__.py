@@ -42,7 +42,6 @@ from .families import (
 from .holonomy import (
     PhaseState,
     UnitPhase,
-    base_point_spread,
     circle_distance,
     kappa,
     kappa_at_fixed_point,

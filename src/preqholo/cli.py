@@ -101,7 +101,7 @@ def _run_kappa_task(scenario: Scenario) -> dict:
     loop = build_loop(M, scenario.hamiltonian, scenario.tolerances)
     points = resolve_base_points(scenario.base_points, scenario.seed)
     rel = scenario.tolerances.flow_rel_tol
-    phases = [k.value for k in kappas(M, loop, points, rel_tol=rel)]
+    phases = kappas(M, loop, points, rel_tol=rel)
 
     record = {
         "task": scenario.task,

@@ -267,10 +267,10 @@ def kappa(
 
 def kappas(
     M: OrbitSphere, loop: HamiltonianLoop, points, rel_tol: float = 1e-10
-) -> list[UnitPhase]:
-    """Holonomy from every base point, all transported in one batch."""
+) -> list[float]:
+    """Holonomy from every base point, in revolutions in [0, 1), all transported in one batch."""
     states = transport_phases(M, loop, points, rel_tol=rel_tol)
-    return [UnitPhase.from_revolutions(st.phase) for st in states]
+    return [UnitPhase.from_revolutions(st.phase).value for st in states]
 
 
 def kappa_at_fixed_point(
@@ -296,13 +296,6 @@ def phase_spread(phases) -> float:
     vals = np.asarray(phases, dtype=float)
     diffs = np.abs(vals[:, None] - vals[None, :]) % 1.0
     return float(np.max(np.minimum(diffs, 1.0 - diffs))) if len(vals) else 0.0
-
-
-def base_point_spread(
-    M: OrbitSphere, loop: HamiltonianLoop, points, rel_tol: float = 1e-10
-) -> float:
-    """Largest pairwise circle distance between kappa values over the points."""
-    return phase_spread([k.value for k in kappas(M, loop, points, rel_tol=rel_tol)])
 
 
 def product_loop(xi: HamiltonianLoop, psi: HamiltonianLoop) -> HamiltonianLoop:

@@ -80,7 +80,7 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
         sphere_point(math.pi / 2, 0.0),
         sphere_point(math.pi / 2, math.pi / 2),
     ]
-    vals = [k.value for k in kappas(M, loop_a, ref_points, rel_tol=rel)]
+    vals = kappas(M, loop_a, ref_points, rel_tol=rel)
     res = max(max(circle_distance(v, parity) for v in vals), phase_spread(vals))
     checks.append(_check("three-point-agreement", res, tol.phase_tol))
 
@@ -88,7 +88,7 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     # against the closed form: the cosine-ramp drift returns to 0, so the
     # SU(2) lift ends at exp(pi A) = -I and kappa = n/2 mod 1.
     mix = mixing_loop(M, 0.8, closure_tol=tol.closure_tol)
-    vals = [k.value for k in kappas(M, mix, fibonacci_sphere(40), rel_tol=rel)]
+    vals = kappas(M, mix, fibonacci_sphere(40), rel_tol=rel)
     checks.append(_check("base-point-independence", phase_spread(vals), 1e-5, "40 points, mixing loop"))
     res = max(circle_distance(v, parity) for v in vals)
     checks.append(_check("base-point-oracle", res, tol.phase_tol, "40 points, mixing loop"))

@@ -16,7 +16,6 @@ from preqholo import (
     DIR_Z,
     AlgebraDirection,
     OrbitSphere,
-    base_point_spread,
     circle_distance,
     closed_form_flow,
     closed_mixing_family,
@@ -28,6 +27,7 @@ from preqholo import (
     invariant_loop,
     kappa,
     kappa_at_fixed_point,
+    kappas,
     kappa_derivative_check,
     mixing_family,
     mixing_loop,
@@ -40,6 +40,7 @@ from preqholo import (
 )
 from preqholo.cli import main
 from preqholo.families import omega_eval as family_omega
+from preqholo.holonomy import phase_spread
 from preqholo.sphere import random_tangent
 
 
@@ -85,7 +86,7 @@ def test_criterion_2_three_point_agreement():
 def test_criterion_3_base_point_independence():
     M = OrbitSphere(2)
     loop = mixing_loop(M, 0.9)
-    spread = base_point_spread(M, loop, fibonacci_sphere(100))
+    spread = phase_spread(kappas(M, loop, fibonacci_sphere(100)))
     report("3 base-point independence (100 points)", spread < 1e-5, f"spread {spread:.2e}")
 
 

@@ -16,13 +16,13 @@ from preqholo import (
     LoopClosureError,
     OrbitSphere,
     UnitPhase,
-    base_point_spread,
     circle_distance,
     fibonacci_sphere,
     invariant_hamiltonian,
     invariant_loop,
     kappa,
     kappa_at_fixed_point,
+    kappas,
     mixing_loop,
     product_loop,
     scale_hamiltonian,
@@ -33,6 +33,7 @@ from preqholo import (
     zero_hamiltonian,
 )
 from preqholo.config import Tolerances, build_loop
+from preqholo.holonomy import phase_spread
 from scipy.integrate import quad
 
 
@@ -135,13 +136,13 @@ def test_fixed_point_agrees_with_transport(sphere2):
 
 
 def test_spread_constant_loop(sphere1):
-    assert base_point_spread(sphere1, zero_loop(), fibonacci_sphere(50)) == 0.0
+    assert phase_spread(kappas(sphere1, zero_loop(), fibonacci_sphere(50))) == 0.0
 
 
 def test_spread_three_reference_points(sphere1):
     pts = [sphere_point(0, 0), sphere_point(math.pi / 2, 0), sphere_point(math.pi / 2, math.pi / 2)]
     loop = invariant_loop(sphere1, DIR_A)
-    assert base_point_spread(sphere1, loop, pts) < 1e-6
+    assert phase_spread(kappas(sphere1, loop, pts)) < 1e-6
     for q in pts:
         assert kappa(sphere1, loop, q).distance_to(0.5) < 1e-6
 
@@ -150,7 +151,7 @@ def test_spread_random_axis_n2(sphere2, rng):
     lam = rng.uniform(0, 2 * math.pi)
     loop = invariant_loop(sphere2, AlgebraDirection(math.cos(lam), math.sin(lam)))
     pts = fibonacci_sphere(100)
-    assert base_point_spread(sphere2, loop, pts) < 1e-6
+    assert phase_spread(kappas(sphere2, loop, pts)) < 1e-6
     assert kappa(sphere2, loop, pts[0]).distance_to(0.0) < 1e-6
 
 

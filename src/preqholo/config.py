@@ -31,10 +31,14 @@ class ConfigError(ValueError):
 
 
 def _float(value, key: str) -> float:
+    """The value as a finite float; NaN or infinite inputs would stall the integrators."""
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
+    if not math.isfinite(out):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,9 @@ class Tolerances:
             check_rel_tol(out.flow_rel_tol)
         except ValueError as exc:
             raise ConfigError(f"tolerances.flow_rel_tol: {exc}") from exc
+        for key in ("phase_tol", "closure_tol"):
+            if getattr(out, key) <= 0.0:
+                raise ConfigError(f"tolerances.{key} must be > 0, got {getattr(out, key)!r}")
         return out
 
 

@@ -129,9 +129,8 @@ def kappa_derivative_check(
 ) -> DerivativeCheck:
     """Centered-difference holonomy-phase slope against -Omega at s.
 
-    The finite difference is taken on the circle (wrapped to the nearest
-    representative), which is immune to integer re-bookings of the phase
-    lift when a chart switch appears or disappears between s - h and s + h.
+    The finite difference is taken between reduced holonomies, on the
+    circle (wrapped to the nearest representative), so no phase lift enters.
     """
     p_plus = kappa(M, fam.loop_at(s + h_s), q, rel_tol=rel_tol).value
     p_minus = kappa(M, fam.loop_at(s - h_s), q, rel_tol=rel_tol).value
@@ -182,13 +181,10 @@ def phase_lift(
     q,
     s_samples: int = 64,
     rel_tol: float = 1e-10,
-    max_samples: int = 2**14,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Continuous lift of s -> kappa(loop_at(s)) sampled from base point q."""
     return lift_circle_samples(
-        lambda s: kappa(M, fam.loop_at(s), q, rel_tol=rel_tol).value,
-        s_samples,
-        max_samples=max_samples,
+        lambda s: kappa(M, fam.loop_at(s), q, rel_tol=rel_tol).value, s_samples
     )
 
 

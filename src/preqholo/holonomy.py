@@ -1,23 +1,24 @@
 """Phase transport along loop trajectories and the loop holonomy.
 
-A section component in a local frame evolves along a trajectory sigma(t) by
+The section is transported as a spinor.  A trajectory u(t) on the sphere is
+the Bloch vector u = chi^dag sigma chi / |chi|^2 of a spinor chi in C^2 that
+turns with the angular velocity w = u x X_t(u) of the trajectory,
 
-    d(theta)/dt = alpha_frame(X_t)(sigma(t)) - f_t(sigma(t)),
+    d(chi)/dt = -(i/2) (w . sigma) chi.
 
-with theta the accumulated phase in revolutions (full turns).  The generator
-is real, so the modulus of the section component is constant by construction
-and only the phase is stored.  When the trajectory leaves the active frame's
-safe zone, the frame is switched and the phase jumps by -n phi / (2 pi)
-(north to south) or +n phi / (2 pi) (south to north), phi being the azimuth
-of the switch point; this is the frame transition exp(-i n phi) written in
-revolutions.  The reduction mod 1 of the final phase is the holonomy
-argument; the unreduced lift is kept because winding computations on loop
-families need it.
+w has no component along u, so chi is the horizontal (Berry) lift of u(t),
+and it needs no chart anywhere on the sphere.  The level-n section picks up
+n times the spin-1/2 geometric phase, and the Hamiltonian term on top:
 
-The phase is integrated as one adaptive system together with the trajectory,
-for all base points of a loop at once, with frame switches located by event
-detection inside a hysteresis band, so a trajectory through a pole never
-evaluates a singular potential.
+    phase = -n arg<chi(0), chi(1)> / (2 pi) - integral_0^1 f_t(u(t)) dt
+
+in revolutions.  Its reduction mod 1 is the holonomy argument.  The
+unreduced value is the lift in the chart frame whose cap the trajectory
+encloses with the smaller area; it is defined up to an integer, which
+comparisons on the circle ignore.
+
+All base points of a loop are integrated as one adaptive system, one smooth
+solve per piecewise-smooth segment of the Hamiltonian.
 """
 
 from __future__ import annotations
@@ -35,15 +36,8 @@ from .dynamics import (
     TimeDepHamiltonian,
     _segment_times,
     check_rel_tol,
-    hamiltonian_vector_field,
 )
-from .sphere import (
-    DEFAULT_SWITCH_THETA,
-    TWO_PI,
-    OrbitSphere,
-    potential_eval,
-    unit_vector,
-)
+from .sphere import TWO_PI, OrbitSphere, unit_vector
 
 _ATOL = 1e-13
 
@@ -88,11 +82,18 @@ class UnitPhase:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Transport state at t = 1: endpoint, phase lift in the start frame, switch count."""
+    """Transport state at t = 1: endpoint and phase lift in revolutions."""
 
     point: np.ndarray
     phase: float
-    transitions: int
+
+    @property
+    def transitions(self) -> int:
+        """Chart switches: always 0, the spinor transport uses no chart.
+
+        Kept only while ``bench/tracer.py`` reads it; see ROADMAP item 6.
+        """
+        return 0
 
 
 def _chunk_size(rel_tol: float) -> int:
@@ -109,113 +110,96 @@ def _chunk_size(rel_tol: float) -> int:
 
 
 def transport_phases(
-    M: OrbitSphere,
-    loop: HamiltonianLoop,
-    points,
-    rel_tol: float = 1e-10,
-    thresholds: tuple[float, float] = DEFAULT_SWITCH_THETA,
+    M: OrbitSphere, loop: HamiltonianLoop, points, rel_tol: float = 1e-10
 ) -> list[PhaseState]:
     """Transport the section phase around the loop trajectories based at points.
 
-    All base points are carried by one adaptive solve on an N x (3 + 1)
-    state, each in its own frame.  The RK45 error norm is an RMS over the
-    whole state, so rtol and atol are divided by sqrt(N) to keep every point
-    as accurate as a solve of its own; batches too large for that are split.
-    Requires the loop Hamiltonian to be normalized (zero mean); each result's
-    ``phase`` is the unreduced lift in revolutions, and its reduction mod 1
-    is the holonomy argument.  Raises LoopClosureError when a trajectory
-    fails to return to its base point within the loop's closure tolerance,
-    and IntegrationError if the step-size control breaks down.
+    All base points are carried by one adaptive solve on an N x 3 complex
+    state: the two spinor components and the running integral of f_t.  The
+    RK45 error norm is an RMS over the whole state, so rtol and atol are
+    divided by sqrt(N) to keep every point as accurate as a solve of its
+    own; batches too large for that are split.  Requires the loop
+    Hamiltonian to be normalized (zero mean); each result's ``phase`` is the
+    unreduced lift in revolutions, and its reduction mod 1 is the holonomy
+    argument.  Raises LoopClosureError when a trajectory fails to return to
+    its base point within the loop's closure tolerance, and IntegrationError
+    if the step-size control breaks down.
     """
     check_rel_tol(rel_tol)
-    th_lo, th_hi = thresholds
-    if not (0.0 < th_lo < th_hi < math.pi):
-        raise ValueError("thresholds must satisfy 0 < lo < hi < pi")
     u0 = np.array([unit_vector(q) for q in points], dtype=float).reshape(-1, 3)
     size = _chunk_size(rel_tol)
     states: list[PhaseState] = []
     for lo in range(0, len(u0), size):
-        states += _transport_batch(M, loop, u0[lo : lo + size], lo, rel_tol, thresholds)
+        states += _transport_batch(M, loop, u0[lo : lo + size], lo, rel_tol)
     return states
 
 
-def _transport_batch(M, loop, u0, offset, rel_tol, thresholds) -> list[PhaseState]:
+def _spinors(u: np.ndarray) -> np.ndarray:
+    """Unit spinors (a, b) with Bloch vectors u, one row each; the overall phase is arbitrary."""
+    x, y, z = u.T
+    north = z >= 0.0
+    chi = np.empty((len(u), 2), dtype=complex)
+    chi[:, 0] = np.where(north, 1.0 + z, x - 1j * y)
+    chi[:, 1] = np.where(north, x + 1j * y, 1.0 - z)
+    return chi / np.sqrt(2.0 * (1.0 + np.abs(z)))[:, None]
+
+
+# The right-hand side works on the real view (Re a, Im a, Re b, Im b) of each
+# spinor, where a complex 2 x 2 matrix acts as the real 4 x 4 matrix _real(m)
+# and every product is one small matrix product for the whole batch.
+def _real(m: np.ndarray) -> np.ndarray:
+    r = np.empty((4, 4))
+    r[0::2, 0::2] = r[1::2, 1::2] = m.real
+    r[1::2, 0::2] = m.imag
+    r[0::2, 1::2] = -m.imag
+    return r
+
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# chi^dag sigma_j chi and |chi|^2 as quadratic forms in x (x) x.
+_FORMS = np.stack([_real(m).ravel() for m in (*_PAULI, np.eye(2))], axis=1)
+# -(i/2) (w . sigma) chi as a bilinear form in w (x) x.
+_TURN = np.concatenate([_real(-0.5j * m).T for m in _PAULI])
+
+
+def _bloch(x: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors chi^dag sigma chi / |chi|^2 of spinors in real view (N, 4)."""
+    q = (x[:, :, None] * x[:, None, :]).reshape(len(x), 16) @ _FORMS
+    return q[:, :3] / q[:, 3:]
+
+
+def _transport_batch(M, loop, u0, offset, rel_tol) -> list[PhaseState]:
     f = loop.hamiltonian
     n_pts = len(u0)
-    z_exit_north = math.cos(thresholds[1])  # leave the north frame below this height
-    z_exit_south = math.cos(thresholds[0])  # leave the south frame above this height
-
-    # Chart signs: +1 north, -1 south.  A point's margin, sign * u_z minus
-    # its exit level, is positive inside its frame's safe zone.
-    start_sign = np.where(u0[:, 2] >= 0.5 * (z_exit_north + z_exit_south), 1.0, -1.0)
-    sign = start_sign
-    y = np.column_stack([u0, np.zeros(n_pts)])
-    t = 0.0
-    transitions = np.zeros(n_pts, dtype=int)
-    stops = _segment_times(0.0, 1.0, f.breakpoints)[1:]
     scale = 1.0 / math.sqrt(n_pts)
+    # For unit u, w = u x X_t(u) = (2/k) (u (u . g) - g) with g = grad f.
+    turn = (2.0 / M.k) * _TURN
 
-    def make_rhs(sgn):
-        def rhs(tt, yy):
-            u = yy.reshape(n_pts, 4)[:, :3]
-            un = u / np.sqrt((u * u).sum(axis=1, keepdims=True))
-            x_vec = hamiltonian_vector_field(M, f, tt, un)
-            out = np.empty((n_pts, 4))
-            out[:, :3] = x_vec
-            out[:, 3] = potential_eval(M, sgn, un, x_vec) - f.eval(tt, un)
-            return out.ravel()
+    def rhs(t, yy):
+        x = yy.reshape(n_pts, 3)[:, :2].view(float)
+        u = _bloch(x)
+        g = np.asarray(f.grad(t, u), dtype=float)
+        v = u * (u * g).sum(axis=1, keepdims=True) - g
+        out = np.empty((n_pts, 6))
+        out[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(n_pts, 12) @ turn
+        out[:, 4] = f.eval(t, u)
+        out[:, 5] = 0.0
+        return out.view(complex).ravel()
 
-        return rhs
-
-    def make_event(sgn):
-        exit_level = np.where(sgn > 0, z_exit_north, -z_exit_south)
-
-        def ev(tt, yy):
-            return float(np.min(sgn * yy[2::4] - exit_level))
-
-        ev.terminal = True
-        ev.direction = -1.0
-        return ev, exit_level
-
-    while t < 1.0 - 1e-14:
-        t_end = next(s for s in stops if s > t + 1e-14)
-        event, exit_level = make_event(sign)
+    chi0 = _spinors(u0)
+    y = np.zeros((n_pts, 3), dtype=complex)
+    y[:, :2] = chi0
+    stops = _segment_times(0.0, 1.0, f.breakpoints)
+    for t0, t1 in zip(stops[:-1], stops[1:]):
         sol = solve_ivp(
-            make_rhs(sign),
-            (t, t_end),
-            y.ravel(),
-            method="RK45",
-            rtol=rel_tol * scale,
-            atol=_ATOL * scale,
-            events=(event,),
+            rhs, (t0, t1), y.ravel(), method="RK45", rtol=rel_tol * scale, atol=_ATOL * scale
         )
-        if sol.status == -1:
+        if not sol.success:
             raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t[-1]))
-        if sol.status == 1:
-            t = float(sol.t_events[0][0])
-            y = sol.y_events[0][0].reshape(n_pts, 4).copy()
-            y[:, :3] /= np.linalg.norm(y[:, :3], axis=1, keepdims=True)
-            # Switch every point at or past its exit level, not only the one
-            # that fired the event: a point crossing in the same step would
-            # otherwise restart beyond its threshold and never be detected.
-            margin = sign * y[:, 2] - exit_level
-            flip = margin <= max(float(margin.min()), 0.0)
-            y[flip, 3] -= sign[flip] * _frame_jump(M, y[flip, :3])
-            sign = np.where(flip, -sign, sign)
-            transitions += flip
-            if transitions.max() > 10_000:
-                raise IntegrationError("chart switch limit exceeded", t=t)
-        else:
-            y = sol.y[:, -1].reshape(n_pts, 4).copy()
-            y[:, :3] /= np.linalg.norm(y[:, :3], axis=1, keepdims=True)
-            t = t_end
+        y = sol.y[:, -1].reshape(n_pts, 3)
 
-    # Phases are reported in the starting frame; an odd number of switches
-    # leaves a point in the other one.  Mismatches only happen away from the
-    # poles, so the azimuth of the endpoint is well defined.
-    odd = sign != start_sign
-    y[odd, 3] -= sign[odd] * _frame_jump(M, y[odd, :3])
-    defects = np.linalg.norm(y[:, :3] - u0, axis=1)
+    points = _bloch(y[:, :2].view(float))
+    defects = np.linalg.norm(points - u0, axis=1)
     bad = np.flatnonzero(defects > loop.closure_tol)
     if len(bad):
         i = int(bad[0])
@@ -223,46 +207,32 @@ def _transport_batch(M, loop, u0, offset, rel_tol, thresholds) -> list[PhaseStat
             f"loop '{loop.label}' does not close at base point {offset + i}: "
             f"defect {defects[i]:.3e} exceeds tolerance {loop.closure_tol:.3e}"
         )
-    return [
-        PhaseState(point=y[i, :3].copy(), phase=float(y[i, 3]), transitions=int(transitions[i]))
-        for i in range(n_pts)
-    ]
-
-
-def _frame_jump(M: OrbitSphere, u: np.ndarray) -> np.ndarray:
-    """Phase jump n phi / (2 pi) of the frame transition at points u, in revolutions."""
-    phi = np.arctan2(u[:, 1], u[:, 0]) % TWO_PI
-    return M.n * phi / TWO_PI
+    # <chi0, chi1> in real arithmetic, so an unmoved spinor has an exactly
+    # real overlap and a phase of exactly 0.
+    p0, p1 = chi0, y[:, :2]
+    re = (p0.real * p1.real + p0.imag * p1.imag).sum(axis=1)
+    im = (p0.real * p1.imag - p0.imag * p1.real).sum(axis=1)
+    phases = -M.n * np.arctan2(im, re) / TWO_PI - y[:, 2].real
+    return [PhaseState(point=points[i], phase=float(phases[i])) for i in range(n_pts)]
 
 
 def transport_phase(
-    M: OrbitSphere,
-    loop: HamiltonianLoop,
-    q,
-    rel_tol: float = 1e-10,
-    thresholds: tuple[float, float] = DEFAULT_SWITCH_THETA,
+    M: OrbitSphere, loop: HamiltonianLoop, q, rel_tol: float = 1e-10
 ) -> PhaseState:
     """Transport the section phase around the loop trajectory based at q.
 
     The batch of one of ``transport_phases``.
     """
-    return transport_phases(M, loop, [q], rel_tol=rel_tol, thresholds=thresholds)[0]
+    return transport_phases(M, loop, [q], rel_tol=rel_tol)[0]
 
 
-def kappa(
-    M: OrbitSphere,
-    loop: HamiltonianLoop,
-    q,
-    rel_tol: float = 1e-10,
-    thresholds: tuple[float, float] = DEFAULT_SWITCH_THETA,
-) -> UnitPhase:
+def kappa(M: OrbitSphere, loop: HamiltonianLoop, q, rel_tol: float = 1e-10) -> UnitPhase:
     """Holonomy of the transport around the loop, as a unit phase.
 
     The value is independent of the base point q; tests assert this rather
     than assume it.
     """
-    state = transport_phase(M, loop, q, rel_tol=rel_tol, thresholds=thresholds)
-    return UnitPhase.from_revolutions(state.phase)
+    return UnitPhase.from_revolutions(transport_phase(M, loop, q, rel_tol=rel_tol).phase)
 
 
 def kappas(

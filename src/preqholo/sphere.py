@@ -7,12 +7,14 @@ is the rescaled area 2-form
 
     omega = (k / 2) * sin(theta) dtheta ^ dphi,      k = n / (2 pi),
 
-whose total integral over the sphere is the integer level ``n``.  Each chart
-carries a primitive of omega (a "potential"): the north frame uses
-``alpha_N = (k/2) (1 - cos theta) dphi``, regular everywhere except the south
-pole, and the south frame uses ``alpha_S = -(k/2) (1 + cos theta) dphi``.
+whose total integral over the sphere is the integer level ``n``.  The two
+local frames of the line bundle each carry a primitive of omega (a
+"potential"): ``alpha_N = (k/2) (1 - cos theta) dphi``, regular everywhere
+except the south pole, and ``alpha_S = -(k/2) (1 + cos theta) dphi``.
 Their difference is ``k dphi``, so the frame transition function is
-``exp(-i n phi)``, single valued exactly because ``k = n / (2 pi)``.
+``exp(-i n phi)``, single valued exactly because ``k = n / (2 pi)``.  The
+transport in ``holonomy`` needs no frame; the potentials serve the tests'
+frame-based reference transport and line-integral checks.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ from numpy.polynomial.legendre import leggauss
 
 TWO_PI = 2.0 * math.pi
 
-# Colatitude thresholds of the hysteresis band used when switching chart
-# frames along a trajectory: leave the north frame above the second angle,
-# return to it below the first.  Both poles sit deep inside one frame's
-# regular zone, so trajectories may cross the poles freely.
-DEFAULT_SWITCH_THETA = (math.pi / 3.0, 2.0 * math.pi / 3.0)
-
 _POLE_SIN_TOL = 1e-14
 
 
@@ -45,11 +41,6 @@ class Chart(Enum):
 
     NORTH = "north"
     SOUTH = "south"
-
-    @property
-    def excluded_pole(self) -> np.ndarray:
-        z = -1.0 if self is Chart.NORTH else 1.0
-        return np.array([0.0, 0.0, z])
 
     @property
     def sign(self) -> float:
@@ -134,29 +125,21 @@ def area_form(M: OrbitSphere, p, v, w, tangency_tol: float = 1e-10) -> float:
     return 0.5 * M.k * float(np.dot(u, np.cross(v, w)))
 
 
-def potential_eval(M: OrbitSphere, frame, p, v):
+def potential_eval(M: OrbitSphere, frame: Chart, p, v) -> float:
     """Chart primitive of the area form, evaluated on a tangent vector.
 
     In Cartesian terms alpha_N(v) = (k/2) (u x v)_z / (1 + u_z), which makes
     the regularity at the north pole explicit; the south frame mirrors it:
-    alpha_S(v) = -(k/2) (u x v)_z / (1 - u_z).  ``p`` and ``v`` are single
-    vectors ``(3,)`` or batches ``(N, 3)``; ``frame`` is a Chart, or for a
-    batch an array of chart signs (``Chart.sign``), one per row.
+    alpha_S(v) = -(k/2) (u x v)_z / (1 - u_z).
     """
     u = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    sign = frame.sign if isinstance(frame, Chart) else np.asarray(frame, dtype=float)
-    ux, uy, uz = u.T
-    vx, vy, _ = v.T
-    denom = 1.0 + sign * uz
-    if denom.min() <= 1e-13:
-        north = np.any((denom <= 1e-13) & (sign > 0))
+    denom = 1.0 + frame.sign * u[2]
+    if denom <= 1e-13:
         raise ChartDomainError(
-            "north-frame potential is singular at the south pole"
-            if north
-            else "south-frame potential is singular at the north pole"
+            f"{frame.value}-frame potential is singular at the {frame.other().value} pole"
         )
-    return 0.5 * M.k * sign * (ux * vy - uy * vx) / denom
+    return 0.5 * M.k * frame.sign * float(u[0] * v[1] - u[1] * v[0]) / denom
 
 
 @lru_cache(maxsize=8)

@@ -1,10 +1,13 @@
-"""Reference oracle: phase transport of one base point in its own solve.
+"""Reference oracle: frame-based phase transport of one base point in its own solve.
 
-This is the per-point transport that ``holonomy.transport_phases`` replaced
-with one batched solve.  It stays here, outside the package, so the batched
-path can be compared against an independent single-point integration: one
-4-vector state, one terminal event per chart, the same hysteresis band,
-jump formula and closure check.
+This is the two-chart transport that the batched spinor transport of
+``holonomy.transport_phases`` replaced.  It stays here, outside the package,
+so the spinor path can be compared against an independent integration of
+another form of the same equation: one 4-vector state (point and phase in
+the active frame's potential), one terminal event per chart, a hysteresis
+band of switch thresholds, the frame jump -+ n phi / (2 pi) and the same
+closure check.  Its phase lift may differ from the spinor lift by an
+integer; the reductions mod 1 agree.
 """
 
 from __future__ import annotations
@@ -16,9 +19,15 @@ from scipy.integrate import solve_ivp
 
 from preqholo.dynamics import IntegrationError, LoopClosureError, hamiltonian_vector_field
 from preqholo.holonomy import PhaseState
-from preqholo.sphere import DEFAULT_SWITCH_THETA, TWO_PI, Chart, potential_eval, unit_vector
+from preqholo.sphere import TWO_PI, Chart, potential_eval, unit_vector
 
 _ATOL = 1e-13
+
+# Colatitude thresholds of the hysteresis band used when switching chart
+# frames along a trajectory: leave the north frame above the second angle,
+# return to it below the first.  Both poles sit deep inside one frame's
+# regular zone, so trajectories may cross the poles freely.
+DEFAULT_SWITCH_THETA = (math.pi / 3.0, 2.0 * math.pi / 3.0)
 
 
 def reference_transport_phase(M, loop, q, rel_tol=1e-10, thresholds=DEFAULT_SWITCH_THETA):
@@ -95,4 +104,4 @@ def reference_transport_phase(M, loop, q, rel_tol=1e-10, thresholds=DEFAULT_SWIT
             f"loop '{loop.label}' does not close at the base point: "
             f"defect {defect:.3e} exceeds tolerance {loop.closure_tol:.3e}"
         )
-    return PhaseState(point=endpoint, phase=phase, transitions=transitions)
+    return PhaseState(point=endpoint, phase=phase)

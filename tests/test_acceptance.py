@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from reference_transport import DEFAULT_SWITCH_THETA, reference_transport_phase
 from scipy.integrate import quad
 
 from preqholo import (
@@ -134,14 +135,12 @@ def test_criterion_6_transport_consistency():
     for n, theta0 in [(1, 0.7), (2, 1.2)]:
         M = OrbitSphere(n)
         st_ = transport_phase(M, invariant_loop(M, DIR_Z), sphere_point(theta0, 1.0))
-        assert st_.transitions == 0
         worst = max(worst, abs(st_.phase - 0.5 * n))
     for n, r in [(1, 0.25), (3, 0.4)]:
         M = OrbitSphere(n)
         loop = invariant_loop(M, DIR_A)
         q = np.array([math.cos(r), 0.0, math.sin(r)])
         st_ = transport_phase(M, loop, q)
-        assert st_.transitions == 0
         f_term, _ = quad(
             lambda t: float(loop.hamiltonian.eval(t, closed_form_flow(DIR_A, math.pi * t, q))),
             0.0,
@@ -151,16 +150,18 @@ def test_criterion_6_transport_consistency():
         oracle = -(n / 2) * (1 - math.cos(r)) - f_term
         worst = max(worst, abs(st_.phase - oracle))
 
-    # threshold independence of the reduced phase
+    # the chart-free holonomy against the frame transport, at two
+    # hysteresis bands
     rng = np.random.default_rng(3)
     worst_frame = 0.0
     M = OrbitSphere(2)
     for _ in range(10):
         loop = mixing_loop(M, rng.uniform(0.3, 1.4))
         q = unit_vector(rng.normal(size=3))
-        k1 = kappa(M, loop, q)
-        k2 = kappa(M, loop, q, thresholds=(math.pi / 4, 3 * math.pi / 4))
-        worst_frame = max(worst_frame, k1.distance_to(k2))
+        k = kappa(M, loop, q)
+        for thresholds in (DEFAULT_SWITCH_THETA, (math.pi / 4, 3 * math.pi / 4)):
+            ref = reference_transport_phase(M, loop, q, thresholds=thresholds)
+            worst_frame = max(worst_frame, k.distance_to(ref.phase))
     report(
         "6 transport consistency (surface oracle, frame independence)",
         worst < 1e-6 and worst_frame < 1e-8,

@@ -1,8 +1,11 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from preqholo.cli import main
 from preqholo.config import ConfigError, Scenario, Tolerances, build_family, build_loop, resolve_base_points
@@ -191,12 +194,18 @@ class TestRunTask:
             ({"seed": True}, "seed"),
             ({"base_points": []}, "base_points"),
             ({"task": "omega", "base_points": []}, "base_points"),
+            ({"tolerances": {"closure_tol": -1}}, "tolerances.closure_tol"),
+            ({"tolerances": {"phase_tol": "nan"}}, "tolerances.phase_tol"),
+            ({"tolerances": {"phase_tol": "inf"}}, "tolerances.phase_tol"),
+            ({"base_points": [["nan", 0.0]]}, "base_points[0]"),
+            ({"hamiltonian": {"name": "mix", "amplitude": "nan"}}, "mix.amplitude"),
+            ({"task": "omega", "family": {"name": "mixing", "amplitude": "inf"}}, "mixing.amplitude"),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, overrides, key):
         out = tmp_path / "out"
         cfg_data = kappa_config(out, **overrides)
-        cfg_data["family"] = {"name": "subgroup-rotation", "turns": 1.0}
+        cfg_data.setdefault("family", {"name": "subgroup-rotation", "turns": 1.0})
         cfg = write_config(tmp_path, cfg_data)
         assert main(["run", cfg, "--out", str(out)]) == 1
         error = json.loads((out / "results.json").read_text())["error"]
@@ -265,3 +274,107 @@ class TestVerifyAndDemo:
 
     def test_bad_n_list(self, tmp_path):
         assert main(["verify", "--n", "1,zort", "--out", str(tmp_path / "x")]) == 1
+
+
+def _strict_json(text):
+    """Parse JSON text, rejecting the NaN and Infinity literals json.dumps allows."""
+
+    def reject(literal):
+        raise ValueError(f"not valid JSON: {literal}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_hamiltonians = st.one_of(
+    st.just({"name": "zero"}),
+    st.sampled_from([(1.0, 0.0), (0.0, 1.0), (0.6, -0.8)]).map(
+        lambda ab: {"name": "invariant", "a": ab[0], "b": ab[1]}
+    ),
+    st.builds(
+        lambda amp, profile: {"name": "mix", "amplitude": amp, "profile": profile},
+        st.floats(0.0, 2.0),
+        st.sampled_from(["cosine-ramp", "constant"]),
+    ),
+    st.integers(1, 3).map(lambda c: {"name": "scaled", "base": {"name": "invariant"}, "factor": c}),
+)
+_families = st.one_of(
+    st.sampled_from([{"name": "constant"}, {"name": "scaling"}]),
+    st.integers(0, 2).map(lambda turns: {"name": "subgroup-rotation", "turns": turns}),
+    st.builds(
+        lambda name, amp: {"name": name, "amplitude": amp},
+        st.sampled_from(["mixing", "closed-mixing"]),
+        st.floats(0.0, 1.0),
+    ),
+)
+# Replacements for one top-level key, each wrong in one way: a config
+# error, a loop or family that does not close, or a value no task reads.
+_edits = st.sampled_from(
+    [
+        ("task", "explode"),
+        ("n", 0),
+        ("n", "2"),
+        ("seed", -1),
+        ("s_samples", 1),
+        ("s_samples", 3.0),
+        ("base_points", "auto:0"),
+        ("base_points", [["nan", 0.0]]),
+        ("base_points", [[0.3]]),
+        ("tolerances", {"phase_tol": "nan"}),
+        ("tolerances", {"closure_tol": -1.0}),
+        ("tolerances", {"flow_rel_tol": 1e-14}),
+        ("hamiltonian", {"name": "mix", "amplitude": 1.0, "profile": "saw"}),
+        ("hamiltonian", {"name": "mix", "amplitude": "nan"}),
+        ("hamiltonian", {"name": "scaled", "base": {"name": "invariant"}, "factor": 0.5}),
+        ("hamiltonian", {"name": "invariant", "a": 2.0}),
+        ("family", {"name": "subgroup-rotation", "turns": 0.5}),
+        ("family", {"name": "mixing", "amplitude": "inf"}),
+        ("output", {"format": "xml"}),
+        ("zorp", 1),
+    ]
+)
+_configs = st.builds(
+    lambda base, edits: {**base, **dict(edits)},
+    st.fixed_dictionaries(
+        {
+            "task": st.sampled_from(["kappa", "action", "omega", "winding", "su2-demo"]),
+            "n": st.integers(1, 3),
+            "hamiltonian": _hamiltonians,
+            "family": _families,
+            "base_points": st.one_of(
+                st.sampled_from(["auto:1", "auto:2", "auto:3"]),
+                st.lists(
+                    st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)).map(list),
+                    min_size=1,
+                    max_size=2,
+                ),
+            ),
+            "s_samples": st.integers(2, 4),
+            "seed": st.integers(0, 5),
+        },
+        optional={
+            "tolerances": st.fixed_dictionaries(
+                {},
+                optional={
+                    "flow_rel_tol": st.sampled_from([1e-10, 1e-8]),
+                    "phase_tol": st.sampled_from([1e-6, 1e-3]),
+                    "closure_tol": st.sampled_from([1e-6, 1e-3]),
+                },
+            ),
+            "output": st.sampled_from([{"format": "json"}, {"format": "csv"}]),
+        },
+    ),
+    st.lists(_edits, max_size=2),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_configs)
+def test_fuzzed_configs_exit_cleanly(config):
+    # every config ends in a documented exit status with a valid results.json
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), config)
+        out = Path(tmp) / "out"
+        status = main(["run", path, "--out", str(out)])
+        assert status in (0, 1, 2)
+        record = _strict_json((out / "results.json").read_text())
+        assert ("error" in record) == (status != 0)

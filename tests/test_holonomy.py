@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from conftest import quadratic_hamiltonian
-from reference_transport import reference_transport_phase
+from reference_transport import DEFAULT_SWITCH_THETA, reference_transport_phase
 
 from preqholo import (
     DIR_A,
@@ -66,13 +66,12 @@ def test_unit_phase_rejects_out_of_range():
 def test_trivial_loop_phase_zero(sphere1):
     st_ = transport_phase(sphere1, zero_loop(), sphere_point(1.0, 0.5))
     assert st_.phase == 0.0
-    assert st_.transitions == 0
     assert kappa(sphere1, zero_loop(), sphere_point(1.0, 0.5)).as_complex == pytest.approx(1.0)
 
 
 def test_basic_loop_at_north_pole(sphere1):
+    # the trajectory crosses both poles
     st_ = transport_phase(sphere1, invariant_loop(sphere1, DIR_A), sphere_point(0.0, 0.0))
-    assert st_.transitions == 2  # the trajectory crosses both poles
     assert circle_distance(st_.phase, 0.5) < 1e-8
 
 
@@ -184,6 +183,8 @@ def test_multiplicativity_random_pairs(sphere2, rng):
 
 
 def test_frame_threshold_independence(sphere2, rng):
+    # the chart-free holonomy against the frame transport at two different
+    # hysteresis bands
     M = sphere2
     worst = 0.0
     for i in range(20):
@@ -193,9 +194,10 @@ def test_frame_threshold_independence(sphere2, rng):
         else:
             loop = mixing_loop(M, rng.uniform(0.2, 1.5))
         q = unit_vector(rng.normal(size=3))
-        k1 = kappa(M, loop, q)
-        k2 = kappa(M, loop, q, thresholds=(math.pi / 4, 3 * math.pi / 4))
-        worst = max(worst, k1.distance_to(k2))
+        k = kappa(M, loop, q)
+        for thresholds in (DEFAULT_SWITCH_THETA, (math.pi / 4, 3 * math.pi / 4)):
+            ref = reference_transport_phase(M, loop, q, thresholds=thresholds)
+            worst = max(worst, k.distance_to(ref.phase))
     assert worst < 1e-8
 
 
@@ -228,12 +230,10 @@ def test_polar_axis_loop_single_chart_oracle():
         M = OrbitSphere(n)
         loop = invariant_loop(M, DIR_Z)
         st_ = transport_phase(M, loop, sphere_point(theta0, 0.8))
-        assert st_.transitions == 0
         assert st_.phase == pytest.approx(0.5 * n, abs=1e-8)
     # southern base point: the south-frame lift is -n/2 unreduced
     M = OrbitSphere(2)
     st_ = transport_phase(M, invariant_loop(M, DIR_Z), sphere_point(2.5, 0.8))
-    assert st_.transitions == 0
     assert st_.phase == pytest.approx(-1.0 * M.n / 2, abs=1e-8)
 
 
@@ -246,7 +246,6 @@ def test_small_circle_loop_unreduced_oracle():
         loop = invariant_loop(M, DIR_A)
         q = np.array([math.cos(r), 0.0, math.sin(r)])
         st_ = transport_phase(M, loop, q)
-        assert st_.transitions == 0
         cap_term = -(n / 2) * (1 - math.cos(r))
         generator_term = -(n / 2) * math.cos(r)
         assert st_.phase == pytest.approx(cap_term + generator_term, abs=1e-6)
@@ -299,28 +298,25 @@ def quadratic_there_and_back():
     ids=[spec["name"] + str(i) for i, spec in enumerate(REGISTRY_SPECS)] + ["quadratic"],
 )
 def test_batched_transport_matches_reference(n, loop_fn):
-    # 1e-8 rev is the frame-independence bound; transitions must match exactly
+    # 1e-8 rev is the frame-independence bound; the unreduced lifts may
+    # differ by an integer, so phases are compared on the circle
     M = OrbitSphere(n)
     loop = loop_fn(M)
     pts = fibonacci_sphere(10, rng=np.random.default_rng(n))
     ref = [reference_transport_phase(M, loop, q) for q in pts]
     for batch in (transport_phases(M, loop, pts), [transport_phase(M, loop, pts[0])]):
         for r, b in zip(ref, batch):
-            assert b.transitions == r.transitions
-            assert abs(b.phase - r.phase) < 1e-8
+            assert circle_distance(b.phase, r.phase) < 1e-8
             assert np.linalg.norm(b.point - r.point) < 1e-8
 
 
-def test_batch_with_repeated_point_switches_both_together(sphere1):
-    # both copies cross their exit levels at the same instant
+def test_batch_with_repeated_point_gives_equal_results(sphere1):
+    # rows of the batched state are integrated independently, bit for bit
     loop = mixing_loop(sphere1, 0.9)
     q = sphere_point(0.1, 0.4)
-    solo = transport_phase(sphere1, loop, q)
-    assert solo.transitions > 0
     a, other, b = transport_phases(sphere1, loop, [q, sphere_point(2.0, 1.0), q])
     assert a.phase == b.phase
     assert np.array_equal(a.point, b.point)
-    assert a.transitions == b.transitions == solo.transitions
 
 
 def test_tight_tolerance_batch_stays_above_solver_floor():

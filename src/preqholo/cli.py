@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import ConfigError, Scenario, build_family, build_loop, resolve_base_points
+from .config import ConfigError, Scenario, build_family, build_loop, read_config, resolve_base_points
 from .dynamics import IntegrationError, LoopClosureError
 from .families import UnwrapError, omega_eval as family_omega, phase_lift
 from .holonomy import kappa, kappas, phase_spread
@@ -257,7 +257,13 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            scenario = Scenario.load(args.config)
+            data = read_config(args.config)
+            # The error record of a config that fails validation goes where
+            # the run's output would have gone.
+            configured = data.get("output") if isinstance(data, dict) else None
+            if args.out is None and isinstance(configured, dict) and isinstance(configured.get("dir"), str):
+                out_dir = configured["dir"]
+            scenario = Scenario.from_dict(data)
             if args.out is not None:
                 scenario.out_dir = args.out
             if args.seed is not None:

@@ -67,6 +67,17 @@ class Tolerances:
         return out
 
 
+def read_config(path):
+    """The parsed JSON of a scenario file; ConfigError if it cannot be read or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
 @dataclass
 class Scenario:
     """Validated run description; see README for the JSON schema."""
@@ -151,17 +162,6 @@ class Scenario:
             out_format=out_format,
             n_values=list(n_values) if isinstance(n_values, list) else [n],
         )
-
-    @classmethod
-    def load(cls, path) -> "Scenario":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
 
     def echo(self) -> dict:
         return {

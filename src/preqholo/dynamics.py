@@ -13,6 +13,9 @@ from .sphere import OrbitSphere, fibonacci_sphere, integrate_over_sphere, unit_v
 
 REL_TOL_RANGE = (1e-13, 1e-3)
 
+# Every adaptive solve in the package (this flow and the holonomy transport)
+# uses scipy's 8(5,3) Dormand-Prince pair with this absolute tolerance.
+_METHOD = "DOP853"
 _ATOL = 1e-13
 _MEAN_GRID = 257
 # Component i of a x b is a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3.
@@ -33,6 +36,16 @@ class IntegrationError(RuntimeError):
     def __init__(self, message: str, t: float | None = None):
         super().__init__(message if t is None else f"{message} (at t={t:.6g})")
         self.t = t
+
+
+def check_finite_rhs(value, t: float) -> None:
+    """Raise IntegrationError at t unless every entry of the right-hand side is finite.
+
+    scipy's step-size control never ends when the first step of a solve is
+    not finite, so each segment is checked before it is integrated.
+    """
+    if not np.all(np.isfinite(value)):
+        raise IntegrationError("right-hand side is not finite", t=t)
 
 
 class LoopClosureError(RuntimeError):
@@ -136,7 +149,7 @@ def integrate_isotopy(
     rel_tol: float = 1e-10,
     t_span: tuple[float, float] = (0.0, 1.0),
 ) -> Trajectory:
-    """Adaptive Runge-Kutta solution of du/dt = X_t(u) from q over t_span.
+    """Adaptive Dormand-Prince 8(5,3) solution of du/dt = X_t(u) from q over t_span.
 
     The right-hand side is orthogonal to u for any state, so |u| is a first
     integral; samples and segment joints are renormalized to the unit sphere.
@@ -150,11 +163,12 @@ def integrate_isotopy(
     all_u: list[np.ndarray] = []
     y = u0
     for a, b in zip(stops[:-1], stops[1:]):
+        check_finite_rhs(hamiltonian_vector_field(M, f, a, y), a)
         sol = solve_ivp(
             lambda t, u: hamiltonian_vector_field(M, f, t, u),
             (a, b),
             y,
-            method="RK45",
+            method=_METHOD,
             rtol=rel_tol,
             atol=_ATOL,
             dense_output=True,

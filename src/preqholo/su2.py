@@ -154,7 +154,7 @@ def invariant_hamiltonian(M: OrbitSphere, direction: AlgebraDirection) -> TimeDe
 
     def gr(t, u):
         u = np.asarray(u, dtype=float)
-        proj = np.expand_dims(u @ w, -1) * u
+        proj = (u @ w)[..., None] * u
         return k * (w - proj)
 
     return TimeDepHamiltonian(
@@ -230,7 +230,7 @@ def mixing_loop(
     def gr(t, u):
         u = np.asarray(u, dtype=float)
         w = wvec(t)
-        proj = np.expand_dims(u @ w, -1) * u
+        proj = (u @ w)[..., None] * u
         return k * (w - proj)
 
     label = f"mix[amp={amp:g},{profile}]"

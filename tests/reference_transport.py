@@ -8,6 +8,10 @@ the active frame's potential), one terminal event per chart, a hysteresis
 band of switch thresholds, the frame jump -+ n phi / (2 pi) and the same
 closure check.  Its phase lift may differ from the spinor lift by an
 integer; the reductions mod 1 agree.
+
+It integrates with RK45 on purpose, while the package uses DOP853: a
+reference made with a different method does not share the package's
+truncation error.
 """
 
 from __future__ import annotations

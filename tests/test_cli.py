@@ -160,6 +160,16 @@ class TestRunTask:
         record = json.loads((out / "results.json").read_text())
         assert record["error"]["kind"] == "config"
 
+    def test_config_error_record_goes_to_configured_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "configured"
+        cfg = write_config(
+            tmp_path, {"task": "kappa", "n": 0, "hamiltonian": {"name": "zero"}, "output": {"dir": str(out)}}
+        )
+        assert main(["run", cfg]) == 1
+        record = json.loads((out / "results.json").read_text())
+        assert record["error"]["kind"] == "config"
+
     def test_non_closed_loop_exit_code(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(

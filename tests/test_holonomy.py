@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import quadratic_hamiltonian
 from reference_transport import DEFAULT_SWITCH_THETA, reference_transport_phase
 
+import preqholo
 from preqholo import (
     DIR_A,
     DIR_B,
@@ -337,3 +341,56 @@ def test_closure_error_names_failing_base_point(sphere1):
     fixed_point = DIR_A.axis()  # the rotation axis closes, the other point does not
     with pytest.raises(LoopClosureError, match="base point 1:"):
         transport_phases(sphere1, broken, [fixed_point, sphere_point(1.0, 1.0)])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize(
+    "spec, eps",
+    [
+        (_AXIS, 1),
+        ({"name": "mix", "amplitude": 2.0 * math.pi, "profile": "constant"}, 1),
+        ({"name": "mix", "amplitude": math.pi, "profile": "constant"}, 0),
+        ({"name": "mix", "amplitude": 1.3, "profile": "cosine-ramp"}, 1),
+    ],
+    ids=["invariant", "mix-2pi", "mix-pi", "mix-ramp"],
+)
+def test_kappa_error_scales_with_rel_tol(spec, eps, n):
+    # closed form: kappa = (n eps / 2) mod 1, where eps = 1 iff the SU(2)
+    # lift of the loop ends at -I; the error must follow rel_tol down
+    M = OrbitSphere(n)
+    loop = build_loop(M, spec, Tolerances())
+    pts = fibonacci_sphere(12, rng=np.random.default_rng(7))
+    exact = (n * eps / 2) % 1.0
+    for rel_tol in (1e-8, 1e-10):
+        single = [kappa(M, loop, q, rel_tol=rel_tol).value for q in pts]
+        batch = kappas(M, loop, pts, rel_tol=rel_tol)
+        assert max(circle_distance(k, exact) for k in single + batch) < 10 * rel_tol
+
+
+_NAN_LOOP = """
+import sys
+from preqholo import OrbitSphere, kappa, mixing_loop
+from preqholo.dynamics import IntegrationError, integrate_isotopy
+M = OrbitSphere(1)
+loop = mixing_loop(M, float("nan"))
+try:
+    {call}
+except IntegrationError as exc:
+    sys.exit(0 if exc.t == 0.0 else 3)
+sys.exit(4)
+"""
+
+
+@pytest.mark.parametrize(
+    "call", ["kappa(M, loop, [0.0, 0.0, 1.0])", "integrate_isotopy(M, loop.hamiltonian, [0.0, 0.0, 1.0])"]
+)
+def test_non_finite_hamiltonian_raises_instead_of_hanging(call):
+    # scipy's step-size loop never ends on a NaN first step, so the call
+    # runs in a subprocess and a hang fails the test instead of the suite
+    paths = [os.path.dirname(os.path.dirname(preqholo.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NAN_LOOP.format(call=call)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

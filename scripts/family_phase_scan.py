@@ -14,7 +14,7 @@ import numpy as np
 
 from preqholo import OrbitSphere, closed_mixing_family, phase_lift, sphere_point
 from preqholo.cli import write_phases_csv
-from preqholo.families import omega_eval as family_omega
+from preqholo.families import omega_eval as family_omega, winding_of
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
 
     svals, lift = phase_lift(M, fam, q, s_samples=args.samples)
     total = float(lift[-1] - lift[0])
-    winding = int(round(total))
+    winding = winding_of(lift)
     print(f"family: {fam.label}")
     print(f"phase lift span: {total:+.3e} rev  ->  winding {winding}, grading {-winding}")
 

@@ -23,8 +23,8 @@ import scipy
 from . import __version__
 from .config import ConfigError, Scenario, build_family, build_loop, read_config, resolve_base_points
 from .dynamics import IntegrationError, LoopClosureError
-from .families import UnwrapError, omega_eval as family_omega, phase_lift
-from .holonomy import kappa, kappas, phase_spread
+from .families import UnwrapError, lift_circle_samples, phase_lift, winding_of
+from .holonomy import UnitPhase, kappa, kappas, phase_spread, transport_phases
 from .sphere import OrbitSphere, spherical_coords, sphere_point
 from .verify import verify_suite
 
@@ -121,15 +121,22 @@ def _run_omega_task(scenario: Scenario) -> dict:
     fam = build_family(M, scenario.family, scenario.tolerances)
     points = resolve_base_points(scenario.base_points, scenario.seed)
     rel = scenario.tolerances.flow_rel_tol
-    svals = np.linspace(0.0, 1.0, scenario.s_samples + 1)
 
+    # One transport per s gives Omega at up to three points and the holonomy
+    # at the first; the phase lift samples that grid, and solves only to refine it.
     omega_rows = []
-    for s in svals:
-        vals = [family_omega(M, fam, float(s), q, rel_tol=rel) for q in points[: min(3, len(points))]]
+    phases = {}
+    for s in np.linspace(0.0, 1.0, scenario.s_samples + 1):
+        states = transport_phases(M, fam.loop_at(s), points[:3], rel_tol=rel, sdot=fam.sdot(float(s)))
+        vals = [st.omega for st in states]
+        phases[s] = UnitPhase.from_revolutions(states[0].phase).value
         omega_rows.append(
             {"s": float(s), "omega": float(np.mean(vals)), "q_spread": float(np.ptp(vals))}
         )
-    lift_s, lift = phase_lift(M, fam, points[0], s_samples=scenario.s_samples, rel_tol=rel)
+    lift_s, lift = lift_circle_samples(
+        lambda s: phases[s] if s in phases else kappa(M, fam.loop_at(s), points[0], rel_tol=rel).value,
+        scenario.s_samples,
+    )
     return {
         "task": "omega",
         "n": scenario.n,
@@ -148,15 +155,14 @@ def _run_winding_task(scenario: Scenario) -> dict:
     points = resolve_base_points(scenario.base_points, scenario.seed)
     rel = scenario.tolerances.flow_rel_tol
     svals, lift = phase_lift(M, fam, points[0], s_samples=scenario.s_samples, rel_tol=rel)
-    total = float(lift[-1] - lift[0])
-    winding = int(round(total))
+    winding = winding_of(lift)
     return {
         "task": "winding",
         "n": scenario.n,
         "family": fam.label,
         "winding": winding,
         "degree": -winding,
-        "lift_residual": abs(total - winding),
+        "lift_residual": abs(float(lift[-1] - lift[0]) - winding),
         "phase_rows": list(zip(svals, lift)),
         "meta": _meta(scenario),
     }

@@ -49,7 +49,7 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, d: dict | None) -> "Tolerances":
-        d = dict(d or {})
+        d = dict(_section(d, "tolerances"))
         out = cls(
             flow_rel_tol=_float(d.pop("flow_rel_tol", 1e-10), "tolerances.flow_rel_tol"),
             phase_tol=_float(d.pop("phase_tol", 1e-6), "tolerances.phase_tol"),
@@ -65,6 +65,15 @@ class Tolerances:
             if getattr(out, key) <= 0.0:
                 raise ConfigError(f"tolerances.{key} must be > 0, got {getattr(out, key)!r}")
         return out
+
+
+def _section(value, key: str) -> dict:
+    """A config section: an object, or {} when absent or null."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be an object, got {value!r}")
+    return value
 
 
 def read_config(path):
@@ -127,10 +136,13 @@ class Scenario:
         s_samples = d.get("s_samples", 32)
         _check_int(s_samples, "s_samples", lambda v: v >= 2, "an integer >= 2")
 
-        output = d.get("output") or {}
+        output = _section(d.get("output"), "output")
         out_format = output.get("format", "json")
         if out_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}")
+        out_dir = output.get("dir", "out")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
 
         n_values = d.get("n_values", [n])
         if task == "verify":
@@ -158,7 +170,7 @@ class Scenario:
             s_samples=s_samples,
             tolerances=Tolerances.from_dict(d.get("tolerances")),
             seed=d.get("seed", 0),
-            out_dir=str(output.get("dir", "out")),
+            out_dir=out_dir,
             out_format=out_format,
             n_values=list(n_values) if isinstance(n_values, list) else [n],
         )

@@ -57,15 +57,12 @@ class TimeDepHamiltonian:
     """A function f_t on the sphere together with its surface gradient.
 
     ``eval(t, u)`` and ``grad(t, u)`` take a scalar time and either a single
-    unit vector ``(3,)`` or a batch ``(N, 3)``.  ``s_deriv`` is an optional
-    hook carrying the derivative of f_t along a family parameter.
-    ``breakpoints`` lists interior times where f_t is only piecewise smooth;
-    integrators split there.
+    unit vector ``(3,)`` or a batch ``(N, 3)``.  ``breakpoints`` lists
+    interior times where f_t is only piecewise smooth; integrators split there.
     """
 
     eval: Callable
     grad: Callable
-    s_deriv: Callable | None = None
     label: str = ""
     time_independent: bool = False
     breakpoints: tuple = ()
@@ -92,13 +89,9 @@ def constant_hamiltonian(c: float, label: str | None = None) -> TimeDepHamiltoni
 
 def scale_hamiltonian(f: TimeDepHamiltonian, c: float, label: str | None = None) -> TimeDepHamiltonian:
     c = float(c)
-    sd = None
-    if f.s_deriv is not None:
-        sd = lambda t, u: c * f.s_deriv(t, u)
     return TimeDepHamiltonian(
         eval=lambda t, u: c * f.eval(t, u),
         grad=lambda t, u: c * np.asarray(f.grad(t, u), dtype=float),
-        s_deriv=sd,
         label=label or f"{c}*{f.label}",
         time_independent=f.time_independent,
         breakpoints=f.breakpoints,
@@ -147,16 +140,15 @@ def integrate_isotopy(
     f: TimeDepHamiltonian,
     q,
     rel_tol: float = 1e-10,
-    t_span: tuple[float, float] = (0.0, 1.0),
 ) -> Trajectory:
-    """Adaptive Dormand-Prince 8(5,3) solution of du/dt = X_t(u) from q over t_span.
+    """Adaptive Dormand-Prince 8(5,3) solution of du/dt = X_t(u) from q over [0, 1].
 
     The right-hand side is orthogonal to u for any state, so |u| is a first
     integral; samples and segment joints are renormalized to the unit sphere.
     """
     check_rel_tol(rel_tol)
     u0 = unit_vector(q)
-    stops = _segment_times(t_span[0], t_span[1], f.breakpoints)
+    stops = _segment_times(0.0, 1.0, f.breakpoints)
 
     sols = []
     all_t: list[np.ndarray] = []
@@ -204,7 +196,6 @@ def normalize(M: OrbitSphere, f: TimeDepHamiltonian) -> TimeDepHamiltonian:
         return TimeDepHamiltonian(
             eval=lambda t, u: f.eval(t, u) - mean,
             grad=f.grad,
-            s_deriv=f.s_deriv,
             label=f"{f.label} - mean",
             time_independent=True,
             breakpoints=f.breakpoints,
@@ -223,7 +214,6 @@ def normalize(M: OrbitSphere, f: TimeDepHamiltonian) -> TimeDepHamiltonian:
     return TimeDepHamiltonian(
         eval=lambda t, u: f.eval(t, u) - float(spline(t)),
         grad=f.grad,
-        s_deriv=f.s_deriv,
         label=f"{f.label} - mean(t)",
         time_independent=False,
         breakpoints=f.breakpoints,

@@ -5,8 +5,10 @@ the loop-space one-form evaluates as
 
     Omega(s) = integral_0^1 (d f^s_t / ds)(psi^s_t(q)) dt,
 
-independent of the base point q for closed families.  The derivative of the
-holonomy phase (in revolutions) along the family is -Omega(s), which
+independent of the base point q for closed families.  It is integrated
+along the trajectory by the same spinor transport that gives the holonomy,
+so one solve at s gives both.  The derivative of the holonomy phase (in
+revolutions) along the family is -Omega(s), which
 ``kappa_derivative_check`` verifies by central differences.  On a closed
 family the map s -> kappa(psi^s) has an integer winding number, extracted
 from a guarded continuous lift of the sampled phases.
@@ -20,11 +22,10 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
-from .dynamics import HamiltonianLoop, integrate_isotopy, scale_hamiltonian
-from .holonomy import kappa
-from .sphere import OrbitSphere
+from .dynamics import HamiltonianLoop, scale_hamiltonian
+from .holonomy import kappa, transport_phases
+from .sphere import OrbitSphere, fibonacci_sphere
 from .su2 import AlgebraDirection, invariant_loop, mixing_loop, profile_functions
 
 
@@ -36,16 +37,14 @@ class UnwrapError(RuntimeError):
 class LoopFamily:
     """A one-parameter family s -> loop with s-derivative access.
 
-    ``s_deriv(s, t, u)`` is the analytic derivative of the generating
-    Hamiltonians when available; otherwise centered differences of the
-    built loops with step ``h_s`` are used.  ``closed`` declares that the
+    ``s_deriv(s, t, u)`` is the derivative of the generating Hamiltonians
+    along s, for one point u or a batch.  ``closed`` declares that the
     families at s = 0 and s = 1 coincide.
     """
 
     loop_builder: Callable[[float], HamiltonianLoop]
-    s_deriv: Callable | None = None
+    s_deriv: Callable
     closed: bool = False
-    h_s: float = 1e-4
     label: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -57,25 +56,15 @@ class LoopFamily:
 
     def sdot(self, s: float) -> Callable:
         """Callable (t, u) -> d f^s_t(u) / ds at the given s."""
-        if self.s_deriv is not None:
-            return lambda t, u: self.s_deriv(s, t, u)
-        h = self.h_s
-        f_plus = self.loop_at(s + h).hamiltonian
-        f_minus = self.loop_at(s - h).hamiltonian
-        return lambda t, u: (f_plus.eval(t, u) - f_minus.eval(t, u)) / (2.0 * h)
+        return lambda t, u: self.s_deriv(s, t, u)
 
-    def closure_defect_in_s(self, probe_times=None, probe_points=None) -> float:
+    def closure_defect_in_s(self) -> float:
         """Largest |f^0_t - f^1_t| over a probe grid; zero for closed families."""
-        from .sphere import fibonacci_sphere
-
-        if probe_times is None:
-            probe_times = np.linspace(0.0, 1.0, 7)
-        if probe_points is None:
-            probe_points = fibonacci_sphere(12)
+        probe_points = fibonacci_sphere(12)
         f0 = self.loop_at(0.0).hamiltonian
         f1 = self.loop_at(1.0).hamiltonian
         worst = 0.0
-        for t in probe_times:
+        for t in np.linspace(0.0, 1.0, 7):
             d = np.abs(np.asarray(f0.eval(t, probe_points)) - np.asarray(f1.eval(t, probe_points)))
             worst = max(worst, float(np.max(d)))
         return worst
@@ -86,23 +75,11 @@ def omega_eval(
 ) -> float:
     """The loop-space one-form at parameter s, evaluated from base point q.
 
-    Integrates the s-derivative of the Hamiltonians along the trajectory of
-    the loop at s by adaptive quadrature over the dense flow interpolant.
+    The integral of the s-derivative of the Hamiltonians along the
+    trajectory, carried by the transport of the loop at s.  The member at s
+    must be a loop: LoopClosureError otherwise.
     """
-    loop = fam.loop_at(s)
-    traj = integrate_isotopy(M, loop.hamiltonian, q, rel_tol)
-    sd = fam.sdot(s)
-    pts = [b for b in loop.hamiltonian.breakpoints if 0.0 < b < 1.0]
-    val, _ = quad(
-        lambda t: float(sd(t, traj.at(t))),
-        0.0,
-        1.0,
-        limit=200,
-        epsabs=1e-11,
-        epsrel=1e-9,
-        points=pts or None,
-    )
-    return float(val)
+    return transport_phases(M, fam.loop_at(s), [q], rel_tol=rel_tol, sdot=fam.sdot(s))[0].omega
 
 
 @dataclass(frozen=True)
@@ -129,14 +106,17 @@ def kappa_derivative_check(
 ) -> DerivativeCheck:
     """Centered-difference holonomy-phase slope against -Omega at s.
 
-    The finite difference is taken between reduced holonomies, on the
-    circle (wrapped to the nearest representative), so no phase lift enters.
+    Both sides come from the transports at s +- h_s: the difference of
+    their holonomies, taken on the circle so no phase lift enters, against
+    minus the mean of their Omega values.
     """
-    p_plus = kappa(M, fam.loop_at(s + h_s), q, rel_tol=rel_tol).value
-    p_minus = kappa(M, fam.loop_at(s - h_s), q, rel_tol=rel_tol).value
-    d = ((p_plus - p_minus + 0.5) % 1.0) - 0.5
+    plus, minus = (
+        transport_phases(M, fam.loop_at(x), [q], rel_tol=rel_tol, sdot=fam.sdot(x))[0]
+        for x in (s + h_s, s - h_s)
+    )
+    d = ((plus.phase - minus.phase + 0.5) % 1.0) - 0.5
     lhs = d / (2.0 * h_s)
-    rhs = -omega_eval(M, fam, s, q, rel_tol=rel_tol)
+    rhs = -0.5 * (plus.omega + minus.omega)
     rel_err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
     return DerivativeCheck(lhs=lhs, rhs=rhs, rel_err=rel_err)
 
@@ -145,12 +125,11 @@ def lift_circle_samples(
     eval_phase: Callable[[float], float],
     s_samples: int,
     max_samples: int = 2**14,
-    jump_tol: float = 0.25,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Continuous lift of a circle-valued map sampled on a uniform s-grid.
 
     Adjacent samples are joined by the nearest circle representative; any
-    wrapped jump of at least ``jump_tol`` revolutions triggers a dyadic
+    wrapped jump of a quarter revolution or more triggers a dyadic
     refinement of the grid, up to ``max_samples`` points.  Refinement reuses
     the samples already taken: every other point of the doubled grid equals
     a point of the old one bit for bit.
@@ -166,13 +145,11 @@ def lift_circle_samples(
                 seen[s] = float(eval_phase(s)) % 1.0
         phases = np.array([seen[s] for s in svals])
         diffs = ((np.diff(phases) + 0.5) % 1.0) - 0.5
-        if np.max(np.abs(diffs)) < jump_tol:
+        if np.max(np.abs(diffs)) < 0.25:
             lift = np.concatenate([[phases[0]], phases[0] + np.cumsum(diffs)])
             return svals, lift
         m *= 2
-    raise UnwrapError(
-        f"adjacent phase jumps stay above {jump_tol} revolutions at {max_samples} samples"
-    )
+    raise UnwrapError(f"adjacent phase jumps stay above 0.25 revolutions at {max_samples} samples")
 
 
 def phase_lift(
@@ -202,6 +179,14 @@ def winding_number(
     if not fam.closed:
         raise ValueError("winding_number requires a closed loop family")
     _, lift = phase_lift(M, fam, q, s_samples=s_samples, rel_tol=rel_tol)
+    return winding_of(lift)
+
+
+def winding_of(lift) -> int:
+    """The integer total change of a phase lift over a closed family.
+
+    Raises UnwrapError unless the total lies within 0.1 of an integer.
+    """
     total = float(lift[-1] - lift[0])
     w = round(total)
     if abs(total - w) > 0.1:
@@ -233,18 +218,15 @@ def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:
             return fam1.loop_at(2.0 * s)
         return fam2.loop_at(2.0 * s - 1.0)
 
-    sd = None
-    if fam1.s_deriv is not None and fam2.s_deriv is not None:
-        def sd(s, t, u):
-            if s < 0.5:
-                return 2.0 * fam1.s_deriv(2.0 * s, t, u)
-            return 2.0 * fam2.s_deriv(2.0 * s - 1.0, t, u)
+    def sd(s, t, u):
+        if s < 0.5:
+            return 2.0 * fam1.s_deriv(2.0 * s, t, u)
+        return 2.0 * fam2.s_deriv(2.0 * s - 1.0, t, u)
 
     return LoopFamily(
         loop_builder=builder,
         s_deriv=sd,
         closed=fam1.closed and fam2.closed,
-        h_s=0.5 * min(fam1.h_s, fam2.h_s),
         label=f"({fam1.label}).({fam2.label})",
     )
 

@@ -86,10 +86,12 @@ class UnitPhase:
 
 @dataclass(frozen=True)
 class PhaseState:
-    """Transport state at t = 1: endpoint and phase lift in revolutions."""
+    """Transport state at t = 1: endpoint, phase lift in revolutions, and the
+    integral of ``sdot`` along the trajectory (Omega; 0 without ``sdot``)."""
 
     point: np.ndarray
     phase: float
+    omega: float = 0.0
 
     @property
     def transitions(self) -> int:
@@ -115,12 +117,15 @@ def _chunk_size(rel_tol: float) -> int:
 
 
 def transport_phases(
-    M: OrbitSphere, loop: HamiltonianLoop, points, rel_tol: float = 1e-10
+    M: OrbitSphere, loop: HamiltonianLoop, points, rel_tol: float = 1e-10, sdot=None
 ) -> list[PhaseState]:
     """Transport the section phase around the loop trajectories based at points.
 
     All base points are carried by one adaptive solve on an N x 3 complex
-    state: the two spinor components and the running integral of f_t.  The
+    state: the two spinor components, and the integrals of f_t and of
+    ``sdot(t, u)`` as the real and imaginary part of the third column.  With
+    ``sdot`` the s-derivative of a family's Hamiltonians, each state's
+    ``omega`` is the one-form Omega(s); without it, ``omega`` is 0.  The
     DOP853 error norm, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) len), is
     taken over the whole state and, like an RMS norm, gives N identical
     copies of one point the norm of that point.  rtol and atol are
@@ -138,7 +143,7 @@ def transport_phases(
     size = _chunk_size(rel_tol)
     states: list[PhaseState] = []
     for lo in range(0, len(u0), size):
-        states += _transport_batch(M, loop, u0[lo : lo + size], lo, rel_tol)
+        states += _transport_batch(M, loop, u0[lo : lo + size], lo, rel_tol, sdot)
     return states
 
 
@@ -176,7 +181,7 @@ def _bloch(x: np.ndarray) -> np.ndarray:
     return q[:, :3] / q[:, 3:]
 
 
-def _transport_batch(M, loop, u0, offset, rel_tol) -> list[PhaseState]:
+def _transport_batch(M, loop, u0, offset, rel_tol, sdot) -> list[PhaseState]:
     f = loop.hamiltonian
     n_pts = len(u0)
     scale = 1.0 / math.sqrt(n_pts)
@@ -191,7 +196,7 @@ def _transport_batch(M, loop, u0, offset, rel_tol) -> list[PhaseState]:
         out = np.empty((n_pts, 6))
         out[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(n_pts, 12) @ turn
         out[:, 4] = f.eval(t, u)
-        out[:, 5] = 0.0
+        out[:, 5] = 0.0 if sdot is None else sdot(t, u)
         return out.view(complex).ravel()
 
     chi0 = _spinors(u0)
@@ -222,7 +227,10 @@ def _transport_batch(M, loop, u0, offset, rel_tol) -> list[PhaseState]:
     re = (p0.real * p1.real + p0.imag * p1.imag).sum(axis=1)
     im = (p0.real * p1.imag - p0.imag * p1.real).sum(axis=1)
     phases = -M.n * np.arctan2(im, re) / TWO_PI - y[:, 2].real
-    return [PhaseState(point=points[i], phase=float(phases[i])) for i in range(n_pts)]
+    return [
+        PhaseState(point=points[i], phase=float(phases[i]), omega=float(y[i, 2].imag))
+        for i in range(n_pts)
+    ]
 
 
 def transport_phase(

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from preqholo.cli import main
 from preqholo.config import ConfigError, Scenario, Tolerances, build_family, build_loop, resolve_base_points
-from preqholo import AlgebraDirection, OrbitSphere, invariant_loop, kappa, sphere_point
+from preqholo import AlgebraDirection, OrbitSphere, dynamics, holonomy, invariant_loop, kappa, phase_lift, sphere_point
+from preqholo.families import omega_eval as family_omega
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -153,6 +154,38 @@ class TestRunTask:
         assert all(abs(row["omega"]) < 1e-6 for row in record["omega"])
         assert (out / "phases.csv").exists()
 
+    @pytest.mark.parametrize(
+        "family", [{"name": "closed-mixing", "amplitude": 0.7}, {"name": "subgroup-rotation", "turns": 1}]
+    )
+    def test_omega_task_takes_one_transport_solve_per_s(self, tmp_path, monkeypatch, family):
+        # neither family has breakpoints, so a solve is one solve_ivp call
+        counts = {holonomy: 0, dynamics: 0}
+        for module in counts:
+            def counted(*args, _module=module, _inner=module.solve_ivp, **kwargs):
+                counts[_module] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, "solve_ivp", counted)
+        out = tmp_path / "out"
+        cfg = {"n": 2, "task": "omega", "family": family, "base_points": "auto:3", "s_samples": 4,
+               "seed": 5, "output": {"dir": str(out)}}
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        assert (counts[holonomy], counts[dynamics]) == (5, 0)
+        monkeypatch.undo()
+
+        M = OrbitSphere(2)
+        fam = build_family(M, family, Tolerances())
+        points = resolve_base_points("auto:3", seed=5)
+        record = json.loads((out / "results.json").read_text())
+        assert len(record["omega"]) == 5
+        for row in record["omega"]:
+            direct = np.mean([family_omega(M, fam, row["s"], q) for q in points])
+            assert row["omega"] == pytest.approx(direct, abs=1e-9)
+        lift_s, lift = phase_lift(M, fam, points[0], s_samples=4)
+        rows = np.loadtxt(out / "phases.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(rows[:, 0] - lift_s)) < 1e-9
+        assert np.max(np.abs(rows[:, 1] - lift)) < 1e-9
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"task": "kappa", "n": 0, "hamiltonian": {"name": "zero"}})
         out = tmp_path / "err"
@@ -210,6 +243,9 @@ class TestRunTask:
             ({"base_points": [["nan", 0.0]]}, "base_points[0]"),
             ({"hamiltonian": {"name": "mix", "amplitude": "nan"}}, "mix.amplitude"),
             ({"task": "omega", "family": {"name": "mixing", "amplitude": "inf"}}, "mixing.amplitude"),
+            ({"output": 5}, "output"),
+            ({"tolerances": 5}, "tolerances"),
+            ({"output": {"dir": None}}, "output.dir"),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, overrides, key):
@@ -339,6 +375,9 @@ _edits = st.sampled_from(
         ("family", {"name": "subgroup-rotation", "turns": 0.5}),
         ("family", {"name": "mixing", "amplitude": "inf"}),
         ("output", {"format": "xml"}),
+        ("output", 5),
+        ("output", {"dir": None}),
+        ("tolerances", 5),
         ("zorp", 1),
     ]
 )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from preqholo import (
     DIR_A,
     HamiltonianLoop,
     LoopFamily,
-    TimeDepHamiltonian,
+    OrbitSphere,
     UnwrapError,
     closed_mixing_family,
     concatenate,
@@ -16,13 +18,14 @@ from preqholo import (
     kappa_derivative_check,
     lift_circle_samples,
     mixing_family,
+    mixing_loop,
     scaling_family,
     sphere_point,
     subgroup_rotation_family,
     unit_vector,
     winding_number,
 )
-from preqholo.families import omega_eval as family_omega
+from preqholo.families import omega_eval as family_omega, winding_of
 
 
 @pytest.fixture
@@ -32,13 +35,15 @@ def q():
 
 def test_sdot_fd_matches_analytic(sphere1, q, rng):
     fam = closed_mixing_family(sphere1, amplitude=0.8)
-    fd_fam = LoopFamily(loop_builder=fam.loop_builder, closed=True)
+    h = 1e-4
     for _ in range(20):
         s = rng.uniform(0.1, 0.9)
         t = rng.uniform()
         p = unit_vector(rng.normal(size=3))
         an = float(fam.sdot(s)(t, p))
-        fd = float(fd_fam.sdot(s)(t, p))
+        f_plus = fam.loop_builder(s + h).hamiltonian
+        f_minus = fam.loop_builder(s - h).hamiltonian
+        fd = float(f_plus.eval(t, p) - f_minus.eval(t, p)) / (2.0 * h)
         assert fd == pytest.approx(an, rel=1e-5, abs=1e-8)
 
 
@@ -98,32 +103,46 @@ def test_derivative_check_mixing_family(sphere2, q, s):
     assert abs(dc.lhs - dc_half.lhs) < 1e-4
 
 
-def test_derivative_identity_detects_constant_drift(sphere1, q):
-    # generators shifted by an s-dependent constant leave every flow alone
-    # but move the phase; both sides of the identity equal -d(shift)/ds,
-    # a nonzero two-sided check of the transport bookkeeping
-    base = invariant_loop(sphere1, DIR_A)
-    rate = 0.3
+def drift_family(base, rate, closed=False):
+    """Generators f_t + rate * s over a fixed loop: every member has the flow of
+    base, so Omega = rate everywhere and kappa(s) = kappa(0) - rate * s."""
+    f = base.hamiltonian
 
     def builder(s):
-        f = base.hamiltonian
-        g = TimeDepHamiltonian(
-            eval=lambda t, u, ss=s: f.eval(t, u) + rate * ss,
-            grad=f.grad,
-            label=f"drift[{s:g}]",
-            time_independent=True,
-        )
+        g = dataclasses.replace(f, eval=lambda t, u, ss=s: f.eval(t, u) + rate * ss, label=f"drift[{s:g}]")
         return HamiltonianLoop(g, closure_tol=base.closure_tol, label=f"drift[{s:g}]")
 
     def sd(s, t, u):
         u = np.asarray(u, float)
         return rate if u.ndim == 1 else np.full(u.shape[0], rate)
 
-    fam = LoopFamily(loop_builder=builder, s_deriv=sd, label="drift")
+    return LoopFamily(loop_builder=builder, s_deriv=sd, closed=closed, label="drift")
+
+
+def test_derivative_identity_detects_constant_drift(sphere1, q):
+    # generators shifted by an s-dependent constant leave every flow alone
+    # but move the phase; both sides of the identity equal -d(shift)/ds,
+    # a nonzero two-sided check of the transport bookkeeping
+    rate = 0.3
+    fam = drift_family(invariant_loop(sphere1, DIR_A), rate)
     dc = kappa_derivative_check(sphere1, fam, 0.4, q)
     assert dc.lhs == pytest.approx(-rate, abs=1e-6)
     assert dc.rhs == pytest.approx(-rate, abs=1e-9)
     assert dc.rel_err < 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("m", [1, -2, 3])
+def test_drift_family_has_integer_period(n, m, q):
+    # f^s_t = f_t + m s is a loop in the loop space (every member has the
+    # same flow, and kappa(1) = kappa(0) - m), though its generators at
+    # s = 0 and s = 1 differ by m: the one-form has period m and the
+    # winding is -m, the first nonzero values of both
+    M = OrbitSphere(n)
+    fam = drift_family(mixing_loop(M, 1.3), m, closed=True)
+    assert family_omega(M, fam, 0.37, q) == pytest.approx(m, abs=1e-9)
+    assert double_integral_check(M, fam, q, s_nodes=4) == pytest.approx(m, abs=1e-6)
+    assert winding_number(M, fam, q, s_samples=16) == -m
 
 
 def test_lift_circle_samples_winding():
@@ -164,6 +183,12 @@ def test_lift_unwrap_failure():
     rng = np.random.default_rng(0)
     with pytest.raises(UnwrapError):
         lift_circle_samples(lambda s: rng.uniform(), 8, max_samples=64)
+
+
+def test_winding_of_requires_a_near_integer_total():
+    with pytest.raises(UnwrapError):
+        winding_of([0.0, 0.4])
+    assert winding_of([0.0, 1.02]) == 1
 
 
 def test_winding_requires_closed(sphere1, q):

@@ -57,7 +57,6 @@ from .sphere import (
     area_form,
     fibonacci_sphere,
     integrate_over_sphere,
-    omega_area_triangle,
     potential_eval,
     sphere_point,
     spherical_coords,
@@ -72,10 +71,8 @@ from .su2 import (
     act,
     closed_form_flow,
     exp_su2,
-    invariant_field,
     invariant_hamiltonian,
     invariant_loop,
-    mixing_flow,
     mixing_loop,
 )
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from .dynamics import HamiltonianLoop, check_rel_tol, scale_hamiltonian, zero_hamiltonian
 from .families import (
+    MAX_LIFT_SAMPLES,
     LoopFamily,
     closed_mixing_family,
     constant_family,
@@ -134,7 +135,10 @@ class Scenario:
         _validate_base_points(base_points)
 
         s_samples = d.get("s_samples", 32)
-        _check_int(s_samples, "s_samples", lambda v: v >= 2, "an integer >= 2")
+        _check_int(
+            s_samples, "s_samples", lambda v: 2 <= v <= MAX_LIFT_SAMPLES,
+            f"an integer in [2, {MAX_LIFT_SAMPLES}]",
+        )
 
         output = _section(d.get("output"), "output")
         out_format = output.get("format", "json")

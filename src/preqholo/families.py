@@ -29,6 +29,11 @@ from .sphere import OrbitSphere, fibonacci_sphere
 from .su2 import AlgebraDirection, invariant_loop, mixing_loop, profile_functions
 
 
+# Finest grid of the phase lift, in s-intervals.  A starting grid finer than
+# this could never be evaluated, so config rejects a larger s_samples.
+MAX_LIFT_SAMPLES = 2**14
+
+
 class UnwrapError(RuntimeError):
     """Phase samples could not be lifted continuously at the maximum grid."""
 
@@ -122,23 +127,21 @@ def kappa_derivative_check(
 
 
 def lift_circle_samples(
-    eval_phase: Callable[[float], float],
-    s_samples: int,
-    max_samples: int = 2**14,
+    eval_phase: Callable[[float], float], s_samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Continuous lift of a circle-valued map sampled on a uniform s-grid.
 
     Adjacent samples are joined by the nearest circle representative; any
     wrapped jump of a quarter revolution or more triggers a dyadic
-    refinement of the grid, up to ``max_samples`` points.  Refinement reuses
-    the samples already taken: every other point of the doubled grid equals
-    a point of the old one bit for bit.
+    refinement of the grid, up to ``MAX_LIFT_SAMPLES`` intervals.
+    Refinement reuses the samples already taken: every other point of the
+    doubled grid equals a point of the old one bit for bit.
     """
     m = int(s_samples)
-    if m < 2:
-        raise ValueError("need at least two samples")
+    if not 2 <= m <= MAX_LIFT_SAMPLES:
+        raise ValueError(f"s_samples must lie in [2, {MAX_LIFT_SAMPLES}]")
     seen: dict[float, float] = {}
-    while m <= max_samples:
+    while m <= MAX_LIFT_SAMPLES:
         svals = np.linspace(0.0, 1.0, m + 1)
         for s in svals:
             if s not in seen:
@@ -149,7 +152,7 @@ def lift_circle_samples(
             lift = np.concatenate([[phases[0]], phases[0] + np.cumsum(diffs)])
             return svals, lift
         m *= 2
-    raise UnwrapError(f"adjacent phase jumps stay above 0.25 revolutions at {max_samples} samples")
+    raise UnwrapError(f"adjacent phase jumps stay above 0.25 revolutions at {MAX_LIFT_SAMPLES} samples")
 
 
 def phase_lift(

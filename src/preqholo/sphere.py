@@ -101,19 +101,6 @@ def spherical_coords(p) -> tuple[float, float]:
     return theta, math.atan2(u[1], u[0]) % TWO_PI
 
 
-def chart_tangents(p) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate tangent vectors (d/dtheta, d/dphi) at a point off the poles.
-
-    d/dphi is the coordinate vector of length sin(theta), not normalized.
-    """
-    theta, phi = spherical_coords(p)
-    ct, st = math.cos(theta), math.sin(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    e_theta = np.array([ct * cp, ct * sp, -st])
-    e_phi = np.array([-st * sp, st * cp, 0.0])
-    return e_theta, e_phi
-
-
 def area_form(M: OrbitSphere, p, v, w, tangency_tol: float = 1e-10) -> float:
     """Area form on a pair of tangent vectors: (k/2) * u . (v x w)."""
     u = np.asarray(p, dtype=float)
@@ -168,20 +155,6 @@ def integrate_over_sphere(M: OrbitSphere, f) -> float:
     pts, wts = quadrature_grid(M)
     vals = np.asarray(f(pts), dtype=float)
     return float(wts @ vals)
-
-
-def omega_area_triangle(M: OrbitSphere, a, b, c) -> float:
-    """Signed integral of the area form over the spherical triangle (a, b, c).
-
-    Uses the closed-form solid angle of the geodesic triangle; the sign
-    follows the orientation of the vertex order.
-    """
-    a = unit_vector(a)
-    b = unit_vector(b)
-    c = unit_vector(c)
-    numer = float(np.dot(a, np.cross(b, c)))
-    denom = 1.0 + float(np.dot(a, b)) + float(np.dot(b, c)) + float(np.dot(a, c))
-    return 0.5 * M.k * 2.0 * math.atan2(numer, denom)
 
 
 def fibonacci_sphere(count: int, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Closed-form SU(2) reference data: group elements, the sphere action,
-invariant Hamiltonians and fields, and exact flows used as oracles.
+invariant Hamiltonians and loops, and the exact invariant flow used as an oracle.
 
 Conventions.  The algebra basis is
 
@@ -165,12 +165,6 @@ def invariant_hamiltonian(M: OrbitSphere, direction: AlgebraDirection) -> TimeDe
     )
 
 
-def invariant_field(M: OrbitSphere, direction: AlgebraDirection, p) -> np.ndarray:
-    """The invariant vector field X_dir at p; smooth at the poles."""
-    u = np.asarray(p, dtype=float)
-    return 2.0 * np.cross(direction.axis(), u)
-
-
 def invariant_loop(
     M: OrbitSphere, direction: AlgebraDirection, closure_tol: float = 1e-6
 ) -> HamiltonianLoop:
@@ -236,15 +230,3 @@ def mixing_loop(
     label = f"mix[amp={amp:g},{profile}]"
     f = TimeDepHamiltonian(eval=ev, grad=gr, label=label, time_independent=False)
     return HamiltonianLoop(f, closure_tol=closure_tol, label=label)
-
-
-def mixing_flow(amplitude: float, profile: str = "cosine-ramp"):
-    """Exact flow map (t, p) -> point for the mixing loop; oracle for tests."""
-    g_fn, _ = profile_functions(profile)
-    amp = float(amplitude)
-
-    def flow(t, p):
-        g = exp_su2(DIR_Z, amp * g_fn(t)) @ exp_su2(DIR_A, math.pi * t)
-        return act(g, p)
-
-    return flow

@@ -15,16 +15,19 @@ from preqholo import (
     integrate_over_sphere,
     invariant_hamiltonian,
     invariant_loop,
+    mixing_loop,
     normalize,
-    omega_area_triangle,
+    product_loop,
     scale_hamiltonian,
     sphere_point,
+    transport_phase,
     unit_vector,
     zero_hamiltonian,
 )
-from preqholo.sphere import chart_tangents, random_tangent
+from preqholo.sphere import random_tangent
 
 from conftest import quadratic_hamiltonian
+from oracles import chart_tangents, omega_area_triangle
 
 
 def minus_h(M, direction):
@@ -222,3 +225,24 @@ def test_closure_probe_detects_open_isotopy(sphere1):
     f = scale_hamiltonian(invariant_hamiltonian(sphere1, DIR_A), -0.5 * math.pi)
     open_loop = HamiltonianLoop(f, closure_tol=1e-6, label="half turn")
     assert open_loop.closure_defect(sphere1) > 0.1
+    # one batched solve over the 20 probe points, as if each were alone
+    per_point = max(
+        np.linalg.norm(integrate_isotopy(sphere1, f, q).endpoint - unit_vector(q))
+        for q in fibonacci_sphere(20)
+    )
+    assert open_loop.closure_defect(sphere1) == pytest.approx(per_point, abs=1e-9)
+
+
+def test_flow_is_the_transport_solve(sphere1):
+    # integrate_isotopy is the one-point dense view of the transport's
+    # solve, so both end at the same point, breakpoints included
+    loops = [
+        invariant_loop(sphere1, DIR_A),
+        mixing_loop(sphere1, 0.8),
+        mixing_loop(sphere1, 2.0 * math.pi, profile="constant"),
+        product_loop(invariant_loop(sphere1, DIR_B), mixing_loop(sphere1, 0.8)),
+    ]
+    for loop in loops:
+        for q in fibonacci_sphere(8):
+            flow_end = integrate_isotopy(sphere1, loop.hamiltonian, q).endpoint
+            assert np.linalg.norm(flow_end - transport_phase(sphere1, loop, q).point) < 1e-14

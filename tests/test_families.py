@@ -182,7 +182,7 @@ def test_lift_refinement_reuses_samples():
 def test_lift_unwrap_failure():
     rng = np.random.default_rng(0)
     with pytest.raises(UnwrapError):
-        lift_circle_samples(lambda s: rng.uniform(), 8, max_samples=64)
+        lift_circle_samples(lambda s: rng.uniform(), 8)
 
 
 def test_winding_of_requires_a_near_integer_total():

@@ -11,15 +11,15 @@ from preqholo import (
     area_form,
     fibonacci_sphere,
     integrate_over_sphere,
-    omega_area_triangle,
     potential_eval,
     sphere_point,
     spherical_coords,
     unit_vector,
 )
-from preqholo.sphere import chart_tangents, random_tangent
+from preqholo.sphere import random_tangent
 
 from conftest import geodesic, line_integral_potential
+from oracles import chart_tangents, omega_area_triangle
 
 TWO_PI = 2.0 * math.pi
 

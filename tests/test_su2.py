@@ -15,18 +15,17 @@ from preqholo import (
     closed_form_flow,
     exp_su2,
     hamiltonian_vector_field,
-    invariant_field,
     invariant_hamiltonian,
     invariant_loop,
     kappa,
     integrate_isotopy,
-    mixing_flow,
     mixing_loop,
     scale_hamiltonian,
     sphere_point,
     unit_vector,
 )
-from preqholo.sphere import chart_tangents
+
+from oracles import chart_tangents, invariant_field, mixing_flow
 
 su2_elements = st.builds(
     lambda lam, t: exp_su2(AlgebraDirection(math.cos(lam), math.sin(lam), 0.0), t),

@@ -19,7 +19,6 @@ from .dynamics import (
     constant_hamiltonian,
     hamiltonian_vector_field,
     integrate_isotopy,
-    normalize,
     scale_hamiltonian,
     zero_hamiltonian,
 )
@@ -35,7 +34,6 @@ from .families import (
     lift_circle_samples,
     mixing_family,
     phase_lift,
-    scaling_family,
     subgroup_rotation_family,
     winding_number,
 )
@@ -54,9 +52,7 @@ from .sphere import (
     Chart,
     ChartDomainError,
     OrbitSphere,
-    area_form,
     fibonacci_sphere,
-    integrate_over_sphere,
     potential_eval,
     sphere_point,
     spherical_coords,

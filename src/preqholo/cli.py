@@ -10,7 +10,6 @@ recorded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -150,8 +149,6 @@ def _run_omega_task(scenario: Scenario) -> dict:
 def _run_winding_task(scenario: Scenario) -> dict:
     M = OrbitSphere(scenario.n)
     fam = build_family(M, scenario.family, scenario.tolerances)
-    if not fam.closed:
-        raise ConfigError(f"winding requires a closed family, '{fam.label}' is not")
     points = resolve_base_points(scenario.base_points, scenario.seed)
     rel = scenario.tolerances.flow_rel_tol
     svals, lift = phase_lift(M, fam, points[0], s_samples=scenario.s_samples, rel_tol=rel)
@@ -269,11 +266,11 @@ def main(argv=None) -> int:
             configured = data.get("output") if isinstance(data, dict) else None
             if args.out is None and isinstance(configured, dict) and isinstance(configured.get("dir"), str):
                 out_dir = configured["dir"]
+            if args.seed is not None and isinstance(data, dict):
+                data = dict(data, seed=args.seed)
             scenario = Scenario.from_dict(data)
             if args.out is not None:
                 scenario.out_dir = args.out
-            if args.seed is not None:
-                scenario = dataclasses.replace(scenario, seed=args.seed)
             out_dir = scenario.out_dir
             record, status = run_scenario(scenario)
             log.info("task %s finished with status %d", scenario.task, status)
@@ -283,8 +280,9 @@ def main(argv=None) -> int:
                 n_values = [int(v) for v in str(args.n).split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --n list: {exc}") from exc
+            # An empty list fails on n_values rather than on n.
             scenario = Scenario.from_dict(
-                {"task": "verify", "n": n_values[0] if n_values else 0, "n_values": n_values,
+                {"task": "verify", "n": n_values[0] if n_values else 1, "n_values": n_values,
                  "seed": args.seed, "output": {"dir": args.out}}
             )
             record, status = run_scenario(scenario)
@@ -301,7 +299,9 @@ def main(argv=None) -> int:
             print("all checks passed" if record["all_passed"] else "SOME CHECKS FAILED")
             return status
         if args.command == "su2-demo":
-            scenario = Scenario(n=args.n, task="su2-demo", seed=args.seed, out_dir=args.out)
+            scenario = Scenario.from_dict(
+                {"task": "su2-demo", "n": args.n, "seed": args.seed, "output": {"dir": args.out}}
+            )
             record, status = run_scenario(scenario)
             print(json.dumps(record["holonomy_phases"], indent=2, sort_keys=True))
             return status

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .families import (
     closed_mixing_family,
     constant_family,
     mixing_family,
-    scaling_family,
     subgroup_rotation_family,
 )
 from .sphere import OrbitSphere, fibonacci_sphere, sphere_point
@@ -23,8 +22,11 @@ from .su2 import AlgebraDirection, invariant_loop, mixing_loop
 
 TASKS = ("kappa", "action", "omega", "winding", "verify", "su2-demo")
 HAMILTONIAN_NAMES = ("zero", "invariant", "mix", "scaled")
-FAMILY_NAMES = ("constant", "subgroup-rotation", "mixing", "closed-mixing", "scaling")
+FAMILY_NAMES = ("constant", "subgroup-rotation", "mixing", "closed-mixing")
 OUTPUT_FORMATS = ("json", "csv")
+# Most base points an 'auto:<count>' spec may ask for; 2^14 points of a
+# time-dependent loop take ~20 s.
+MAX_BASE_POINTS = 2**14
 
 
 class ConfigError(ValueError):
@@ -90,35 +92,48 @@ def read_config(path):
 
 @dataclass
 class Scenario:
-    """Validated run description; see README for the JSON schema."""
+    """Validated run description, built by ``from_dict``; see README for the JSON schema."""
 
     n: int
     task: str
-    hamiltonian: dict | None = None
-    family: dict | None = None
-    base_points: object = "auto:10"
-    s_samples: int = 32
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = 0
-    out_dir: str = "out"
-    out_format: str = "json"
-    n_values: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        # Also reached by scenarios built in code (su2-demo) and by
-        # dataclasses.replace (command-line overrides), not only from_dict.
-        _check_int(self.n, "n", lambda v: v != 0, "a nonzero integer")
-        _check_int(self.seed, "seed", lambda v: v >= 0, "an integer >= 0")
+    hamiltonian: dict | None
+    family: dict | None
+    base_points: object
+    s_samples: int
+    tolerances: Tolerances
+    seed: int
+    out_dir: str
+    out_format: str
+    n_values: list[int]
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
+        """Validate every section the config gives, whether or not its task reads it."""
         if not isinstance(d, dict):
             raise ConfigError("config root must be a JSON object")
+        known = {
+            "n", "task", "hamiltonian", "family", "base_points", "s_samples",
+            "tolerances", "seed", "output", "n_values",
+        }
+        unknown = set(d) - known
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         task = d.get("task")
         if task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
 
         n = d.get("n", 1)
+        _check_int(n, "n", lambda v: v != 0, "a nonzero integer")
+        seed = d.get("seed", 0)
+        _check_int(seed, "seed", lambda v: v >= 0, "an integer >= 0")
+        n_values = d.get("n_values", [n])
+        if not (
+            isinstance(n_values, list)
+            and n_values
+            and all(isinstance(v, int) and not isinstance(v, bool) and v != 0 for v in n_values)
+        ):
+            raise ConfigError(f"n_values must be a nonempty list of nonzero integers, got {n_values!r}")
+        tol = Tolerances.from_dict(d.get("tolerances"))
 
         ham = d.get("hamiltonian")
         fam = d.get("family")
@@ -126,10 +141,15 @@ class Scenario:
             raise ConfigError(f"task '{task}' requires a hamiltonian spec")
         if task in ("omega", "winding") and fam is None:
             raise ConfigError(f"task '{task}' requires a family spec")
+        M = OrbitSphere(n)
         if ham is not None:
             _validate_named(ham, HAMILTONIAN_NAMES, "hamiltonian")
+            build_loop(M, ham, tol)
         if fam is not None:
             _validate_named(fam, FAMILY_NAMES, "family")
+            built = build_family(M, fam, tol)
+            if task == "winding" and not built.closed:
+                raise ConfigError(f"winding requires a closed family, '{built.label}' is not")
 
         base_points = d.get("base_points", "auto:10")
         _validate_base_points(base_points)
@@ -148,23 +168,6 @@ class Scenario:
         if not isinstance(out_dir, str):
             raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
 
-        n_values = d.get("n_values", [n])
-        if task == "verify":
-            if not (
-                isinstance(n_values, list)
-                and n_values
-                and all(isinstance(v, int) and not isinstance(v, bool) and v != 0 for v in n_values)
-            ):
-                raise ConfigError("verify requires n_values: a nonempty list of nonzero integers")
-
-        known = {
-            "n", "task", "hamiltonian", "family", "base_points", "s_samples",
-            "tolerances", "seed", "output", "n_values",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
         return cls(
             n=n,
             task=task,
@@ -172,11 +175,11 @@ class Scenario:
             family=fam,
             base_points=base_points,
             s_samples=s_samples,
-            tolerances=Tolerances.from_dict(d.get("tolerances")),
-            seed=d.get("seed", 0),
+            tolerances=tol,
+            seed=seed,
             out_dir=out_dir,
             out_format=out_format,
-            n_values=list(n_values) if isinstance(n_values, list) else [n],
+            n_values=list(n_values),
         )
 
     def echo(self) -> dict:
@@ -218,8 +221,8 @@ def _validate_base_points(value):
             count = int(value.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError("base_points auto count must be an integer") from exc
-        if count < 1:
-            raise ConfigError("base_points auto count must be positive")
+        if not 1 <= count <= MAX_BASE_POINTS:
+            raise ConfigError(f"base_points auto count must lie in [1, {MAX_BASE_POINTS}], got {count}")
         return
     if isinstance(value, list):
         if not value:
@@ -317,12 +320,6 @@ def build_family(M: OrbitSphere, spec: dict, tol: Tolerances) -> LoopFamily:
                 raise ConfigError(f"{name} takes amplitude, profile, got extra {sorted(params)}")
             builder = closed_mixing_family if name == "closed-mixing" else mixing_family
             return builder(M, amplitude=amplitude, profile=profile, closure_tol=tol.closure_tol)
-        if name == "scaling":
-            base = params.pop("base", {"name": "invariant", "a": 1.0, "b": 0.0})
-            if params:
-                raise ConfigError(f"scaling family takes base, got extra {sorted(params)}")
-            _validate_named(base, HAMILTONIAN_NAMES, "family.base")
-            return scaling_family(build_loop(M, base, tol))
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise

@@ -25,9 +25,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
-from .sphere import OrbitSphere, fibonacci_sphere, integrate_over_sphere, unit_vector
+from .sphere import OrbitSphere, unit_vector
 
 REL_TOL_RANGE = (1e-13, 1e-3)
 
@@ -35,7 +34,6 @@ REL_TOL_RANGE = (1e-13, 1e-3)
 # absolute tolerance.
 _METHOD = "DOP853"
 _ATOL = 1e-13
-_MEAN_GRID = 257
 # Component i of a x b is a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3.
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
@@ -67,6 +65,7 @@ class TimeDepHamiltonian:
     ``eval(t, u)`` and ``grad(t, u)`` take a scalar time and either a single
     unit vector ``(3,)`` or a batch ``(N, 3)``.  ``breakpoints`` lists
     interior times where f_t is only piecewise smooth; integrators split there.
+    ``time_independent`` is a caller's flag; the package never reads it.
     """
 
     eval: Callable
@@ -90,9 +89,7 @@ def constant_hamiltonian(c: float, label: str | None = None) -> TimeDepHamiltoni
     def gr(t, u):
         return np.zeros_like(np.asarray(u, dtype=float))
 
-    return TimeDepHamiltonian(
-        eval=ev, grad=gr, label=label or f"const[{c}]", time_independent=True
-    )
+    return TimeDepHamiltonian(eval=ev, grad=gr, label=label or f"const[{c}]")
 
 
 def scale_hamiltonian(f: TimeDepHamiltonian, c: float, label: str | None = None) -> TimeDepHamiltonian:
@@ -101,7 +98,6 @@ def scale_hamiltonian(f: TimeDepHamiltonian, c: float, label: str | None = None)
         eval=lambda t, u: c * f.eval(t, u),
         grad=lambda t, u: c * np.asarray(f.grad(t, u), dtype=float),
         label=label or f"{c}*{f.label}",
-        time_independent=f.time_independent,
         breakpoints=f.breakpoints,
     )
 
@@ -264,57 +260,13 @@ def integrate_isotopy(
     return Trajectory(ts=ts, points=_state_points(ys.T), _sols=sols)
 
 
-def normalize(M: OrbitSphere, f: TimeDepHamiltonian) -> TimeDepHamiltonian:
-    """Subtract the area-form mean of f_t at every time.
-
-    For time-dependent Hamiltonians the mean is sampled on a uniform time
-    grid and interpolated with a cubic spline; the output has zero mean at
-    every t and normalize is idempotent up to quadrature roundoff.
-    """
-    if f.time_independent:
-        mean = integrate_over_sphere(M, lambda pts: np.asarray(f.eval(0.0, pts), dtype=float))
-        mean /= M.total_area
-        return TimeDepHamiltonian(
-            eval=lambda t, u: f.eval(t, u) - mean,
-            grad=f.grad,
-            label=f"{f.label} - mean",
-            time_independent=True,
-            breakpoints=f.breakpoints,
-        )
-
-    ts = np.linspace(0.0, 1.0, _MEAN_GRID)
-    means = np.array(
-        [
-            integrate_over_sphere(M, lambda pts, tt=t: np.asarray(f.eval(tt, pts), dtype=float))
-            for t in ts
-        ]
-    )
-    means /= M.total_area
-    spline = CubicSpline(ts, means)
-
-    return TimeDepHamiltonian(
-        eval=lambda t, u: f.eval(t, u) - float(spline(t)),
-        grad=f.grad,
-        label=f"{f.label} - mean(t)",
-        time_independent=False,
-        breakpoints=f.breakpoints,
-    )
-
-
 @dataclass(frozen=True)
 class HamiltonianLoop:
     """A unit-period isotopy expected to close up to ``closure_tol``.
 
-    ``closure_defect`` measures closure on a probe set of points;
-    ``transport_phases`` checks it at every base point it transports.
+    ``transport_phases`` checks closure at every base point it transports.
     """
 
     hamiltonian: TimeDepHamiltonian
     closure_tol: float = 1e-6
     label: str = ""
-
-    def closure_defect(self, M: OrbitSphere) -> float:
-        """Largest distance of psi_1(q) from q over 20 probe points, in one batched solve."""
-        u0 = fibonacci_sphere(20)
-        y, _ = _transport(M, self.hamiltonian, u0, 1e-10)
-        return float(np.max(np.linalg.norm(_state_points(y) - u0, axis=1)))

@@ -23,9 +23,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .dynamics import HamiltonianLoop, scale_hamiltonian
+from .dynamics import HamiltonianLoop
 from .holonomy import kappa, transport_phases
-from .sphere import OrbitSphere, fibonacci_sphere
+from .sphere import OrbitSphere
 from .su2 import AlgebraDirection, invariant_loop, mixing_loop, profile_functions
 
 
@@ -62,17 +62,6 @@ class LoopFamily:
     def sdot(self, s: float) -> Callable:
         """Callable (t, u) -> d f^s_t(u) / ds at the given s."""
         return lambda t, u: self.s_deriv(s, t, u)
-
-    def closure_defect_in_s(self) -> float:
-        """Largest |f^0_t - f^1_t| over a probe grid; zero for closed families."""
-        probe_points = fibonacci_sphere(12)
-        f0 = self.loop_at(0.0).hamiltonian
-        f1 = self.loop_at(1.0).hamiltonian
-        worst = 0.0
-        for t in np.linspace(0.0, 1.0, 7):
-            d = np.abs(np.asarray(f0.eval(t, probe_points)) - np.asarray(f1.eval(t, probe_points)))
-            worst = max(worst, float(np.max(d)))
-        return worst
 
 
 def omega_eval(
@@ -356,22 +345,4 @@ def closed_mixing_family(
         closure_tol,
         closed=True,
         label=f"closed-mixing[amp={amp:g},{profile}]",
-    )
-
-
-def scaling_family(base: HamiltonianLoop) -> LoopFamily:
-    """Family f^s = (1 + s) * f; only s = 0 is a loop for generic bases."""
-
-    def builder(s):
-        return HamiltonianLoop(
-            scale_hamiltonian(base.hamiltonian, 1.0 + s),
-            closure_tol=base.closure_tol,
-            label=f"(1+{s:g})*{base.label}",
-        )
-
-    return LoopFamily(
-        loop_builder=builder,
-        s_deriv=lambda s, t, u: base.hamiltonian.eval(t, u),
-        closed=False,
-        label=f"scaling[{base.label}]",
     )

@@ -15,7 +15,6 @@ by one batched solve of the package's one integrator.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,16 +52,6 @@ class UnitPhase:
         if v >= 1.0:  # tiny negative inputs can round up to exactly 1.0
             v = 0.0
         return cls(v)
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(np.exp(2.0j * math.pi * self.value))
-
-    def __add__(self, other: "UnitPhase") -> "UnitPhase":
-        return UnitPhase.from_revolutions(self.value + other.value)
-
-    def __sub__(self, other: "UnitPhase") -> "UnitPhase":
-        return UnitPhase.from_revolutions(self.value - other.value)
 
     def distance_to(self, other) -> float:
         v = other.value if isinstance(other, UnitPhase) else float(other)

@@ -1,4 +1,4 @@
-"""Geometry of the integer-level sphere: points, charts, area form, quadrature.
+"""Geometry of the integer-level sphere: points, rotations, charts and potentials.
 
 Points are stored as unit vectors in R^3; the spherical chart (theta, phi) is
 a derived view, never the storage format, because chart expressions degenerate
@@ -22,10 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,29 +51,17 @@ class Chart(Enum):
 
 @dataclass(frozen=True)
 class OrbitSphere:
-    """The sphere at integer level ``n`` with its quadrature resolution.
-
-    ``quadrature_order`` is the number of Gauss-Legendre nodes in cos(theta);
-    the azimuthal trapezoid rule uses twice as many nodes.
-    """
+    """The sphere at integer level ``n``: the area form integrates to n."""
 
     n: int
-    quadrature_order: int = 64
 
     def __post_init__(self) -> None:
         if self.n == 0:
             raise ValueError("level n must be a nonzero integer")
-        if self.quadrature_order < 1:
-            raise ValueError("quadrature_order must be positive")
 
     @property
     def k(self) -> float:
         return self.n / TWO_PI
-
-    @property
-    def total_area(self) -> float:
-        """Integral of the area form over the whole sphere; equals n."""
-        return float(self.n)
 
 
 def unit_vector(p) -> np.ndarray:
@@ -101,17 +87,6 @@ def spherical_coords(p) -> tuple[float, float]:
     return theta, math.atan2(u[1], u[0]) % TWO_PI
 
 
-def area_form(M: OrbitSphere, p, v, w, tangency_tol: float = 1e-10) -> float:
-    """Area form on a pair of tangent vectors: (k/2) * u . (v x w)."""
-    u = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    for vec in (v, w):
-        if abs(float(np.dot(u, vec))) > tangency_tol * max(1.0, float(np.linalg.norm(vec))):
-            raise ValueError("area_form requires tangent vectors (u . v = 0)")
-    return 0.5 * M.k * float(np.dot(u, np.cross(v, w)))
-
-
 def potential_eval(M: OrbitSphere, frame: Chart, p, v) -> float:
     """Chart primitive of the area form, evaluated on a tangent vector.
 
@@ -127,34 +102,6 @@ def potential_eval(M: OrbitSphere, frame: Chart, p, v) -> float:
             f"{frame.value}-frame potential is singular at the {frame.other().value} pole"
         )
     return 0.5 * M.k * frame.sign * float(u[0] * v[1] - u[1] * v[0]) / denom
-
-
-@lru_cache(maxsize=8)
-def _grid(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-sphere quadrature nodes and solid-angle weights (k excluded)."""
-    n_phi = 2 * order
-    x, w_gl = leggauss(order)
-    phis = TWO_PI * np.arange(n_phi) / n_phi
-    st = np.sqrt(1.0 - x**2)
-    px = np.outer(st, np.cos(phis))
-    py = np.outer(st, np.sin(phis))
-    pz = np.outer(x, np.ones(n_phi))
-    pts = np.stack([px.ravel(), py.ravel(), pz.ravel()], axis=-1)
-    wts = np.outer(w_gl, np.full(n_phi, TWO_PI / n_phi)).ravel()
-    return pts, wts
-
-
-def quadrature_grid(M: OrbitSphere) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature points and weights for the area form of ``M``."""
-    pts, wts = _grid(M.quadrature_order)
-    return pts, 0.5 * M.k * wts
-
-
-def integrate_over_sphere(M: OrbitSphere, f) -> float:
-    """Integral of f against the area form; f maps an (N, 3) batch to (N,)."""
-    pts, wts = quadrature_grid(M)
-    vals = np.asarray(f(pts), dtype=float)
-    return float(wts @ vals)
 
 
 def fibonacci_sphere(count: int, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -75,16 +75,6 @@ class AlgebraDirection:
     def norm(self) -> float:
         return math.sqrt(self.a**2 + self.b**2 + self.z**2)
 
-    def unit(self) -> "AlgebraDirection":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero direction")
-        return AlgebraDirection(self.a / n, self.b / n, self.z / n)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.a * _A_MAT + self.b * _B_MAT + self.z * _Z_MAT
-
     def axis(self) -> np.ndarray:
         """Point-space axis of the generated rotation: w = (-a, b, z)."""
         return np.array([-self.a, self.b, self.z])
@@ -161,7 +151,6 @@ def invariant_hamiltonian(M: OrbitSphere, direction: AlgebraDirection) -> TimeDe
         eval=ev,
         grad=gr,
         label=f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]",
-        time_independent=True,
     )
 
 
@@ -228,5 +217,5 @@ def mixing_loop(
         return k * (w - proj)
 
     label = f"mix[amp={amp:g},{profile}]"
-    f = TimeDepHamiltonian(eval=ev, grad=gr, label=label, time_independent=False)
+    f = TimeDepHamiltonian(eval=ev, grad=gr, label=label)
     return HamiltonianLoop(f, closure_tol=closure_tol, label=label)

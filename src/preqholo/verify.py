@@ -74,7 +74,6 @@ def _rotated(loop: HamiltonianLoop, R: np.ndarray) -> HamiltonianLoop:
         eval=lambda t, u: f.eval(t, np.asarray(u) @ R),
         grad=lambda t, u: np.asarray(f.grad(t, np.asarray(u) @ R)) @ R.T,
         label=f"R.{f.label}",
-        time_independent=f.time_independent,
         breakpoints=f.breakpoints,
     )
     return HamiltonianLoop(g, closure_tol=loop.closure_tol, label=f"R.{loop.label}")

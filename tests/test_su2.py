@@ -11,7 +11,6 @@ from preqholo import (
     OrbitSphere,
     SU2Element,
     act,
-    area_form,
     closed_form_flow,
     exp_su2,
     hamiltonian_vector_field,
@@ -25,7 +24,7 @@ from preqholo import (
     unit_vector,
 )
 
-from oracles import chart_tangents, invariant_field, mixing_flow
+from oracles import area_form, chart_tangents, closure_defect, invariant_field, mixing_flow
 
 su2_elements = st.builds(
     lambda lam, t: exp_su2(AlgebraDirection(math.cos(lam), math.sin(lam), 0.0), t),
@@ -226,10 +225,10 @@ def test_mixing_flow_is_oracle_for_mixing_loop(sphere1, rng):
 
 
 def test_mixing_loop_closure(sphere1):
-    assert mixing_loop(sphere1, 1.3).closure_defect(sphere1) < 1e-8
-    assert mixing_loop(sphere1, math.pi, profile="constant").closure_defect(sphere1) < 1e-8
+    assert closure_defect(sphere1, mixing_loop(sphere1, 1.3)) < 1e-8
+    assert closure_defect(sphere1, mixing_loop(sphere1, math.pi, profile="constant")) < 1e-8
     # a constant drift that is not a multiple of pi does not close
-    assert mixing_loop(sphere1, 1.0, profile="constant").closure_defect(sphere1) > 0.1
+    assert closure_defect(sphere1, mixing_loop(sphere1, 1.0, profile="constant")) > 0.1
 
 
 def test_bad_profile_rejected(sphere1):

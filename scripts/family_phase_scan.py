@@ -14,7 +14,7 @@ import numpy as np
 
 from preqholo import OrbitSphere, closed_mixing_family, phase_lift, sphere_point
 from preqholo.cli import write_phases_csv
-from preqholo.families import omega_eval as family_omega, winding_of
+from preqholo.families import member_states, winding_of
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
     print(f"family: {fam.label}")
     print(f"phase lift span: {total:+.3e} rev  ->  winding {winding}, grading {-winding}")
 
-    omega_probe = [family_omega(M, fam, s, q) for s in np.linspace(0.1, 0.9, 5)]
+    omega_probe = [row[0].omega for row in member_states(M, fam, np.linspace(0.1, 0.9, 5), [q])]
     print(f"one-form samples: {np.array2string(np.array(omega_probe), precision=2)}")
 
     if args.csv:

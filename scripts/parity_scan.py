@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from preqholo import AlgebraDirection, OrbitSphere, invariant_loop, kappa, sphere_point
+from preqholo import AlgebraDirection, OrbitSphere, UnitPhase, invariant_loop, sphere_point, transport_phases
 
 
 def main():
@@ -30,9 +30,11 @@ def main():
     print(f"{'n':>3} {'axis angle':>11} {'phase (rev)':>14} {'expected':>9}")
     for n in levels:
         M = OrbitSphere(n)
-        for lam in angles:
-            loop = invariant_loop(M, AlgebraDirection(math.cos(lam), math.sin(lam)))
-            phase = kappa(M, loop, q).value
+        # one solve per level: a row for each axis, all from q
+        loops = [invariant_loop(M, AlgebraDirection(math.cos(lam), math.sin(lam))) for lam in angles]
+        states = transport_phases(M, loops, [q] * len(loops))
+        for lam, state in zip(angles, states):
+            phase = UnitPhase.from_revolutions(state.phase).value
             rows.append((n, lam, phase))
             print(f"{n:>3} {lam:>11.4f} {phase:>14.10f} {(n % 2) / 2:>9.2f}")
 

@@ -19,7 +19,10 @@ from .dynamics import (
     constant_hamiltonian,
     hamiltonian_vector_field,
     integrate_isotopy,
+    linear_axis,
+    linear_hamiltonian,
     scale_hamiltonian,
+    trajectories,
     zero_hamiltonian,
 )
 from .families import (
@@ -32,6 +35,8 @@ from .families import (
     double_integral_check,
     kappa_derivative_check,
     lift_circle_samples,
+    member_kappas,
+    member_states,
     mixing_family,
     phase_lift,
     subgroup_rotation_family,

@@ -22,8 +22,8 @@ import scipy
 from . import __version__
 from .config import ConfigError, Scenario, build_family, build_loop, read_config, resolve_base_points
 from .dynamics import IntegrationError, LoopClosureError
-from .families import UnwrapError, lift_circle_samples, phase_lift, winding_of
-from .holonomy import UnitPhase, kappa, kappas, phase_spread, transport_phases
+from .families import UnwrapError, lift_circle_samples, member_kappas, member_states, phase_lift, winding_of
+from .holonomy import UnitPhase, kappa, kappas, phase_spread
 from .sphere import OrbitSphere, spherical_coords, sphere_point
 from .verify import verify_suite
 
@@ -121,21 +121,26 @@ def _run_omega_task(scenario: Scenario) -> dict:
     points = resolve_base_points(scenario.base_points, scenario.seed)
     rel = scenario.tolerances.flow_rel_tol
 
-    # One transport per s gives Omega at up to three points and the holonomy
-    # at the first; the phase lift samples that grid, and solves only to refine it.
+    # One solve of the rows (s, point) on the first grid gives Omega at up to
+    # three points and the holonomy at the first; the phase lift samples that
+    # grid, and solves only to refine it.
+    grid = np.linspace(0.0, 1.0, scenario.s_samples + 1)
     omega_rows = []
     phases = {}
-    for s in np.linspace(0.0, 1.0, scenario.s_samples + 1):
-        states = transport_phases(M, fam.loop_at(s), points[:3], rel_tol=rel, sdot=fam.sdot(float(s)))
+    for s, states in zip(grid, member_states(M, fam, grid, points[:3], rel_tol=rel)):
         vals = [st.omega for st in states]
         phases[s] = UnitPhase.from_revolutions(states[0].phase).value
         omega_rows.append(
             {"s": float(s), "omega": float(np.mean(vals)), "q_spread": float(np.ptp(vals))}
         )
-    lift_s, lift = lift_circle_samples(
-        lambda s: phases[s] if s in phases else kappa(M, fam.loop_at(s), points[0], rel_tol=rel).value,
-        scenario.s_samples,
-    )
+
+    def eval_phases(svals):
+        new = [s for s in svals if s not in phases]
+        if new:
+            phases.update(zip(new, member_kappas(M, fam, new, points[0], rel_tol=rel)))
+        return [phases[s] for s in svals]
+
+    lift_s, lift = lift_circle_samples(eval_phases, scenario.s_samples)
     return {
         "task": "omega",
         "n": scenario.n,

@@ -9,12 +9,13 @@ the trajectory,
 
 w has no component along u, so chi is the horizontal (Berry) lift of u(t),
 and it needs no chart anywhere on the sphere.  ``_transport`` carries a
-batch of base points this way, together with the integral of f_t along each
-trajectory, with the 8th-order Dormand-Prince pair (DOP853): one adaptive
-solve per piecewise-smooth segment of the Hamiltonian.  At the tight
-tolerances of this package that pair needs 2-4x fewer right-hand-side
-evaluations than a 5th-order one.  The holonomy transport reads its end
-state; ``integrate_isotopy`` is its dense one-point view.
+batch of rows this way, each a (Hamiltonian, base point) pair, together
+with the integral of f_t along each trajectory, with the 8th-order
+Dormand-Prince pair (DOP853): one adaptive solve per piecewise-smooth
+segment of the rows' Hamiltonians.  At the tight tolerances of this
+package that pair needs 2-4x fewer right-hand-side evaluations than a
+5th-order one.  The holonomy transport reads its end state;
+``trajectories`` and ``integrate_isotopy`` are its dense views.
 """
 
 from __future__ import annotations
@@ -34,6 +35,12 @@ REL_TOL_RANGE = (1e-13, 1e-3)
 # absolute tolerance.
 _METHOD = "DOP853"
 _ATOL = 1e-13
+# Most right-hand-side evaluations one solve (one segment of one chunk) may
+# make.  The step count grows with the speed of the flow, and no input
+# bounds that.  The largest count a test, a verify check or a bench op
+# makes is 2,882, under 1/90 of the budget, while a `mix` amplitude of 1e5
+# would otherwise run for hours.
+MAX_RHS_EVALS = 2**18
 # Component i of a x b is a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3.
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
@@ -66,6 +73,9 @@ class TimeDepHamiltonian:
     unit vector ``(3,)`` or a batch ``(N, 3)``.  ``breakpoints`` lists
     interior times where f_t is only piecewise smooth; integrators split there.
     ``time_independent`` is a caller's flag; the package never reads it.
+    ``axis(t)``, when given, is the vector w(t) of a linear Hamiltonian
+    f_t(u) = w(t) . u built by ``linear_hamiltonian``; ``linear_axis``
+    says whether it may stand in for ``eval`` and ``grad``.
     """
 
     eval: Callable
@@ -73,6 +83,7 @@ class TimeDepHamiltonian:
     label: str = ""
     time_independent: bool = False
     breakpoints: tuple = ()
+    axis: Callable | None = None
 
 
 def zero_hamiltonian() -> TimeDepHamiltonian:
@@ -92,12 +103,47 @@ def constant_hamiltonian(c: float, label: str | None = None) -> TimeDepHamiltoni
     return TimeDepHamiltonian(eval=ev, grad=gr, label=label or f"const[{c}]")
 
 
+def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ()) -> TimeDepHamiltonian:
+    """The Hamiltonian f_t(u) = axis(t) . u, with eval and grad derived from the axis.
+
+    Its surface gradient is the tangent part axis(t) - (u . axis(t)) u.  It
+    has zero mean on the sphere.  Both functions carry the axis they come
+    from as ``_axis``, which ``functools.wraps`` copies to a wrapper.
+    """
+
+    def ev(t, u):
+        return np.asarray(u, dtype=float) @ axis(t)
+
+    def gr(t, u):
+        u = np.asarray(u, dtype=float)
+        w = axis(t)
+        return w - (u @ w)[..., None] * u
+
+    ev._axis = gr._axis = axis
+    return TimeDepHamiltonian(eval=ev, grad=gr, label=label, breakpoints=breakpoints, axis=axis)
+
+
+def linear_axis(f: TimeDepHamiltonian) -> Callable | None:
+    """f's axis if its eval and grad are the ones ``linear_hamiltonian`` derived from it, else None.
+
+    ``dataclasses.replace(f, eval=...)`` keeps the axis but not the
+    derivation, so such an f counts as non-linear.
+    """
+    axis = f.axis
+    derived = axis is not None and all(getattr(fn, "_axis", None) is axis for fn in (f.eval, f.grad))
+    return axis if derived else None
+
+
 def scale_hamiltonian(f: TimeDepHamiltonian, c: float, label: str | None = None) -> TimeDepHamiltonian:
     c = float(c)
+    label = label or f"{c}*{f.label}"
+    axis = linear_axis(f)
+    if axis is not None:
+        return linear_hamiltonian(lambda t: c * axis(t), label=label, breakpoints=f.breakpoints)
     return TimeDepHamiltonian(
         eval=lambda t, u: c * f.eval(t, u),
         grad=lambda t, u: c * np.asarray(f.grad(t, u), dtype=float),
-        label=label or f"{c}*{f.label}",
+        label=label,
         breakpoints=f.breakpoints,
     )
 
@@ -163,45 +209,147 @@ def _chunk_size(rel_tol: float) -> int:
     return size
 
 
-def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
-    """Carry the spinors of the unit base points u0 (N, 3) along the flow of f over [0, 1].
+def _distinct(items, n: int):
+    """The distinct entries of a per-row sequence, and each row's index into them.
 
-    Returns the N x 3 complex end state, one row per point: the spinor
-    (a, b), and the integrals of f_t and of ``sdot(t, u)`` (0 without it)
-    along the trajectory as the real and imaginary part of the third
-    column.  Also returns the solution of every solve, with dense output
-    when ``dense``.  Each breakpoint segment is one DOP853 solve of the
-    whole batch.  Its error norm, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2)
-    len), is taken over the whole state and, like an RMS norm, gives N
-    identical copies of one point the norm of that point.  rtol and atol
-    are therefore divided by sqrt(N), so that the others cannot average
-    away the error of one point; batches too large for that are split.
+    One Hamiltonian, one callable or None stands for every row.  Entries
+    are told apart by identity.
+    """
+    if items is None or callable(items) or isinstance(items, TimeDepHamiltonian):
+        return [items], np.zeros(n, dtype=int)
+    items = list(items)
+    if len(items) != n:
+        raise ValueError(f"{len(items)} per-row entries for {n} rows")
+    distinct, index, slot = [], {}, np.empty(n, dtype=int)
+    for i, item in enumerate(items):
+        slot[i] = index.setdefault(id(item), len(distinct))
+        if slot[i] == len(distinct):
+            distinct.append(item)
+    return distinct, slot
+
+
+def _groups(slot: np.ndarray) -> list:
+    """(j, rows with slot j) for every index j that occurs in slot, in order of j.
+
+    A contiguous run of rows is a slice, so that indexing by it copies nothing.
+    """
+    out = []
+    for j in sorted(set(slot.tolist())):
+        idx = np.flatnonzero(slot == j)
+        out.append((j, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == len(idx) else idx))
+    return out
+
+
+def _hamiltonian_terms(fs, slot):
+    """(t, u) -> (f_t(u), grad f_t(u)) for the rows of one chunk.
+
+    Row i has the Hamiltonian ``fs[slot[i]]``.  Every linear one
+    (``linear_axis``) is evaluated through one matrix of axes for all its
+    rows; each other one calls its own eval and grad on its rows.
+    """
+    row_axis = np.full(len(slot), -1)
+    axes, generic = [], []
+    for j, idx in _groups(slot):
+        axis = linear_axis(fs[j])
+        if axis is None:
+            generic.append((fs[j], idx))
+        else:
+            row_axis[idx] = len(axes)
+            axes.append(axis)
+    lin_rows = np.flatnonzero(row_axis >= 0)
+    lin_slot = row_axis[lin_rows]
+
+    def terms(t, u):
+        if axes:
+            w = axes[0](t) if len(axes) == 1 else np.array([axis(t) for axis in axes])[lin_slot]
+            ul = u[lin_rows] if generic else u
+            el = ul @ w if w.ndim == 1 else (ul * w).sum(axis=1)
+            gl = w - el[:, None] * ul
+            if not generic:
+                return el, gl
+        e = np.empty(len(u))
+        g = np.empty((len(u), 3))
+        if axes:
+            e[lin_rows] = el
+            g[lin_rows] = gl
+        for f, idx in generic:
+            e[idx] = f.eval(t, u[idx])
+            g[idx] = f.grad(t, u[idx])
+        return e, g
+
+    return terms
+
+
+def _sdot_terms(sdots, slot):
+    """(t, u) -> the s-derivative integrand of every row of one chunk (0 where None)."""
+    groups = [(sdots[j], idx) for j, idx in _groups(slot) if sdots[j] is not None]
+
+    def terms(t, u):
+        out = np.zeros(len(u))
+        for sdot, idx in groups:
+            out[idx] = sdot(t, u[idx])
+        return out
+
+    return terms
+
+
+def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
+    """Carry the spinors of the rows' unit base points u0 (N, 3) along their flows over [0, 1].
+
+    A row is a (Hamiltonian, base point, ``sdot``) triple: ``f`` and
+    ``sdot`` are each one Hamiltonian or callable for every row, or a
+    sequence with one entry per row.  Returns the N x 3 complex end state,
+    one row each: the spinor (a, b), and the integrals of f_t and of
+    ``sdot(t, u)`` (0 without it) along the trajectory as the real and
+    imaginary part of the third column.  Also returns, for each chunk of
+    rows in order, the solution of its every solve, with dense output when
+    ``dense``.  Each segment between the union of the rows' breakpoints is
+    one DOP853 solve of the chunk.  Its error norm, |h| |e5|^2 /
+    sqrt((|e5|^2 + 0.01 |e3|^2) len), is taken over the whole state and,
+    like an RMS norm, gives N identical copies of one row the norm of that
+    row.  rtol and atol are therefore divided by sqrt(N), so that the
+    others cannot average away the error of one row; batches too large for
+    that are split.  A solve that passes ``MAX_RHS_EVALS`` raises
+    IntegrationError.
     """
     check_rel_tol(rel_tol)
     # For unit u, w = u x X_t(u) = (2/k) (u (u . g) - g) with g = grad f.
     turn = (2.0 / M.k) * _TURN
-
-    def rhs(t, yy):
-        x = yy.reshape(-1, 3)[:, :2].view(float)
-        u = _bloch(x)
-        g = np.asarray(f.grad(t, u), dtype=float)
-        v = u * (u * g).sum(axis=1, keepdims=True) - g
-        out = np.empty((len(x), 6))
-        out[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(-1, 12) @ turn
-        out[:, 4] = f.eval(t, u)
-        out[:, 5] = 0.0 if sdot is None else sdot(t, u)
-        return out.view(complex).ravel()
-
-    stops = [0.0, *sorted(b for b in f.breakpoints if 1e-14 < b < 1.0 - 1e-14), 1.0]
+    fs, fslot = _distinct(f, len(u0))
+    sdots, sslot = _distinct(sdot, len(u0))
+    breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
+    stops = [0.0, *sorted(breaks), 1.0]
     y = np.zeros((len(u0), 3), dtype=complex)
     y[:, :2] = _spinors(u0)
     size = _chunk_size(rel_tol)
-    sols = []
+    chunks = []
     for lo in range(0, len(u0), size):
         # A copy: the first dense step keeps y0, and y takes the end state.
         yy = y[lo : lo + size].flatten()
         scale = 1.0 / math.sqrt(len(yy) // 3)
+        ham = _hamiltonian_terms(fs, fslot[lo : lo + size])
+        sd = _sdot_terms(sdots, sslot[lo : lo + size])
+        sols = []
         for t0, t1 in zip(stops[:-1], stops[1:]):
+            evals = 0
+
+            def rhs(t, yy):
+                nonlocal evals
+                evals += 1
+                if evals > MAX_RHS_EVALS:
+                    raise IntegrationError(
+                        f"solve passed its budget of {MAX_RHS_EVALS} right-hand-side evaluations", t=t
+                    )
+                x = yy.reshape(-1, 3)[:, :2].view(float)
+                u = _bloch(x)
+                e, g = ham(t, u)
+                v = u * (u * g).sum(axis=1, keepdims=True) - g
+                out = np.empty((len(x), 6))
+                out[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(-1, 12) @ turn
+                out[:, 4] = e
+                out[:, 5] = sd(t, u)
+                return out.view(complex).ravel()
+
             # scipy's step-size control never ends when the first step is not finite.
             if not np.all(np.isfinite(rhs(t0, yy))):
                 raise IntegrationError("right-hand side is not finite", t=t0)
@@ -214,7 +362,8 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
             sols.append(sol)
             yy = sol.y[:, -1]
         y[lo : lo + size] = yy.reshape(-1, 3)
-    return y, sols
+        chunks.append(sols)
+    return y, chunks
 
 
 def _state_points(y: np.ndarray) -> np.ndarray:
@@ -227,20 +376,42 @@ class Trajectory:
     """Flow curve t -> psi_t(q) on [0, 1]: the Bloch vector of the transported spinor.
 
     ``ts`` are the solver's steps and ``points`` the trajectory there; ``at``
-    reads the dense spinor between them.
+    reads the dense spinor between them.  The solve may carry other rows;
+    this trajectory is its row ``row``.
     """
 
     ts: np.ndarray
     points: np.ndarray
     _sols: list = field(default_factory=list, repr=False)
+    row: int = 0
 
     def at(self, t: float) -> np.ndarray:
         sol = next((s for s in self._sols if t <= s.t[-1]), self._sols[-1])
-        return _state_points(sol.sol(t)[None, :])[0]
+        return _state_points(sol.sol(t)[3 * self.row : 3 * self.row + 3][None, :])[0]
 
     @property
     def endpoint(self) -> np.ndarray:
         return self.points[-1]
+
+
+def trajectories(M: OrbitSphere, f, points, rel_tol: float = 1e-10) -> list[Trajectory]:
+    """Trajectories of du/dt = X_t(u) over [0, 1] from every base point, with dense output.
+
+    ``f`` is one Hamiltonian or one per point; all rows are carried by one
+    batched spinor solve.  The points are Bloch vectors, unit by
+    construction.
+    """
+    u0 = np.array([unit_vector(q) for q in points], dtype=float).reshape(-1, 3)
+    _, chunks = _transport(M, f, u0, rel_tol, dense=True)
+    out = []
+    for sols in chunks:
+        ts = np.concatenate([sols[0].t[:1]] + [s.t[1:] for s in sols])
+        ys = np.concatenate([sols[0].y[:, :1]] + [s.y[:, 1:] for s in sols], axis=1)
+        out += [
+            Trajectory(ts=ts, points=_state_points(ys[3 * row : 3 * row + 3].T), _sols=sols, row=row)
+            for row in range(len(ys) // 3)
+        ]
+    return out
 
 
 def integrate_isotopy(
@@ -251,13 +422,9 @@ def integrate_isotopy(
 ) -> Trajectory:
     """Trajectory of du/dt = X_t(u) from q over [0, 1], with dense output.
 
-    The one-point case of the spinor solve that every transport makes; the
-    points are Bloch vectors, unit by construction.
+    The one-row case of ``trajectories``.
     """
-    _, sols = _transport(M, f, unit_vector(q)[None, :], rel_tol, dense=True)
-    ts = np.concatenate([sols[0].t[:1]] + [s.t[1:] for s in sols])
-    ys = np.concatenate([sols[0].y[:, :1]] + [s.y[:, 1:] for s in sols], axis=1)
-    return Trajectory(ts=ts, points=_state_points(ys.T), _sols=sols)
+    return trajectories(M, f, [q], rel_tol=rel_tol)[0]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ the loop-space one-form evaluates as
 
 independent of the base point q for closed families.  It is integrated
 along the trajectory by the same spinor transport that gives the holonomy,
-so one solve at s gives both.  The derivative of the holonomy phase (in
+so one solve at s gives both, and one batched solve of rows (s, point)
+gives them for many s at once.  The derivative of the holonomy phase (in
 revolutions) along the family is -Omega(s), which
 ``kappa_derivative_check`` verifies by central differences.  On a closed
 family the map s -> kappa(psi^s) has an integer winding number, extracted
@@ -24,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dynamics import HamiltonianLoop
-from .holonomy import kappa, transport_phases
+from .holonomy import PhaseState, UnitPhase, transport_phases
 from .sphere import OrbitSphere
 from .su2 import AlgebraDirection, invariant_loop, mixing_loop, profile_functions
 
@@ -64,6 +65,34 @@ class LoopFamily:
         return lambda t, u: self.s_deriv(s, t, u)
 
 
+def member_states(
+    M: OrbitSphere, fam: LoopFamily, svals, points, rel_tol: float = 1e-10, omega: bool = True
+) -> list[list[PhaseState]]:
+    """Transport states of the members at every s from every point, in one batched solve.
+
+    Returns one list per s with one state per point.  With ``omega`` each
+    state carries Omega(s) from its point; without it no s-derivative is
+    integrated.  Every member must be a loop: LoopClosureError otherwise.
+    """
+    svals = [float(s) for s in svals]
+    sdots = {s: fam.sdot(s) for s in svals} if omega else {}
+    states = transport_phases(
+        M,
+        [fam.loop_at(s) for s in svals for _ in points],
+        [q for _ in svals for q in points],
+        rel_tol=rel_tol,
+        sdot=[sdots[s] for s in svals for _ in points] if omega else None,
+    )
+    n = len(points)
+    return [states[i * n : (i + 1) * n] for i in range(len(svals))]
+
+
+def member_kappas(M: OrbitSphere, fam: LoopFamily, svals, q, rel_tol: float = 1e-10) -> list[float]:
+    """Holonomy of the member at every s from q, in revolutions in [0, 1): one batched solve."""
+    rows = member_states(M, fam, svals, [q], rel_tol=rel_tol, omega=False)
+    return [UnitPhase.from_revolutions(row[0].phase).value for row in rows]
+
+
 def omega_eval(
     M: OrbitSphere, fam: LoopFamily, s: float, q, rel_tol: float = 1e-10
 ) -> float:
@@ -73,7 +102,7 @@ def omega_eval(
     trajectory, carried by the transport of the loop at s.  The member at s
     must be a loop: LoopClosureError otherwise.
     """
-    return transport_phases(M, fam.loop_at(s), [q], rel_tol=rel_tol, sdot=fam.sdot(s))[0].omega
+    return member_states(M, fam, [s], [q], rel_tol=rel_tol)[0][0].omega
 
 
 @dataclass(frozen=True)
@@ -100,14 +129,11 @@ def kappa_derivative_check(
 ) -> DerivativeCheck:
     """Centered-difference holonomy-phase slope against -Omega at s.
 
-    Both sides come from the transports at s +- h_s: the difference of
-    their holonomies, taken on the circle so no phase lift enters, against
-    minus the mean of their Omega values.
+    Both sides come from one solve of the two rows at s +- h_s: the
+    difference of their holonomies, taken on the circle so no phase lift
+    enters, against minus the mean of their Omega values.
     """
-    plus, minus = (
-        transport_phases(M, fam.loop_at(x), [q], rel_tol=rel_tol, sdot=fam.sdot(x))[0]
-        for x in (s + h_s, s - h_s)
-    )
+    (plus,), (minus,) = member_states(M, fam, [s + h_s, s - h_s], [q], rel_tol=rel_tol)
     d = ((plus.phase - minus.phase + 0.5) % 1.0) - 0.5
     lhs = d / (2.0 * h_s)
     rhs = -0.5 * (plus.omega + minus.omega)
@@ -116,32 +142,40 @@ def kappa_derivative_check(
 
 
 def lift_circle_samples(
-    eval_phase: Callable[[float], float], s_samples: int
+    eval_phases: Callable[[np.ndarray], object], s_samples: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Continuous lift of a circle-valued map sampled on a uniform s-grid.
 
-    Adjacent samples are joined by the nearest circle representative; any
-    wrapped jump of a quarter revolution or more triggers a dyadic
-    refinement of the grid, up to ``MAX_LIFT_SAMPLES`` intervals.
-    Refinement reuses the samples already taken: every other point of the
-    doubled grid equals a point of the old one bit for bit.
+    ``eval_phases(svals)`` returns the map's phases at an array of s
+    values, so a caller can evaluate them in one batch.  Adjacent samples
+    are joined by the nearest circle representative; any wrapped jump of a
+    quarter revolution or more triggers a dyadic refinement of the grid, up
+    to ``MAX_LIFT_SAMPLES`` intervals.  Each grid level is one call of
+    ``eval_phases``, on only the points no coarser level evaluated: every
+    other point of the doubled grid equals a point of the old one bit for
+    bit.  An UnwrapError names the finest grid evaluated and the largest
+    wrapped jump on it.
     """
     m = int(s_samples)
     if not 2 <= m <= MAX_LIFT_SAMPLES:
         raise ValueError(f"s_samples must lie in [2, {MAX_LIFT_SAMPLES}]")
     seen: dict[float, float] = {}
-    while m <= MAX_LIFT_SAMPLES:
+    while True:
         svals = np.linspace(0.0, 1.0, m + 1)
-        for s in svals:
-            if s not in seen:
-                seen[s] = float(eval_phase(s)) % 1.0
+        new = np.array([s for s in svals if s not in seen])
+        seen.update(zip(new, (float(v) % 1.0 for v in eval_phases(new))))
         phases = np.array([seen[s] for s in svals])
         diffs = ((np.diff(phases) + 0.5) % 1.0) - 0.5
-        if np.max(np.abs(diffs)) < 0.25:
+        jump = float(np.max(np.abs(diffs)))
+        if jump < 0.25:
             lift = np.concatenate([[phases[0]], phases[0] + np.cumsum(diffs)])
             return svals, lift
+        if 2 * m > MAX_LIFT_SAMPLES:
+            raise UnwrapError(
+                f"adjacent phase jumps stay above 0.25 revolutions: the largest wrapped jump "
+                f"is {jump:.3f} revolutions on the finest grid evaluated, {m} intervals"
+            )
         m *= 2
-    raise UnwrapError(f"adjacent phase jumps stay above 0.25 revolutions at {MAX_LIFT_SAMPLES} samples")
 
 
 def phase_lift(
@@ -151,10 +185,8 @@ def phase_lift(
     s_samples: int = 64,
     rel_tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous lift of s -> kappa(loop_at(s)) sampled from base point q."""
-    return lift_circle_samples(
-        lambda s: kappa(M, fam.loop_at(s), q, rel_tol=rel_tol).value, s_samples
-    )
+    """Continuous lift of s -> kappa(loop_at(s)) sampled from base point q, one solve per grid level."""
+    return lift_circle_samples(lambda svals: member_kappas(M, fam, svals, q, rel_tol=rel_tol), s_samples)
 
 
 def winding_number(
@@ -193,13 +225,11 @@ def double_integral_check(
     s_nodes: int = 16,
     rel_tol: float = 1e-10,
 ) -> float:
-    """Integral over s of Omega(s); vanishes for degree-zero closed families."""
+    """Integral over s of Omega(s), one solve over the Gauss nodes; vanishes for
+    degree-zero closed families."""
     x, w = leggauss(s_nodes)
-    svals = 0.5 * (x + 1.0)
-    wts = 0.5 * w
-    return float(
-        sum(wt * omega_eval(M, fam, s, q, rel_tol=rel_tol) for s, wt in zip(svals, wts))
-    )
+    rows = member_states(M, fam, 0.5 * (x + 1.0), [q], rel_tol=rel_tol)
+    return float(sum(wt * row[0].omega for row, wt in zip(rows, 0.5 * w)))
 
 
 def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:

@@ -9,8 +9,9 @@ the spin-1/2 geometric phase, and the Hamiltonian term on top:
 in revolutions.  Its reduction mod 1 is the holonomy argument.  The
 unreduced value is the lift in the chart frame whose cap the trajectory
 encloses with the smaller area; it is defined up to an integer, which
-comparisons on the circle ignore.  All base points of a loop are carried
-by one batched solve of the package's one integrator.
+comparisons on the circle ignore.  A batch is rows of (loop, base
+point): all rows are carried by one batched solve of the package's one
+integrator.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from .dynamics import (
     _state_points,
     _spinors,
     _transport,
+    linear_axis,
+    linear_hamiltonian,
 )
 from .sphere import TWO_PI, OrbitSphere, unit_vector
 
@@ -77,31 +80,39 @@ class PhaseState:
 
 
 def transport_phases(
-    M: OrbitSphere, loop: HamiltonianLoop, points, rel_tol: float = 1e-10, sdot=None
+    M: OrbitSphere, loop, points, rel_tol: float = 1e-10, sdot=None
 ) -> list[PhaseState]:
     """Transport the section phase around the loop trajectories based at points.
 
-    All base points are carried by one batched solve (``dynamics._transport``),
-    which also integrates f_t and ``sdot(t, u)`` along each trajectory.  With
-    ``sdot`` the s-derivative of a family's Hamiltonians, each state's
-    ``omega`` is the one-form Omega(s); without it, ``omega`` is 0.  Requires
-    the loop Hamiltonian to be normalized (zero mean); each result's
-    ``phase`` is the unreduced lift in revolutions, and its reduction mod 1
-    is the holonomy argument.  Raises LoopClosureError when a trajectory
-    fails to return to its base point within the loop's closure tolerance,
-    and IntegrationError if the right-hand side is not finite or the
-    step-size control breaks down.
+    ``loop`` is one HamiltonianLoop for every point or a sequence with one
+    loop per point; ``sdot`` likewise is one callable, one per point, or
+    None.  Row i is (loop i, point i).  All rows are carried by one batched
+    solve (``dynamics._transport``), which also integrates f_t and
+    ``sdot(t, u)`` along each trajectory.  With ``sdot`` the s-derivative
+    of a family's Hamiltonians, each state's ``omega`` is the one-form
+    Omega(s); without it, ``omega`` is 0.  Requires the loop Hamiltonians
+    to be normalized (zero mean); each result's ``phase`` is the unreduced
+    lift in revolutions, and its reduction mod 1 is the holonomy argument.
+    Raises LoopClosureError, naming the row and its loop, when a
+    trajectory fails to return to its base point within its loop's closure
+    tolerance, and IntegrationError if the right-hand side is not finite or
+    the step-size control breaks down.
     """
     u0 = np.array([unit_vector(q) for q in points], dtype=float).reshape(-1, 3)
-    y, _ = _transport(M, loop.hamiltonian, u0, rel_tol, sdot)
+    if isinstance(loop, HamiltonianLoop):
+        loops, f = [loop] * len(u0), loop.hamiltonian
+    else:
+        loops = list(loop)
+        f = [lp.hamiltonian for lp in loops]
+    y, _ = _transport(M, f, u0, rel_tol, sdot)
     ends = _state_points(y)
     defects = np.linalg.norm(ends - u0, axis=1)
-    bad = np.flatnonzero(defects > loop.closure_tol)
+    bad = np.flatnonzero(defects > [lp.closure_tol for lp in loops])
     if len(bad):
         i = int(bad[0])
         raise LoopClosureError(
-            f"loop '{loop.label}' does not close at base point {i}: "
-            f"defect {defects[i]:.3e} exceeds tolerance {loop.closure_tol:.3e}"
+            f"loop '{loops[i].label}' does not close at base point {i}: "
+            f"defect {defects[i]:.3e} exceeds tolerance {loops[i].closure_tol:.3e}"
         )
     # <chi0, chi1> in real arithmetic, so an unmoved spinor has an exactly
     # real overlap and a phase of exactly 0.
@@ -168,32 +179,34 @@ def phase_spread(phases) -> float:
 
 
 def product_loop(xi: HamiltonianLoop, psi: HamiltonianLoop) -> HamiltonianLoop:
-    """Path product: run psi at double speed on [0, 1/2], then xi on [1/2, 1]."""
+    """Path product: run psi at double speed on [0, 1/2], then xi on [1/2, 1].
+
+    The product of two linear loops is linear, with the product's axis.
+    """
     f_psi = psi.hamiltonian
     f_xi = xi.hamiltonian
-
-    def ev(t, u):
-        if t < 0.5:
-            return 2.0 * f_psi.eval(2.0 * t, u)
-        return 2.0 * f_xi.eval(2.0 * t - 1.0, u)
-
-    def gr(t, u):
-        if t < 0.5:
-            return 2.0 * np.asarray(f_psi.grad(2.0 * t, u), dtype=float)
-        return 2.0 * np.asarray(f_xi.grad(2.0 * t - 1.0, u), dtype=float)
-
+    label = f"({xi.label}).({psi.label})"
     breaks = {0.5}
     breaks.update(0.5 * b for b in f_psi.breakpoints if 0.0 < b < 1.0)
     breaks.update(0.5 + 0.5 * b for b in f_xi.breakpoints if 0.0 < b < 1.0)
-    f = TimeDepHamiltonian(
-        eval=ev,
-        grad=gr,
-        label=f"({xi.label}).({psi.label})",
-        breakpoints=tuple(sorted(breaks)),
-    )
-    return HamiltonianLoop(
-        f,
-        closure_tol=max(xi.closure_tol, psi.closure_tol),
-        label=f"({xi.label}).({psi.label})",
-    )
+    breaks = tuple(sorted(breaks))
+    a_psi, a_xi = linear_axis(f_psi), linear_axis(f_xi)
+    if a_psi is not None and a_xi is not None:
+        f = linear_hamiltonian(
+            lambda t: 2.0 * (a_psi(2.0 * t) if t < 0.5 else a_xi(2.0 * t - 1.0)), label=label, breakpoints=breaks
+        )
+    else:
+
+        def ev(t, u):
+            if t < 0.5:
+                return 2.0 * f_psi.eval(2.0 * t, u)
+            return 2.0 * f_xi.eval(2.0 * t - 1.0, u)
+
+        def gr(t, u):
+            if t < 0.5:
+                return 2.0 * np.asarray(f_psi.grad(2.0 * t, u), dtype=float)
+            return 2.0 * np.asarray(f_xi.grad(2.0 * t - 1.0, u), dtype=float)
+
+        f = TimeDepHamiltonian(eval=ev, grad=gr, label=label, breakpoints=breaks)
+    return HamiltonianLoop(f, closure_tol=max(xi.closure_tol, psi.closure_tol), label=label)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianLoop, TimeDepHamiltonian, scale_hamiltonian
+from .dynamics import HamiltonianLoop, TimeDepHamiltonian, linear_hamiltonian, scale_hamiltonian
 from .sphere import OrbitSphere, unit_vector
 
 _A_MAT = np.array([[0.0, 1.0j], [1.0j, 0.0]])
@@ -135,22 +135,10 @@ def closed_form_flow(direction: AlgebraDirection, t: float, p) -> np.ndarray:
 
 
 def invariant_hamiltonian(M: OrbitSphere, direction: AlgebraDirection) -> TimeDepHamiltonian:
-    """Moment function h_dir(u) = k * w . u, with its analytic gradient."""
-    w = direction.axis()
-    k = M.k
-
-    def ev(t, u):
-        return k * (np.asarray(u, dtype=float) @ w)
-
-    def gr(t, u):
-        u = np.asarray(u, dtype=float)
-        proj = (u @ w)[..., None] * u
-        return k * (w - proj)
-
-    return TimeDepHamiltonian(
-        eval=ev,
-        grad=gr,
-        label=f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]",
+    """Moment function h_dir(u) = k * w . u, a linear Hamiltonian with the constant axis k w."""
+    w = M.k * direction.axis()
+    return linear_hamiltonian(
+        lambda t: w, label=f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]"
     )
 
 
@@ -201,21 +189,11 @@ def mixing_loop(
     amp = float(amplitude)
     k = M.k
 
-    def wvec(t):
+    def axis(t):
         th = 2.0 * amp * g_fn(t)
         return np.array(
-            [math.pi * math.cos(th), math.pi * math.sin(th), -amp * gd_fn(t)]
+            [k * math.pi * math.cos(th), k * math.pi * math.sin(th), -k * amp * gd_fn(t)]
         )
 
-    def ev(t, u):
-        return k * (np.asarray(u, dtype=float) @ wvec(t))
-
-    def gr(t, u):
-        u = np.asarray(u, dtype=float)
-        w = wvec(t)
-        proj = (u @ w)[..., None] * u
-        return k * (w - proj)
-
     label = f"mix[amp={amp:g},{profile}]"
-    f = TimeDepHamiltonian(eval=ev, grad=gr, label=label)
-    return HamiltonianLoop(f, closure_tol=closure_tol, label=label)
+    return HamiltonianLoop(linear_hamiltonian(axis, label=label), closure_tol=closure_tol, label=label)

@@ -17,13 +17,16 @@ from .dynamics import (
     TimeDepHamiltonian,
     hamiltonian_vector_field,
     integrate_isotopy,
+    linear_axis,
+    linear_hamiltonian,
+    trajectories,
 )
 from .families import (
     closed_mixing_family,
     concatenate,
     double_integral_check,
     kappa_derivative_check,
-    omega_eval as family_omega,
+    member_states,
     subgroup_rotation_family,
     winding_number,
 )
@@ -35,6 +38,7 @@ from .holonomy import (
     phase_spread,
     product_loop,
     transport_phase,
+    transport_phases,
 )
 from .sphere import (
     OrbitSphere,
@@ -68,14 +72,22 @@ def _random_axis(rng) -> AlgebraDirection:
 
 
 def _rotated(loop: HamiltonianLoop, R: np.ndarray) -> HamiltonianLoop:
-    """The loop R psi_t R^-1, generated by f_t o R^-1 (rows u map to u @ R)."""
+    """The loop R psi_t R^-1, generated by f_t o R^-1 (rows u map to u @ R).
+
+    A linear f_t(u) = w(t) . u becomes the linear f_t(u R) = (R w(t)) . u.
+    """
     f = loop.hamiltonian
-    g = TimeDepHamiltonian(
-        eval=lambda t, u: f.eval(t, np.asarray(u) @ R),
-        grad=lambda t, u: np.asarray(f.grad(t, np.asarray(u) @ R)) @ R.T,
-        label=f"R.{f.label}",
-        breakpoints=f.breakpoints,
-    )
+    label = f"R.{f.label}"
+    axis = linear_axis(f)
+    if axis is not None:
+        g = linear_hamiltonian(lambda t: R @ axis(t), label=label, breakpoints=f.breakpoints)
+    else:
+        g = TimeDepHamiltonian(
+            eval=lambda t, u: f.eval(t, np.asarray(u) @ R),
+            grad=lambda t, u: np.asarray(f.grad(t, np.asarray(u) @ R)) @ R.T,
+            label=label,
+            breakpoints=f.breakpoints,
+        )
     return HamiltonianLoop(g, closure_tol=loop.closure_tol, label=f"R.{loop.label}")
 
 
@@ -89,11 +101,11 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     checks: list[dict] = []
 
     # Holonomy of invariant loops depends only on the parity of n.
-    res = 0.0
+    loops, qs = [], []
     for _ in range(3):
-        loop = invariant_loop(M, _random_axis(rng), closure_tol=tol.closure_tol)
-        q = fibonacci_sphere(1, rng=rng)[0]
-        res = max(res, circle_distance(kappa(M, loop, q, rel_tol=rel).value, parity))
+        loops.append(invariant_loop(M, _random_axis(rng), closure_tol=tol.closure_tol))
+        qs.append(fibonacci_sphere(1, rng=rng)[0])
+    res = max(circle_distance(st.phase, parity) for st in transport_phases(M, loops, qs, rel_tol=rel))
     checks.append(_check("invariant-holonomy-parity", res, tol.phase_tol))
 
     # One loop, three reference base points, equal phases.
@@ -116,15 +128,16 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     res = max(circle_distance(v, parity) for v in vals)
     checks.append(_check("base-point-oracle", res, tol.phase_tol, "40 points, mixing loop"))
 
-    # Holonomy is additive under the path product.
-    res = 0.0
+    # Holonomy is additive under the path product: rows (xi.psi, xi, psi) at q.
+    loops, qs = [], []
     for _ in range(5):
         xi = invariant_loop(M, _random_axis(rng), closure_tol=tol.closure_tol)
         psi = invariant_loop(M, _random_axis(rng), closure_tol=tol.closure_tol)
         q = fibonacci_sphere(1, rng=rng)[0]
-        lhs = kappa(M, product_loop(xi, psi), q, rel_tol=rel).value
-        rhs = kappa(M, xi, q, rel_tol=rel).value + kappa(M, psi, q, rel_tol=rel).value
-        res = max(res, circle_distance(lhs, rhs))
+        loops += [product_loop(xi, psi), xi, psi]
+        qs += [q, q, q]
+    ph = [st.phase for st in transport_phases(M, loops, qs, rel_tol=rel)]
+    res = max(circle_distance(ph[i], ph[i + 1] + ph[i + 2]) for i in range(0, len(ph), 3))
     checks.append(_check("multiplicativity", res, 1e-5))
 
     # Critical-point shortcut against the integrated holonomy, and the
@@ -153,20 +166,26 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     )
 
     # Rotations preserve the area form, so conjugating a loop by one and
-    # moving the base point with it leaves the holonomy unchanged.
-    res = 0.0
+    # moving the base point with it leaves the holonomy unchanged.  The two
+    # sides are separate solves: rows of one solve share its steps, which
+    # would hide the integration error this check measures.
+    qs, rotated, rotated_qs = [], [], []
     for test_loop in (loop_a, mix):
         q = fibonacci_sphere(1, rng=rng)[0]
         R = random_rotation_matrix(rng)
-        k1 = kappa(M, test_loop, q, rel_tol=rel)
-        k2 = kappa(M, _rotated(test_loop, R), R @ q, rel_tol=rel)
-        res = max(res, k1.distance_to(k2))
+        qs.append(q)
+        rotated.append(_rotated(test_loop, R))
+        rotated_qs.append(R @ q)
+    k1 = transport_phases(M, [loop_a, mix], qs, rel_tol=rel)
+    k2 = transport_phases(M, rotated, rotated_qs, rel_tol=rel)
+    res = max(circle_distance(a.phase, b.phase) for a, b in zip(k1, k2))
     checks.append(_check("rotation-covariance", res, 1e-8))
 
     # The loop-space one-form vanishes along subgroup families.
     sweep = subgroup_rotation_family(M, turns=0.5, closure_tol=tol.closure_tol)
     q = fibonacci_sphere(1, rng=rng)[0]
-    res = max(abs(family_omega(M, sweep, s, q, rel_tol=rel)) for s in np.linspace(0.05, 0.95, 5))
+    rows = member_states(M, sweep, np.linspace(0.05, 0.95, 5), [q], rel_tol=rel)
+    res = max(abs(row[0].omega) for row in rows)
     checks.append(_check("subgroup-one-form-vanishing", res, 1e-6))
 
     # Family-derivative identity on the closed two-axis mixing family.
@@ -193,15 +212,17 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     val = double_integral_check(M, rotation, q, s_nodes=8, rel_tol=rel)
     checks.append(_check("double-integral-vanishing", abs(val), 1e-4))
 
-    # Flow integrator against the exact group flows.
-    res = 0.0
+    # Flow integrator against the exact group flows, all ten in one solve.
+    directions, qs = [], []
     for _ in range(10):
-        direction = _random_axis(rng)
-        q = fibonacci_sphere(1, rng=rng)[0]
-        traj = integrate_isotopy(M, invariant_loop(M, direction).hamiltonian, q, rel_tol=rel)
-        for t in np.linspace(0.0, 1.0, 9):
-            exact = closed_form_flow(direction, math.pi * t, q)
-            res = max(res, float(np.linalg.norm(traj.at(t) - exact)))
+        directions.append(_random_axis(rng))
+        qs.append(fibonacci_sphere(1, rng=rng)[0])
+    trajs = trajectories(M, [invariant_loop(M, d).hamiltonian for d in directions], qs, rel_tol=rel)
+    res = max(
+        float(np.linalg.norm(traj.at(t) - closed_form_flow(d, math.pi * t, q)))
+        for traj, d, q in zip(trajs, directions, qs)
+        for t in np.linspace(0.0, 1.0, 9)
+    )
     checks.append(_check("flow-oracle", res, 1e-7))
 
     # Time-independent generators are constant along their own flow.

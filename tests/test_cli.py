@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -183,8 +186,9 @@ class TestRunTask:
     @pytest.mark.parametrize(
         "family", [{"name": "closed-mixing", "amplitude": 0.7}, {"name": "subgroup-rotation", "turns": 1}]
     )
-    def test_omega_task_takes_one_transport_solve_per_s(self, tmp_path, monkeypatch, family):
-        # neither family has breakpoints, so a solve is one solve_ivp call
+    def test_omega_task_takes_one_transport_solve_for_its_grid(self, tmp_path, monkeypatch, family):
+        # every (s, point) row of the first grid rides one solve; neither
+        # family has breakpoints, so that solve is one solve_ivp call
         calls = []
 
         def counted(*args, _inner=dynamics.solve_ivp, **kwargs):
@@ -196,7 +200,7 @@ class TestRunTask:
         cfg = {"n": 2, "task": "omega", "family": family, "base_points": "auto:3", "s_samples": 4,
                "seed": 5, "output": {"dir": str(out)}}
         assert main(["run", write_config(tmp_path, cfg)]) == 0
-        assert len(calls) == 5
+        assert len(calls) == 1
         monkeypatch.undo()
 
         M = OrbitSphere(2)
@@ -247,6 +251,27 @@ class TestRunTask:
         record = json.loads((out / "results.json").read_text())
         assert record["error"]["kind"] == "numerical"
         assert record["error"]["element"] == "hamiltonian"
+
+    def test_runaway_solve_stops_at_its_budget(self, tmp_path):
+        # a fast enough loop needs millions of steps; the solve stops at
+        # MAX_RHS_EVALS with a numerical error record instead of running for
+        # hours, so the run is a subprocess and a hang fails the test
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path,
+            {"task": "kappa", "hamiltonian": {"name": "mix", "amplitude": 1e5}, "base_points": "auto:1"},
+        )
+        paths = [os.path.dirname(os.path.dirname(dynamics.__file__)), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PREQ_LOG="quiet")
+        proc = subprocess.run(
+            [sys.executable, "-m", "preqholo.cli", "run", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "numerical"
+        assert f"budget of {dynamics.MAX_RHS_EVALS} right-hand-side evaluations" in error["message"]
+        assert "at t=" in error["message"]
 
     @pytest.mark.parametrize(
         "overrides, key",

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from preqholo import (
     unit_vector,
     winding_number,
 )
-from preqholo.families import omega_eval as family_omega, winding_of
+from preqholo.families import MAX_LIFT_SAMPLES, omega_eval as family_omega, winding_of
 
 from oracles import closure_defect_in_s
 
@@ -159,14 +160,16 @@ def test_lift_refines_coarse_grid():
 def test_lift_refinement_reuses_samples():
     calls = []
 
-    def phase(s):
-        calls.append(s)
-        return (1.5 * s) % 1.0
+    def phase(svals):
+        calls.append(np.array(svals))
+        return (1.5 * svals) % 1.0
 
-    # steps of 0.75 and 0.375 rev fail the jump test; 8 intervals pass
+    # steps of 0.75 and 0.375 rev fail the jump test; 8 intervals pass.
+    # One batched call per grid level, each over only the new midpoints.
     svals, lift = lift_circle_samples(phase, 2)
-    assert len(calls) == 9
-    assert len(set(calls)) == 9
+    assert [len(c) for c in calls] == [3, 2, 4]
+    assert np.array_equal(calls[1], [0.25, 0.75])
+    assert len(set(np.concatenate(calls))) == 9
     direct_s, direct_lift = lift_circle_samples(lambda s: (1.5 * s) % 1.0, 8)
     assert np.array_equal(svals, direct_s)
     assert np.array_equal(lift, direct_lift)
@@ -175,7 +178,28 @@ def test_lift_refinement_reuses_samples():
 def test_lift_unwrap_failure():
     rng = np.random.default_rng(0)
     with pytest.raises(UnwrapError):
-        lift_circle_samples(lambda s: rng.uniform(), 8)
+        lift_circle_samples(lambda s: rng.uniform(size=len(s)), 8)
+
+
+def test_unwrap_error_names_finest_grid_and_largest_jump():
+    # random phases never resolve; the error reports the grid it reached
+    # (3 * 2^12 intervals: the last doubling of 3 below the 2^14 cap) and
+    # the largest wrapped jump seen there
+    rng = np.random.default_rng(1)
+    levels = []
+
+    def phases(svals):
+        levels.append(len(svals))
+        return rng.uniform(size=len(svals))
+
+    with pytest.raises(UnwrapError) as err:
+        lift_circle_samples(phases, 3)
+    finest = 3 * 2**12
+    assert finest <= MAX_LIFT_SAMPLES < 2 * finest
+    assert f"{finest} intervals" in str(err.value)
+    assert sum(levels) == finest + 1
+    jump = float(re.search(r"jump is ([0-9.]+) revolutions", str(err.value)).group(1))
+    assert 0.25 <= jump <= 0.5
 
 
 def test_winding_of_requires_a_near_integer_total():

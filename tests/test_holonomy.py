@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -21,23 +23,29 @@ from preqholo import (
     OrbitSphere,
     UnitPhase,
     circle_distance,
+    closed_form_flow,
     fibonacci_sphere,
     invariant_hamiltonian,
     invariant_loop,
     kappa,
     kappa_at_fixed_point,
     kappas,
+    linear_axis,
     mixing_loop,
     product_loop,
     scale_hamiltonian,
     sphere_point,
     transport_phase,
+    trajectories,
     transport_phases,
     unit_vector,
     zero_hamiltonian,
 )
+from preqholo import dynamics, verify
 from preqholo.config import Tolerances, build_loop
 from preqholo.holonomy import phase_spread
+from preqholo.sphere import random_rotation_matrix
+from preqholo.verify import verify_level
 from scipy.integrate import quad
 
 
@@ -388,3 +396,147 @@ def test_non_finite_hamiltonian_raises_instead_of_hanging(call):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _rows_of_distinct_loops(M):
+    # linear loops with constant and moving axes, a rotated-axis scaling, a
+    # product with its breakpoint at 0.5, and a non-linear product
+    return [
+        invariant_loop(M, DIR_A),
+        mixing_loop(M, 1.3),
+        product_loop(invariant_loop(M, DIR_B), mixing_loop(M, 0.8)),
+        build_loop(M, {"name": "scaled", "base": _AXIS, "factor": 2}, Tolerances()),
+        quadratic_there_and_back(),
+        mixing_loop(M, 2.0 * math.pi, profile="constant"),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_rows_of_distinct_loops_match_their_own_solves(n):
+    # one batch of (loop, point) rows against one solve per row
+    M = OrbitSphere(n)
+    loops = _rows_of_distinct_loops(M)
+    pts = fibonacci_sphere(len(loops), rng=np.random.default_rng(n))
+    batch = transport_phases(M, loops, pts)
+    for loop, q, b in zip(loops, pts, batch):
+        own = transport_phase(M, loop, q)
+        assert circle_distance(b.phase, own.phase) < 1e-9
+        assert np.linalg.norm(b.point - own.point) < 1e-9
+
+
+def test_rows_of_one_loop_are_the_single_loop_batch(sphere1):
+    # a per-row list of one loop groups into one Hamiltonian, bit for bit
+    loop = mixing_loop(sphere1, 0.9)
+    pts = fibonacci_sphere(5)
+    shared = transport_phases(sphere1, loop, pts)
+    rows = transport_phases(sphere1, [loop] * 5, pts)
+    assert [st_.phase for st_ in shared] == [st_.phase for st_ in rows]
+
+
+def test_many_distinct_rows_at_tight_tolerance_split_into_chunks():
+    # 24 distinct loops at rel_tol 1e-13 are more rows than one chunk (20)
+    # can carry; each chunk must take its own rows' Hamiltonians
+    M = OrbitSphere(1)
+    rng = np.random.default_rng(3)
+    loops = []
+    for i in range(24):
+        lam = rng.uniform(0.0, 2.0 * math.pi)
+        direction = AlgebraDirection(math.cos(lam), math.sin(lam))
+        loops.append(invariant_loop(M, direction) if i % 3 else mixing_loop(M, rng.uniform(0.3, 1.5)))
+    loops[7] = quadratic_there_and_back()
+    loops[21] = quadratic_there_and_back()
+    pts = fibonacci_sphere(24, rng=rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = transport_phases(M, loops, pts, rel_tol=1e-13)
+        own = [transport_phase(M, loop, q, rel_tol=1e-13) for loop, q in zip(loops, pts)]
+    for b, o in zip(batch, own):
+        assert circle_distance(b.phase, o.phase) < 1e-9
+    linear = [b for i, b in enumerate(batch) if i not in (7, 21)]
+    assert max(circle_distance(b.phase, 0.5) for b in linear) < 1e-9
+
+
+def test_closure_error_names_the_failing_row(sphere1):
+    f = scale_hamiltonian(invariant_hamiltonian(sphere1, DIR_A), -0.37 * math.pi)
+    loops = [invariant_loop(sphere1, DIR_B), mixing_loop(sphere1, 0.8), HamiltonianLoop(f, label="open")]
+    pts = [sphere_point(1.0, 1.0)] * 3
+    with pytest.raises(LoopClosureError, match="loop 'open' does not close at base point 2:"):
+        transport_phases(sphere1, loops, pts)
+
+
+@pytest.mark.parametrize(
+    "shift",
+    [lambda t: 0.3, lambda t: 0.6 * t, lambda t: 0.6 * math.sin(2.0 * math.pi * t) ** 2],
+    ids=["constant", "zero-at-start", "zero-at-start-and-middle"],
+)
+def test_replaced_eval_is_not_read_off_a_stale_axis(sphere1, shift):
+    # dataclasses.replace keeps the axis of the original; a shifted eval
+    # f + c(t) must still be integrated, so its holonomy moves by -0.3, the
+    # integral of every shift, also when the shift vanishes at t = 0 and 1/2
+    loop = mixing_loop(sphere1, 1.3)
+    f = loop.hamiltonian
+    shifted = dataclasses.replace(f, eval=lambda t, u: f.eval(t, u) + shift(t))
+    assert shifted.axis is f.axis
+    q = sphere_point(0.7, 2.0)
+    expected = 0.5 - 0.3
+    alone = transport_phase(sphere1, HamiltonianLoop(shifted, label="shifted"), q)
+    assert circle_distance(alone.phase, expected) < 1e-9
+    rows = transport_phases(sphere1, [loop, HamiltonianLoop(shifted, label="shifted")], [q, q])
+    assert circle_distance(rows[0].phase, 0.5) < 1e-9
+    assert circle_distance(rows[1].phase, expected) < 1e-9
+
+
+def test_replaced_grad_is_not_read_off_a_stale_axis(sphere1):
+    # the B-axis flow under the A-axis Hamiltonian's stale axis
+    f_a = invariant_loop(sphere1, DIR_A).hamiltonian
+    f_b = invariant_loop(sphere1, DIR_B).hamiltonian
+    g = dataclasses.replace(f_a, eval=f_b.eval, grad=f_b.grad)
+    q = sphere_point(0.9, 0.4)
+    traj_a, traj_g = trajectories(sphere1, [f_a, g], [q, q])
+    assert np.linalg.norm(traj_a.at(0.3) - closed_form_flow(DIR_A, 0.3 * math.pi, q)) < 1e-8
+    assert np.linalg.norm(traj_g.at(0.3) - closed_form_flow(DIR_B, 0.3 * math.pi, q)) < 1e-8
+
+
+def test_axis_is_vouched_for_only_by_its_own_derivation(sphere1):
+    # a wrapper made with functools.wraps keeps the derivation (and the
+    # arithmetic); a replaced eval or another loop's grad does not
+    f = mixing_loop(sphere1, 1.3).hamiltonian
+    other = invariant_loop(sphere1, DIR_B).hamiltonian
+    wrapped = dataclasses.replace(f, grad=functools.wraps(f.grad)(lambda t, u: f.grad(t, u)))
+    assert linear_axis(f) is f.axis
+    assert linear_axis(wrapped) is f.axis
+    assert linear_axis(dataclasses.replace(f, eval=lambda t, u: f.eval(t, u))) is None
+    assert linear_axis(dataclasses.replace(f, grad=other.grad)) is None
+    assert linear_axis(quadratic_there_and_back().hamiltonian) is None
+    q = sphere_point(0.7, 2.0)
+    assert transport_phase(sphere1, HamiltonianLoop(wrapped), q).phase == transport_phase(
+        sphere1, HamiltonianLoop(f), q
+    ).phase
+
+
+def test_carried_axes_stay_derived(sphere1):
+    # scaling, the path product and verify's rotation keep a linear loop linear
+    a, b = invariant_loop(sphere1, DIR_A), mixing_loop(sphere1, 0.8)
+    R = random_rotation_matrix(np.random.default_rng(0))
+    for f in (
+        scale_hamiltonian(a.hamiltonian, 2.0),
+        product_loop(a, b).hamiltonian,
+        verify._rotated(b, R).hamiltonian,
+    ):
+        assert linear_axis(f) is not None
+    assert linear_axis(product_loop(a, quadratic_there_and_back()).hamiltonian) is None
+
+
+def test_verify_level_makes_one_solve_per_check(monkeypatch):
+    # rows of (loop, point) put each check's transports into one solve:
+    # 16 solve_ivp calls at n = 1, where one solve per point makes 91
+    calls = []
+
+    def counted(*args, _inner=dynamics.solve_ivp, **kwargs):
+        calls.append(1)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    checks = verify_level(1)
+    assert all(c["passed"] for c in checks)
+    assert len(calls) <= 30

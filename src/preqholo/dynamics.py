@@ -38,7 +38,7 @@ _ATOL = 1e-13
 # Most right-hand-side evaluations one solve (one segment of one chunk) may
 # make.  The step count grows with the speed of the flow, and no input
 # bounds that.  The largest count a test, a verify check or a bench op
-# makes is 2,882, under 1/90 of the budget, while a `mix` amplitude of 1e5
+# makes is 1,952, under 1/130 of the budget, while a `mix` amplitude of 1e5
 # would otherwise run for hours.
 MAX_RHS_EVALS = 2**18
 # Component i of a x b is a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3.
@@ -71,7 +71,10 @@ class TimeDepHamiltonian:
 
     ``eval(t, u)`` and ``grad(t, u)`` take a scalar time and either a single
     unit vector ``(3,)`` or a batch ``(N, 3)``.  ``breakpoints`` lists
-    interior times where f_t is only piecewise smooth; integrators split there.
+    interior times where f_t is only piecewise smooth; the integrator solves
+    each segment between them apart, from and to one ulp inside each
+    breakpoint.  It reads f_t only strictly inside a segment, so a generator
+    may switch pieces on ``t < b`` or on ``t <= b``.
     ``time_independent`` is a caller's flag; the package never reads it.
     ``axis(t)``, when given, is the vector w(t) of a linear Hamiltonian
     f_t(u) = w(t) . u built by ``linear_hamiltonian``; ``linear_axis``
@@ -304,13 +307,18 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     imaginary part of the third column.  Also returns, for each chunk of
     rows in order, the solution of its every solve, with dense output when
     ``dense``.  Each segment between the union of the rows' breakpoints is
-    one DOP853 solve of the chunk.  Its error norm, |h| |e5|^2 /
-    sqrt((|e5|^2 + 0.01 |e3|^2) len), is taken over the whole state and,
-    like an RMS norm, gives N identical copies of one row the norm of that
-    row.  rtol and atol are therefore divided by sqrt(N), so that the
-    others cannot average away the error of one row; batches too large for
-    that are split.  A solve that passes ``MAX_RHS_EVALS`` raises
-    IntegrationError.
+    one DOP853 solve of the chunk.  DOP853 evaluates the right-hand side at
+    both ends of the time span it solves, so at an end that is a breakpoint
+    the span stops one ulp inside the segment: a segment reads f_t and
+    ``sdot`` only on its own piece, and its steps are not rejected over and
+    over at a jump of the generator that belongs to the next one.  The two
+    ulps skipped at each breakpoint are far below the solver's tolerance.
+    A solve's error norm, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) len), is
+    taken over the whole state and, like an RMS norm, gives N identical
+    copies of one row the norm of that row.  rtol and atol are therefore
+    divided by sqrt(N), so that the others cannot average away the error of
+    one row; batches too large for that are split.  A solve that passes
+    ``MAX_RHS_EVALS`` raises IntegrationError.
     """
     check_rel_tol(rel_tol)
     # For unit u, w = u x X_t(u) = (2/k) (u (u . g) - g) with g = grad f.
@@ -332,6 +340,10 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
         sols = []
         for t0, t1 in zip(stops[:-1], stops[1:]):
             evals = 0
+            # The solve starts and ends one ulp inside each breakpoint end,
+            # so it reads f_t and sdot only on its own piece.
+            t_lo = math.nextafter(t0, t1) if t0 in breaks else t0
+            t_hi = math.nextafter(t1, t0) if t1 in breaks else t1
 
             def rhs(t, yy):
                 nonlocal evals
@@ -351,10 +363,10 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
                 return out.view(complex).ravel()
 
             # scipy's step-size control never ends when the first step is not finite.
-            if not np.all(np.isfinite(rhs(t0, yy))):
-                raise IntegrationError("right-hand side is not finite", t=t0)
+            if not np.all(np.isfinite(rhs(t_lo, yy))):
+                raise IntegrationError("right-hand side is not finite", t=t_lo)
             sol = solve_ivp(
-                rhs, (t0, t1), yy, method=_METHOD, rtol=rel_tol * scale, atol=_ATOL * scale,
+                rhs, (t_lo, t_hi), yy, method=_METHOD, rtol=rel_tol * scale, atol=_ATOL * scale,
                 dense_output=dense,
             )
             if not sol.success:

@@ -182,6 +182,9 @@ def product_loop(xi: HamiltonianLoop, psi: HamiltonianLoop) -> HamiltonianLoop:
     """Path product: run psi at double speed on [0, 1/2], then xi on [1/2, 1].
 
     The product of two linear loops is linear, with the product's axis.
+    The pieces switch on ``t < 1/2``, and 1/2 is a breakpoint: the
+    integrator reads each piece only strictly inside its own half, so the
+    solve of [0, 1/2] never sees xi.
     """
     f_psi = psi.hamiltonian
     f_xi = xi.hamiltonian

@@ -414,6 +414,19 @@ class TestVerifyAndDemo:
     def test_bad_n_list(self, tmp_path):
         assert main(["verify", "--n", "1,zort", "--out", str(tmp_path / "x")]) == 1
 
+    def test_package_runs_as_a_module(self, tmp_path):
+        # `python -m preqholo` from a checkout, with src on the path
+        out = tmp_path / "v"
+        src = os.path.dirname(os.path.dirname(dynamics.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "preqholo", "verify", "--n", "1", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "all checks passed" in proc.stdout
+        assert json.loads((out / "results.json").read_text())["all_passed"] is True
+
 
 def _strict_json(text):
     """Parse JSON text, rejecting the NaN and Infinity literals json.dumps allows."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,6 +27,9 @@ OUTPUT_FORMATS = ("json", "csv")
 # Most base points an 'auto:<count>' spec may ask for; 2^14 points of a
 # time-dependent loop take ~20 s.
 MAX_BASE_POINTS = 2**14
+# Largest level |n|: a float holds every integer up to 2^53 exactly, and the
+# level enters the computation as the float k = n / (2 pi).
+MAX_LEVEL = 2**53
 
 
 class ConfigError(ValueError):
@@ -37,6 +40,8 @@ def _float(value, key: str) -> float:
     """The value as a finite float; NaN or infinite inputs would stall the integrators."""
     try:
         out = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{key} must be finite, got an integer too large for a float") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
     if not math.isfinite(out):
@@ -86,7 +91,7 @@ def read_config(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
@@ -123,16 +128,15 @@ class Scenario:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
 
         n = d.get("n", 1)
-        _check_int(n, "n", lambda v: v != 0, "a nonzero integer")
+        level = "a nonzero integer of magnitude at most 2^53"
+        _check_int(n, "n", _is_level, level)
         seed = d.get("seed", 0)
         _check_int(seed, "seed", lambda v: v >= 0, "an integer >= 0")
         n_values = d.get("n_values", [n])
-        if not (
-            isinstance(n_values, list)
-            and n_values
-            and all(isinstance(v, int) and not isinstance(v, bool) and v != 0 for v in n_values)
-        ):
-            raise ConfigError(f"n_values must be a nonempty list of nonzero integers, got {n_values!r}")
+        if not isinstance(n_values, list) or not n_values:
+            raise ConfigError(f"n_values must be a nonempty list, got {n_values!r}")
+        for i, v in enumerate(n_values):
+            _check_int(v, f"n_values[{i}]", _is_level, level)
         tol = Tolerances.from_dict(d.get("tolerances"))
 
         ham = d.get("hamiltonian")
@@ -183,27 +187,20 @@ class Scenario:
         )
 
     def echo(self) -> dict:
-        return {
-            "n": self.n,
-            "task": self.task,
-            "hamiltonian": self.hamiltonian,
-            "family": self.family,
-            "base_points": self.base_points,
-            "s_samples": self.s_samples,
-            "tolerances": {
-                "flow_rel_tol": self.tolerances.flow_rel_tol,
-                "phase_tol": self.tolerances.phase_tol,
-                "closure_tol": self.tolerances.closure_tol,
-            },
-            "seed": self.seed,
-            "n_values": self.n_values,
-        }
+        """The scenario as results.json records it: every field but the output settings."""
+        out = asdict(self)
+        del out["out_dir"], out["out_format"]
+        return out
 
 
 def _check_int(value, key: str, ok, what: str) -> None:
     """Raise ConfigError unless value is an int (not a bool) accepted by ok."""
     if isinstance(value, bool) or not isinstance(value, int) or not ok(value):
         raise ConfigError(f"{key} must be {what}, got {value!r}")
+
+
+def _is_level(v: int) -> bool:
+    return 0 < abs(v) <= MAX_LEVEL
 
 
 def _validate_named(spec, names, what):

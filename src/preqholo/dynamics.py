@@ -215,10 +215,9 @@ def _chunk_size(rel_tol: float) -> int:
 def _distinct(items, n: int):
     """The distinct entries of a per-row sequence, and each row's index into them.
 
-    One Hamiltonian, one callable or None stands for every row.  Entries
-    are told apart by identity.
+    One Hamiltonian stands for every row.  Entries are told apart by identity.
     """
-    if items is None or callable(items) or isinstance(items, TimeDepHamiltonian):
+    if isinstance(items, TimeDepHamiltonian):
         return [items], np.zeros(n, dtype=int)
     items = list(items)
     if len(items) != n:
@@ -283,36 +282,25 @@ def _hamiltonian_terms(fs, slot):
     return terms
 
 
-def _sdot_terms(sdots, slot):
-    """(t, u) -> the s-derivative integrand of every row of one chunk (0 where None)."""
-    groups = [(sdots[j], idx) for j, idx in _groups(slot) if sdots[j] is not None]
-
-    def terms(t, u):
-        out = np.zeros(len(u))
-        for sdot, idx in groups:
-            out[idx] = sdot(t, u[idx])
-        return out
-
-    return terms
-
-
 def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     """Carry the spinors of the rows' unit base points u0 (N, 3) along their flows over [0, 1].
 
-    A row is a (Hamiltonian, base point, ``sdot``) triple: ``f`` and
-    ``sdot`` are each one Hamiltonian or callable for every row, or a
-    sequence with one entry per row.  Returns the N x 3 complex end state,
-    one row each: the spinor (a, b), and the integrals of f_t and of
-    ``sdot(t, u)`` (0 without it) along the trajectory as the real and
-    imaginary part of the third column.  Also returns, for each chunk of
-    rows in order, the solution of its every solve, with dense output when
-    ``dense``.  Each segment between the union of the rows' breakpoints is
-    one DOP853 solve of the chunk.  DOP853 evaluates the right-hand side at
-    both ends of the time span it solves, so at an end that is a breakpoint
-    the span stops one ulp inside the segment: a segment reads f_t and
-    ``sdot`` only on its own piece, and its steps are not rejected over and
-    over at a jump of the generator that belongs to the next one.  The two
-    ulps skipped at each breakpoint are far below the solver's tolerance.
+    A row is a (Hamiltonian, base point, ``sdot``) triple: ``f`` is one
+    Hamiltonian for every row or a sequence with one per row, and
+    ``sdot`` likewise, or None.  Returns the N x 3 complex end state, one
+    row each: the spinor (a, b), and the integrals of f_t and of
+    ``sdot`` (0 without it) along the trajectory as the real and imaginary
+    part of the third column.  Both integrands are Hamiltonians and are
+    evaluated alike, linear ones through one matrix of axes.  Also returns,
+    for each chunk of rows in order, the solution of its every solve, with
+    dense output when ``dense``.  Each segment between the union of the
+    rows' breakpoints is one DOP853 solve of the chunk.  DOP853 evaluates
+    the right-hand side at both ends of the time span it solves, so at an
+    end that is a breakpoint the span stops one ulp inside the segment: a
+    segment reads f_t and ``sdot`` only on its own piece, and its steps are
+    not rejected over and over at a jump of the generator that belongs to
+    the next one.  The two ulps skipped at each breakpoint are far below
+    the solver's tolerance.
     A solve's error norm, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) len), is
     taken over the whole state and, like an RMS norm, gives N identical
     copies of one row the norm of that row.  rtol and atol are therefore
@@ -324,7 +312,7 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     # For unit u, w = u x X_t(u) = (2/k) (u (u . g) - g) with g = grad f.
     turn = (2.0 / M.k) * _TURN
     fs, fslot = _distinct(f, len(u0))
-    sdots, sslot = _distinct(sdot, len(u0))
+    sdots, sslot = _distinct(sdot, len(u0)) if sdot is not None else ([], None)
     breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
     stops = [0.0, *sorted(breaks), 1.0]
     y = np.zeros((len(u0), 3), dtype=complex)
@@ -336,7 +324,7 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
         yy = y[lo : lo + size].flatten()
         scale = 1.0 / math.sqrt(len(yy) // 3)
         ham = _hamiltonian_terms(fs, fslot[lo : lo + size])
-        sd = _sdot_terms(sdots, sslot[lo : lo + size])
+        sd = _hamiltonian_terms(sdots, sslot[lo : lo + size]) if sdots else None
         sols = []
         for t0, t1 in zip(stops[:-1], stops[1:]):
             evals = 0
@@ -359,7 +347,7 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
                 out = np.empty((len(x), 6))
                 out[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(-1, 12) @ turn
                 out[:, 4] = e
-                out[:, 5] = sd(t, u)
+                out[:, 5] = sd(t, u)[0] if sd else 0.0
                 return out.view(complex).ravel()
 
             # scipy's step-size control never ends when the first step is not finite.

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .dynamics import HamiltonianLoop
+from .dynamics import HamiltonianLoop, TimeDepHamiltonian, linear_hamiltonian, scale_hamiltonian, zero_hamiltonian
 from .holonomy import PhaseState, UnitPhase, transport_phases
 from .sphere import OrbitSphere
 from .su2 import AlgebraDirection, invariant_loop, mixing_loop, profile_functions
@@ -41,15 +41,17 @@ class UnwrapError(RuntimeError):
 
 @dataclass
 class LoopFamily:
-    """A one-parameter family s -> loop with s-derivative access.
+    """A one-parameter family s -> loop, with the s-derivative of its generators.
 
-    ``s_deriv(s, t, u)`` is the derivative of the generating Hamiltonians
-    along s, for one point u or a batch.  ``closed`` declares that the
-    families at s = 0 and s = 1 coincide.
+    ``s_deriv(s)`` is the Hamiltonian d f^s_t / ds, itself a time-dependent
+    function on the sphere: the integrand of Omega(s), which the transport
+    evaluates as it does f^s_t.  It is linear (``linear_axis``) whenever
+    the generators are.  ``closed`` declares that the families at s = 0
+    and s = 1 coincide.
     """
 
     loop_builder: Callable[[float], HamiltonianLoop]
-    s_deriv: Callable
+    s_deriv: Callable[[float], TimeDepHamiltonian]
     closed: bool = False
     label: str = ""
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -59,10 +61,6 @@ class LoopFamily:
         if key not in self._cache:
             self._cache[key] = self.loop_builder(key)
         return self._cache[key]
-
-    def sdot(self, s: float) -> Callable:
-        """Callable (t, u) -> d f^s_t(u) / ds at the given s."""
-        return lambda t, u: self.s_deriv(s, t, u)
 
 
 def member_states(
@@ -75,7 +73,7 @@ def member_states(
     integrated.  Every member must be a loop: LoopClosureError otherwise.
     """
     svals = [float(s) for s in svals]
-    sdots = {s: fam.sdot(s) for s in svals} if omega else {}
+    sdots = {s: fam.s_deriv(s) for s in svals} if omega else {}
     states = transport_phases(
         M,
         [fam.loop_at(s) for s in svals for _ in points],
@@ -240,14 +238,14 @@ def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:
             return fam1.loop_at(2.0 * s)
         return fam2.loop_at(2.0 * s - 1.0)
 
-    def sd(s, t, u):
+    def derivative(s):
         if s < 0.5:
-            return 2.0 * fam1.s_deriv(2.0 * s, t, u)
-        return 2.0 * fam2.s_deriv(2.0 * s - 1.0, t, u)
+            return scale_hamiltonian(fam1.s_deriv(2.0 * s), 2.0)
+        return scale_hamiltonian(fam2.s_deriv(2.0 * s - 1.0), 2.0)
 
     return LoopFamily(
         loop_builder=builder,
-        s_deriv=sd,
+        s_deriv=derivative,
         closed=fam1.closed and fam2.closed,
         label=f"({fam1.label}).({fam2.label})",
     )
@@ -255,14 +253,9 @@ def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:
 
 def constant_family(loop: HamiltonianLoop) -> LoopFamily:
     """Family that does not move; its one-form and winding vanish."""
-
-    def sd(s, t, u):
-        u = np.asarray(u, dtype=float)
-        return 0.0 if u.ndim == 1 else np.zeros(u.shape[0])
-
     return LoopFamily(
         loop_builder=lambda s: loop,
-        s_deriv=sd,
+        s_deriv=lambda s: zero_hamiltonian(),
         closed=True,
         label=f"constant[{loop.label}]",
     )
@@ -291,15 +284,15 @@ def subgroup_rotation_family(
             M, AlgebraDirection(math.cos(lam), math.sin(lam)), closure_tol=closure_tol
         )
 
-    def sd(s, t, u):
-        # d/ds of -pi k (-cos(lam) u_x + sin(lam) u_y)
+    def derivative(s):
+        # d/ds of the axis -pi k (-cos(lam), sin(lam), 0)
         lam = angle(s)
-        u = np.asarray(u, dtype=float)
-        return -math.pi * k * rate * (math.sin(lam) * u[..., 0] + math.cos(lam) * u[..., 1])
+        w = -math.pi * k * rate * np.array([math.sin(lam), math.cos(lam), 0.0])
+        return linear_hamiltonian(lambda t: w)
 
     return LoopFamily(
         loop_builder=builder,
-        s_deriv=sd,
+        s_deriv=derivative,
         closed=float(turns).is_integer(),
         label=f"subgroup-rotation[turns={turns:g}]",
     )
@@ -312,23 +305,18 @@ def _mixing_family(M, amp_fn, amp_dot_fn, profile, closure_tol, closed, label):
     def builder(s):
         return mixing_loop(M, amp_fn(s), profile=profile, closure_tol=closure_tol)
 
-    def sd(s, t, u):
-        a = amp_fn(s)
-        da = amp_dot_fn(s)
-        g = g_fn(t)
-        th = 2.0 * a * g
-        u = np.asarray(u, dtype=float)
-        return (
-            k
-            * da
-            * (
-                -2.0 * g * math.pi * math.sin(th) * u[..., 0]
-                + 2.0 * g * math.pi * math.cos(th) * u[..., 1]
-                - gd_fn(t) * u[..., 2]
-            )
-        )
+    def derivative(s):
+        # d/ds of the axis k (pi cos(2 a g), pi sin(2 a g), -a g'(t)) of mixing_loop
+        a, c = amp_fn(s), k * amp_dot_fn(s)
 
-    return LoopFamily(loop_builder=builder, s_deriv=sd, closed=closed, label=label)
+        def axis(t):
+            g = g_fn(t)
+            th = 2.0 * a * g
+            return c * np.array([-2.0 * math.pi * g * math.sin(th), 2.0 * math.pi * g * math.cos(th), -gd_fn(t)])
+
+        return linear_hamiltonian(axis)
+
+    return LoopFamily(loop_builder=builder, s_deriv=derivative, closed=closed, label=label)
 
 
 def mixing_family(

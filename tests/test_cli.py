@@ -303,6 +303,14 @@ class TestRunTask:
             ({"task": "omega", "hamiltonian": {"name": "invariant", "a": float("nan")}}, "invariant.a"),
             ({"family": {"name": "mixing", "amplitude": float("inf")}}, "mixing.amplitude"),
             ({"base_points": "auto:1000000000000"}, "base_points"),
+            # integers too large for a float
+            ({"n": 10**400}, "n"),
+            ({"n": 2**53 + 1}, "n"),
+            ({"n_values": [1, 10**400]}, "n_values[1]"),
+            ({"hamiltonian": {"name": "mix", "amplitude": 10**400}}, "mix.amplitude"),
+            ({"base_points": [[10**400, 0.0]]}, "base_points[0]"),
+            ({"task": "omega", "family": {"name": "subgroup-rotation", "turns": 10**400}}, "subgroup-rotation.turns"),
+            ({"tolerances": {"phase_tol": 10**400}}, "tolerances.phase_tol"),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, overrides, key):
@@ -314,6 +322,14 @@ class TestRunTask:
         error = json.loads((out / "results.json").read_text())["error"]
         assert error["kind"] == "config"
         assert key in error["message"]
+
+    def test_overlong_integer_literal_is_a_config_error(self, tmp_path):
+        # json refuses integer literals past Python's digit limit with a ValueError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"task": "kappa", "n": 1' + "0" * 5000 + "}")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert json.loads((out / "results.json").read_text())["error"]["kind"] == "config"
 
     @pytest.mark.parametrize(
         "section, name",

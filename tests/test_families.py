@@ -13,11 +13,13 @@ from preqholo import (
     closed_mixing_family,
     concatenate,
     constant_family,
+    constant_hamiltonian,
     double_integral_check,
     fibonacci_sphere,
     invariant_loop,
     kappa_derivative_check,
     lift_circle_samples,
+    linear_axis,
     mixing_family,
     mixing_loop,
     sphere_point,
@@ -35,18 +37,36 @@ def q():
     return sphere_point(1.1, 0.7)
 
 
-def test_sdot_fd_matches_analytic(sphere1, q, rng):
-    fam = closed_mixing_family(sphere1, amplitude=0.8)
+DERIVATIVE_FAMILIES = {
+    "subgroup-rotation-integer": lambda M: subgroup_rotation_family(M, start_angle=0.3, turns=2.0),
+    "subgroup-rotation-half": lambda M: subgroup_rotation_family(M, turns=0.5),
+    "mixing": lambda M: mixing_family(M, amplitude=1.0),
+    "closed-mixing-cosine-ramp": lambda M: closed_mixing_family(M, amplitude=0.8),
+    "closed-mixing-constant": lambda M: closed_mixing_family(M, amplitude=0.8, profile="constant"),
+    "constant": lambda M: constant_family(mixing_loop(M, 0.7)),
+    "concatenate": lambda M: concatenate(
+        closed_mixing_family(M, amplitude=0.8), closed_mixing_family(M, amplitude=0.5, profile="constant")
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DERIVATIVE_FAMILIES))
+def test_sdot_fd_matches_analytic(sphere1, name, rng):
+    # s_deriv(s) is the Hamiltonian d f^s_t / ds: it matches a central
+    # difference of the generators, and it is linear like them, except the
+    # constant family's zero
+    fam = DERIVATIVE_FAMILIES[name](sphere1)
     h = 1e-4
-    for _ in range(20):
-        s = rng.uniform(0.1, 0.9)
-        t = rng.uniform()
-        p = unit_vector(rng.normal(size=3))
-        an = float(fam.sdot(s)(t, p))
+    for s in (0.13, 0.37, 0.62, 0.88):
+        deriv = fam.s_deriv(s)
+        assert (linear_axis(deriv) is None) == (name == "constant")
         f_plus = fam.loop_builder(s + h).hamiltonian
         f_minus = fam.loop_builder(s - h).hamiltonian
-        fd = float(f_plus.eval(t, p) - f_minus.eval(t, p)) / (2.0 * h)
-        assert fd == pytest.approx(an, rel=1e-5, abs=1e-8)
+        for _ in range(5):
+            t = rng.uniform()
+            p = unit_vector(rng.normal(size=3))
+            fd = float(f_plus.eval(t, p) - f_minus.eval(t, p)) / (2.0 * h)
+            assert fd == pytest.approx(float(deriv.eval(t, p)), rel=1e-5, abs=1e-8)
 
 
 def test_family_closure_probe(sphere1):
@@ -106,11 +126,9 @@ def drift_family(base, rate, closed=False):
         g = dataclasses.replace(f, eval=lambda t, u, ss=s: f.eval(t, u) + rate * ss, label=f"drift[{s:g}]")
         return HamiltonianLoop(g, closure_tol=base.closure_tol, label=f"drift[{s:g}]")
 
-    def sd(s, t, u):
-        u = np.asarray(u, float)
-        return rate if u.ndim == 1 else np.full(u.shape[0], rate)
-
-    return LoopFamily(loop_builder=builder, s_deriv=sd, closed=closed, label="drift")
+    return LoopFamily(
+        loop_builder=builder, s_deriv=lambda s: constant_hamiltonian(rate), closed=closed, label="drift"
+    )
 
 
 def test_derivative_identity_detects_constant_drift(sphere1, q):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -159,6 +160,40 @@ def test_spread_random_axis_n2(sphere2, rng):
     pts = fibonacci_sphere(100)
     assert phase_spread(kappas(sphere2, loop, pts)) < 1e-6
     assert kappa(sphere2, loop, pts[0]).distance_to(0.0) < 1e-6
+
+
+def _all_pairs_spread(phases):
+    diffs = np.abs(np.subtract.outer(phases, phases)) % 1.0
+    return float(np.max(np.minimum(diffs, 1.0 - diffs))) if len(phases) else 0.0
+
+
+def test_spread_equals_all_pairs_maximum():
+    rng = np.random.default_rng(7)
+    sets = [np.array([]), np.array([0.3]), np.array([0.0, 0.5]), np.array([0.1, 0.6, 0.6, 0.35])]
+    for _ in range(200):
+        n = int(rng.integers(2, 60))
+        centre = rng.uniform()
+        sets += [
+            rng.uniform(size=n),
+            (centre + rng.normal(0.0, 1e-12, n)) % 1.0,  # a cluster, often across 0
+            (centre + np.repeat([0.0, 0.5], n) + rng.normal(0.0, 1e-15, 2 * n)) % 1.0,  # near antipodes
+            np.round(rng.uniform(size=n) * 8) / 8,  # exact ties
+            rng.uniform(-3.0, 3.0, n),  # unreduced lifts
+        ]
+    for phases in sets:
+        assert phase_spread(phases) == _all_pairs_spread(phases)
+
+
+def test_spread_memory_is_linear():
+    # 4,096 phases: the all-pairs matrix and its temporaries would be ~400 MB
+    phases = np.random.default_rng(1).uniform(size=4096)
+    tracemalloc.start()
+    try:
+        phase_spread(phases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_product_with_constant_loop(sphere1):
@@ -621,9 +656,11 @@ def test_closed_convention_at_a_breakpoint_reads_only_its_own_piece(sphere1, pat
 
         f = preqholo.TimeDepHamiltonian(eval=ev, grad=gr, label="closed", breakpoints=(0.5,))
 
-    def sdot(t, u):
+    def zero_axis(t):
         sdot_reads.append(t)
-        return np.zeros(len(u))
+        return np.zeros(3)
+
+    sdot = linear_hamiltonian(zero_axis)
 
     pts = fibonacci_sphere(3, rng=np.random.default_rng(1))
     states = transport_phases(sphere1, HamiltonianLoop(f, label="closed"), pts, sdot=sdot)

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success with all suites passing, 1 for configuration
 errors, 2 for numerical failures (loop non-closure, unwrap failure, step
-control breakdown) or failing verification checks.  Output files are
-deterministic for a fixed (config, seed): no timestamps or durations are
-recorded.
+control breakdown, a base-point spread past ``phase_tol``) or failing
+verification checks.  Output files are deterministic for a fixed (config,
+seed): no timestamps or durations are recorded.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, Scenario, build_family, build_loop, read_config, resolve_base_points
@@ -44,10 +43,22 @@ def _meta(scenario: Scenario) -> dict:
         "package": "preqholo",
         "version": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "seed": scenario.seed,
         "config": scenario.echo(),
     }
+
+
+class SpreadError(RuntimeError):
+    """A base-point spread, 0 in exact arithmetic, exceeds ``phase_tol``; names the config element."""
+
+    def __init__(self, message: str, element: str):
+        super().__init__(message)
+        self.element = element
+
+
+def _check_spread(what: str, spread: float, tol: float, element: str) -> None:
+    if spread > tol:
+        raise SpreadError(f"{what} spread over base points {spread:.3e} exceeds phase_tol {tol:.3e}", element)
 
 
 def _write_results(record: dict, out_dir: str) -> Path:
@@ -101,13 +112,15 @@ def _run_kappa_task(scenario: Scenario) -> dict:
     points = resolve_base_points(scenario.base_points, scenario.seed)
     rel = scenario.tolerances.flow_rel_tol
     phases = kappas(M, loop, points, rel_tol=rel)
+    spread = phase_spread(phases)
+    _check_spread("holonomy", spread, scenario.tolerances.phase_tol, "hamiltonian")
 
     record = {
         "task": scenario.task,
         "n": scenario.n,
         "loop": loop.label,
         "points": _point_records(points, phases),
-        "spread": phase_spread(phases),
+        "spread": spread,
         "meta": _meta(scenario),
     }
     if scenario.task == "action":
@@ -133,6 +146,9 @@ def _run_omega_task(scenario: Scenario) -> dict:
         omega_rows.append(
             {"s": float(s), "omega": float(np.mean(vals)), "q_spread": float(np.ptp(vals))}
         )
+    # Omega(s) = -d kappa / ds does not depend on the base point either.
+    worst = max(row["q_spread"] for row in omega_rows)
+    _check_spread("Omega", worst, scenario.tolerances.phase_tol, "family")
 
     def eval_phases(svals):
         new = [s for s in svals if s not in phases]
@@ -322,6 +338,10 @@ def main(argv=None) -> int:
     except UnwrapError as exc:
         log.error("unwrap failure: %s", exc)
         _write_results(_error_record("numerical", str(exc), "family"), out_dir)
+        return 2
+    except SpreadError as exc:
+        log.error("spread failure: %s", exc)
+        _write_results(_error_record("numerical", str(exc), exc.element), out_dir)
         return 2
     except IntegrationError as exc:
         log.error("integration failure: %s", exc)

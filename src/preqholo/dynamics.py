@@ -10,36 +10,37 @@ the trajectory,
 w has no component along u, so chi is the horizontal (Berry) lift of u(t),
 and it needs no chart anywhere on the sphere.  ``_transport`` carries a
 batch of rows this way, each a (Hamiltonian, base point) pair, together
-with the integral of f_t along each trajectory, with the 8th-order
-Dormand-Prince pair (DOP853): one adaptive solve per piecewise-smooth
-segment of the rows' Hamiltonians.  At the tight tolerances of this
-package that pair needs 2-4x fewer right-hand-side evaluations than a
-5th-order one.  The holonomy transport reads its end state;
-``trajectories`` and ``integrate_isotopy`` are its dense views.
+with the integral of f_t along each trajectory, with the package's own
+8th-order Dormand-Prince pair (DOP853, ``solve_ivp``): one adaptive solve
+per piecewise-smooth segment of the rows' Hamiltonians.  At the tight
+tolerances of this package that pair needs 2-4x fewer right-hand-side
+evaluations than a 5th-order one.  The holonomy transport reads its end
+state; ``trajectories`` and ``integrate_isotopy`` are its dense views.
+The runtime needs numpy only.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import dop853
 from .sphere import OrbitSphere, unit_vector
 
 REL_TOL_RANGE = (1e-13, 1e-3)
 
-# The one adaptive solve uses scipy's 8(5,3) Dormand-Prince pair with this
-# absolute tolerance.
-_METHOD = "DOP853"
+# The absolute tolerance of the one adaptive solve.
 _ATOL = 1e-13
-# Most right-hand-side evaluations one solve (one segment of one chunk) may
-# make.  The step count grows with the speed of the flow, and no input
-# bounds that.  The largest count a test, a verify check or a bench op
-# makes is 1,952, under 1/130 of the budget, while a `mix` amplitude of 1e5
-# would otherwise run for hours.
+# The budget of right-hand-side evaluations of one solve (one segment of one
+# chunk): ``solve_ivp`` stops at the first step attempt past it.  The step
+# count grows with the speed of the flow, and no input bounds that.  The
+# largest count a test, a verify check or a bench op makes is 1,952, under
+# 1/130 of the budget, while a `mix` amplitude of 1e5 would otherwise run
+# for hours.
 MAX_RHS_EVALS = 2**18
 # Component i of a x b is a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3.
 _NEXT = np.array([1, 2, 0])
@@ -198,16 +199,183 @@ def _bloch(x: np.ndarray) -> np.ndarray:
     return q[:, :3] / q[:, 3:]
 
 
-def _chunk_size(rel_tol: float) -> int:
-    """Most points one solve can carry at rel_tol / sqrt(N) above scipy's floor.
+# Step-size control of the DOP853 pair: the step grows or shrinks by
+# SAFETY * err^(-1/8) (err is the error norm, below 1 on an accepted step)
+# within [MIN_FACTOR, MAX_FACTOR], and never grows right after a rejection.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_EXPONENT = -1 / 8
+# The smallest rtol a solve accepts.
+RTOL_FLOOR = 100 * np.finfo(float).eps
+# The tableau cast to complex once, as numpy would cast it in every product
+# with the complex stages: (node, weights of the earlier stages) for stages
+# 1-11 of a step and the dense output's extra stages 13-15, then the weights
+# of the solution, of the two error estimates and of the interpolant.
+_STAGES = [(dop853.C[s], dop853.A[s].astype(complex)) for s in range(1, dop853.N_STAGES)]
+_EXTRA_STAGES = [
+    (dop853.C[s], dop853.A[s].astype(complex)) for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED)
+]
+_B, _E5, _E3, _D = (v.astype(complex) for v in (dop853.B, dop853.E5, dop853.E3, dop853.D))
 
-    scipy raises any rtol below 100 eps to 100 eps (with a warning), for
-    DOP853 as for every explicit Runge-Kutta pair, which would quietly
-    loosen the per-point error control of a large batch.
+
+@dataclass
+class Solution:
+    """What ``solve_ivp`` returns: the accepted step times ``t`` and states
+    ``y`` (one column each), the right-hand-side evaluation count ``nfev``,
+    ``success`` and ``message``, and ``sol``, the dense output, or None."""
+
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+    sol: DenseOutput | None
+
+
+class DenseOutput:
+    """The DOP853 interpolants of a solve: ``sol(t)`` is the state at a scalar t.
+
+    Step i covers [ts[i], ts[i + 1]] with the 7th-degree polynomial whose
+    coefficients are ``F[i]``; a time on a step boundary reads the earlier
+    step, and times outside the solve read the first or last step.
     """
-    floor = 100.0 * np.finfo(float).eps
-    size = max(1, int((rel_tol / floor) ** 2))
-    while size > 1 and rel_tol / math.sqrt(size) < floor:
+
+    def __init__(self, ts: list, steps: list):
+        self.ts = ts
+        self.steps = steps
+
+    def __call__(self, t) -> np.ndarray:
+        i = min(max(bisect.bisect_left(self.ts, t) - 1, 0), len(self.steps) - 1)
+        t_old, h, y_old, F = self.steps[i]
+        x = (t - t_old) / h
+        y = np.zeros_like(y_old)
+        for j, f in enumerate(F[::-1]):
+            y += f
+            y *= x if j % 2 == 0 else 1 - x
+        return y + y_old
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _initial_step(fun, t0, y0, t1, f0, f1, rtol, atol):
+    """The first step size of a solve from (t0, y0) with derivative f0 (Hairer et al., Sec. II.4).
+
+    Evaluates the right-hand side once more, into ``f1``.
+    """
+    interval = t1 - t0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    fun(t0 + h0, y0 + h0 * f0, f1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval)
+
+
+def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
+    """Solve y' = fun(t, y) for a complex y over t_span = (t0, t1), t0 < t1, with the DOP853 pair.
+
+    ``fun(t, y, out)`` writes the derivative at (t, y) into ``out``, an array
+    like y: each stage is one call that fills its own row of the stage
+    array, with no copy.  The arithmetic is that of scipy 1.17's
+    ``solve_ivp(method="DOP853")``, operation for operation (initial step,
+    stages, error norm, step control, minimum step of 10 ulps, dense
+    output), so the results are the same doubles; scipy is not imported.  The solve fails (``success`` False, ``message`` says why, and
+    ``t[-1]`` is the last time reached) when the first derivative is not
+    finite, where the step control would never end; when a step would be
+    shorter than 10 ulps of t; and once it has made more than
+    ``MAX_RHS_EVALS`` right-hand-side evaluations.  An rtol below
+    ``RTOL_FLOOR`` raises ValueError.
+    """
+    t0, t1 = map(float, t_span)
+    if not t0 < t1:
+        raise ValueError(f"solve_ivp needs t0 < t1, got ({t0!r}, {t1!r})")
+    if rtol < RTOL_FLOOR:
+        raise ValueError(f"rtol {rtol:g} is below the floor {RTOL_FLOOR:g}")
+    y = np.asarray(y0, dtype=complex)
+    # K[s] is stage s; K[12] is the derivative at the current point.
+    K = np.empty((dop853.N_STAGES_EXTENDED, y.size), dtype=complex)
+    KT = [K[:s].T for s in range(dop853.N_STAGES_EXTENDED + 1)]
+    ts, ys, steps = [t0], [y], [] if dense_output else None
+
+    def result(success, message):
+        sol = DenseOutput(ts, steps) if dense_output and success else None
+        return Solution(np.array(ts), np.vstack(ys).T, nfev, success, message, sol)
+
+    fun(t0, y, K[12])
+    nfev = 1
+    if not np.isfinite(K[12]).all():
+        return result(False, "right-hand side is not finite")
+    h_abs = _initial_step(fun, t0, y, t1, K[12], K[1], rtol, atol)
+    nfev += 1
+    t = t0
+    while t < t1:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        K[0] = K[12]
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return result(False, "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = abs(h)
+            for s, (c, a) in enumerate(_STAGES, start=1):
+                fun(t + c * h, y + np.dot(KT[s], a) * h, K[s])
+            y_new = y + h * np.dot(KT[12], _B)
+            fun(t + h, y_new, K[12])
+            nfev += 12
+            if nfev > MAX_RHS_EVALS:
+                return result(False, f"solve passed its budget of {MAX_RHS_EVALS} right-hand-side evaluations")
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(KT[13], _E5) / scale
+            err3 = np.dot(KT[13], _E3) / scale
+            err5_2 = np.linalg.norm(err5) ** 2
+            err3_2 = np.linalg.norm(err3) ** 2
+            if err5_2 == 0 and err3_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm**_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
+            rejected = True
+        if dense_output:
+            for s, (c, a) in enumerate(_EXTRA_STAGES, start=dop853.N_STAGES + 1):
+                fun(t + c * h, y + np.dot(KT[s], a) * h, K[s])
+            nfev += 3
+            F = np.empty((7, y.size), dtype=complex)
+            delta_y = y_new - y
+            F[0] = delta_y
+            F[1] = h * K[0] - delta_y
+            F[2] = 2 * delta_y - h * (K[12] + K[0])
+            F[3:] = h * np.dot(_D, K)
+            steps.append((t, h, y, F))
+        t, y = t_new, y_new
+        ts.append(t)
+        ys.append(y)
+    return result(True, "The solver successfully reached the end of the integration interval.")
+
+
+def _chunk_size(rel_tol: float) -> int:
+    """Most points one solve can carry at rel_tol / sqrt(N) at or above ``RTOL_FLOOR``.
+
+    ``solve_ivp`` refuses an rtol below that floor, where the rounding of
+    a step is as large as the error the tolerance asks for.
+    """
+    size = max(1, int((rel_tol / RTOL_FLOOR) ** 2))
+    while size > 1 and rel_tol / math.sqrt(size) < RTOL_FLOOR:
         size -= 1
     return size
 
@@ -294,13 +462,13 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     evaluated alike, linear ones through one matrix of axes.  Also returns,
     for each chunk of rows in order, the solution of its every solve, with
     dense output when ``dense``.  Each segment between the union of the
-    rows' breakpoints is one DOP853 solve of the chunk.  DOP853 evaluates
+    rows' breakpoints is one DOP853 solve (``solve_ivp``) of the chunk.  DOP853 evaluates
     the right-hand side at both ends of the time span it solves, so at an
     end that is a breakpoint the span stops one ulp inside the segment: a
     segment reads f_t and ``sdot`` only on its own piece, and its steps are
     not rejected over and over at a jump of the generator that belongs to
     the next one.  The two ulps skipped at each breakpoint are far below
-    the solver's tolerance.
+    the solver's tolerance, and so is a segment that leaves no span.
     A solve's error norm, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) len), is
     taken over the whole state and, like an RMS norm, gives N identical
     copies of one row the norm of that row.  rtol and atol are therefore
@@ -325,38 +493,27 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
         scale = 1.0 / math.sqrt(len(yy) // 3)
         ham = _hamiltonian_terms(fs, fslot[lo : lo + size])
         sd = _hamiltonian_terms(sdots, sslot[lo : lo + size]) if sdots else None
+
+        def rhs(t, yy, out):
+            x = yy.reshape(-1, 3)[:, :2].view(float)
+            u = _bloch(x)
+            e, g = ham(t, u)
+            v = u * (u * g).sum(axis=1, keepdims=True) - g
+            o = out.view(float).reshape(-1, 6)
+            o[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(-1, 12) @ turn
+            o[:, 4] = e
+            o[:, 5] = sd(t, u)[0] if sd else 0.0
+
         sols = []
         for t0, t1 in zip(stops[:-1], stops[1:]):
-            evals = 0
             # The solve starts and ends one ulp inside each breakpoint end,
             # so it reads f_t and sdot only on its own piece.
             t_lo = math.nextafter(t0, t1) if t0 in breaks else t0
             t_hi = math.nextafter(t1, t0) if t1 in breaks else t1
-
-            def rhs(t, yy):
-                nonlocal evals
-                evals += 1
-                if evals > MAX_RHS_EVALS:
-                    raise IntegrationError(
-                        f"solve passed its budget of {MAX_RHS_EVALS} right-hand-side evaluations", t=t
-                    )
-                x = yy.reshape(-1, 3)[:, :2].view(float)
-                u = _bloch(x)
-                e, g = ham(t, u)
-                v = u * (u * g).sum(axis=1, keepdims=True) - g
-                out = np.empty((len(x), 6))
-                out[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(-1, 12) @ turn
-                out[:, 4] = e
-                out[:, 5] = sd(t, u)[0] if sd else 0.0
-                return out.view(complex).ravel()
-
-            # scipy's step-size control never ends when the first step is not finite.
-            if not np.all(np.isfinite(rhs(t_lo, yy))):
-                raise IntegrationError("right-hand side is not finite", t=t_lo)
-            sol = solve_ivp(
-                rhs, (t_lo, t_hi), yy, method=_METHOD, rtol=rel_tol * scale, atol=_ATOL * scale,
-                dense_output=dense,
-            )
+            if t_lo >= t_hi:
+                # Breakpoints at most two ulps apart leave nothing to solve.
+                continue
+            sol = solve_ivp(rhs, (t_lo, t_hi), yy, rtol=rel_tol * scale, atol=_ATOL * scale, dense_output=dense)
             if not sol.success:
                 raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t[-1]))
             sols.append(sol)

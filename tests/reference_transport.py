@@ -74,8 +74,12 @@ def reference_transport_phase(M, loop, q, rel_tol=1e-10, thresholds=DEFAULT_SWIT
             event = make_event(z_exit_north, -1.0)
         else:
             event = make_event(z_exit_south, +1.0)
+        # As in the package's transport, a solve starts and ends one ulp
+        # inside each breakpoint end, so it reads f_t only on its own piece.
+        t_lo = math.nextafter(t, t_end) if t in inner else t
+        t_hi = math.nextafter(t_end, t) if t_end in inner else t_end
         sol = solve_ivp(
-            make_rhs(chart), (t, t_end), y, method="RK45", rtol=rel_tol, atol=_ATOL, events=(event,)
+            make_rhs(chart), (t_lo, t_hi), y, method="RK45", rtol=rel_tol, atol=_ATOL, events=(event,)
         )
         if sol.status == -1:
             raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t[-1]))

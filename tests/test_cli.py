@@ -61,6 +61,27 @@ REGISTRY_CASES = {
 }
 
 
+def _subprocess_env():
+    """The environment of a child Python that imports this checkout's package, logging quietly."""
+    paths = [os.path.dirname(os.path.dirname(dynamics.__file__)), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PREQ_LOG="quiet")
+
+
+# The CLI with every registry Hamiltonian replaced by a rotation whose axis
+# turns NaN at t = 0.4.
+_NAN_LATER = """
+import math, sys
+import numpy as np
+from preqholo import HamiltonianLoop, cli, linear_hamiltonian
+
+def axis(t):
+    return np.array([0.0, 0.0, 2.0 * math.pi]) if t < 0.4 else np.full(3, math.nan)
+
+cli.build_loop = lambda M, spec, tol: HamiltonianLoop(linear_hamiltonian(axis), label="nan-later")
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestScenarioValidation:
     def test_bad_task(self):
         with pytest.raises(ConfigError):
@@ -261,17 +282,69 @@ class TestRunTask:
             tmp_path,
             {"task": "kappa", "hamiltonian": {"name": "mix", "amplitude": 1e5}, "base_points": "auto:1"},
         )
-        paths = [os.path.dirname(os.path.dirname(dynamics.__file__)), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PREQ_LOG="quiet")
         proc = subprocess.run(
             [sys.executable, "-m", "preqholo.cli", "run", cfg, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_subprocess_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2, proc.stderr
         error = json.loads((out / "results.json").read_text())["error"]
         assert error["kind"] == "numerical"
         assert f"budget of {dynamics.MAX_RHS_EVALS} right-hand-side evaluations" in error["message"]
         assert "at t=" in error["message"]
+
+    def test_generator_that_turns_non_finite_stops_at_the_minimum_step(self, tmp_path):
+        # finite at the start of the solve and NaN from t = 0.4 on: every
+        # step across 0.4 is rejected until it is shorter than 10 ulps of t,
+        # so the run ends in an error record, not a loop; a hang fails the
+        # test through the subprocess timeout
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, kappa_config(out, base_points="auto:2"))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NAN_LATER, "run", cfg, "--out", str(out)],
+            env=_subprocess_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "numerical" and error["element"] == "flow"
+        assert "spacing between numbers" in error["message"]
+        # the solve gets to within a few steps of 10 ulps of 0.4 first
+        assert float(error["message"].rsplit("at t=", 1)[1].rstrip(")")) == pytest.approx(0.4, abs=1e-6)
+
+    def test_base_point_spread_past_phase_tol_is_a_numerical_error(self, tmp_path):
+        # at 1e12 turns the Omega column's rounding error is of order 1: its
+        # spread over base points, 0 in exact arithmetic, exposes it
+        out = tmp_path / "out"
+        cfg = {"n": 1, "task": "omega", "family": {"name": "subgroup-rotation", "turns": 10**12},
+               "s_samples": 2, "base_points": "auto:3", "seed": 0, "output": {"dir": str(out)}}
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "numerical" and error["element"] == "family"
+        assert "Omega spread" in error["message"] and "phase_tol 1.000e-06" in error["message"]
+
+    def test_kappa_spread_past_phase_tol_names_the_hamiltonian(self, tmp_path):
+        # a phase_tol below the holonomy's own error: the spread check trips
+        out = tmp_path / "out"
+        cfg = kappa_config(out, hamiltonian={"name": "mix", "amplitude": 1.3},
+                           tolerances={"phase_tol": 1e-300})
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "numerical" and error["element"] == "hamiltonian"
+        assert "holonomy spread" in error["message"]
+
+    def test_runtime_imports_no_scipy(self, tmp_path):
+        # the package's runtime needs numpy only: a CLI run must not pull
+        # scipy in through any import
+        cfg = write_config(tmp_path, kappa_config(tmp_path / "out", base_points="auto:2"))
+        script = (
+            "import sys\n"
+            "from preqholo.cli import main\n"
+            f"assert main(['run', {cfg!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=_subprocess_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     @pytest.mark.parametrize(
         "overrides, key",

@@ -16,7 +16,6 @@ from .dynamics import (
     LoopClosureError,
     TimeDepHamiltonian,
     Trajectory,
-    constant_hamiltonian,
     hamiltonian_vector_field,
     integrate_isotopy,
     linear_axis,

@@ -21,7 +21,15 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, Scenario, build_family, build_loop, read_config, resolve_base_points
 from .dynamics import IntegrationError, LoopClosureError
-from .families import UnwrapError, lift_circle_samples, member_kappas, member_states, phase_lift, winding_of
+from .families import (
+    MemberClosureError,
+    UnwrapError,
+    lift_circle_samples,
+    member_kappas,
+    member_states,
+    phase_lift,
+    winding_of,
+)
 from .holonomy import UnitPhase, kappa, kappas, phase_spread
 from .sphere import OrbitSphere, spherical_coords, sphere_point
 from .verify import verify_suite
@@ -333,7 +341,8 @@ def main(argv=None) -> int:
         return 1
     except LoopClosureError as exc:
         log.error("closure failure: %s", exc)
-        _write_results(_error_record("numerical", str(exc), "hamiltonian"), out_dir)
+        element = "family" if isinstance(exc, MemberClosureError) else "hamiltonian"
+        _write_results(_error_record("numerical", str(exc), element), out_dir)
         return 2
     except UnwrapError as exc:
         log.error("unwrap failure: %s", exc)

@@ -8,7 +8,13 @@ the trajectory,
     d(chi)/dt = -(i/2) (w . sigma) chi.
 
 w has no component along u, so chi is the horizontal (Berry) lift of u(t),
-and it needs no chart anywhere on the sphere.  ``_transport`` carries a
+and it needs no chart anywhere on the sphere.  Most generators are moment
+maps of SU(2), linear Hamiltonians f_t(u) = v(t) . u, and for them this is
+the SU(2) action itself: (u . sigma) chi = chi turns the equation into
+
+    d(chi)/dt = (i/k) (v . sigma - f_t(u)) chi,   f_t(u) = chi^dag (v . sigma) chi / |chi|^2,
+
+which needs no Bloch vector either.  ``_transport`` carries a
 batch of rows this way, each a (Hamiltonian, base point) pair, together
 with the integral of f_t along each trajectory, with the package's own
 8th-order Dormand-Prince pair (DOP853, ``solve_ivp``): one adaptive solve
@@ -38,7 +44,8 @@ _ATOL = 1e-13
 # The budget of right-hand-side evaluations of one solve (one segment of one
 # chunk): ``solve_ivp`` stops at the first step attempt past it.  The step
 # count grows with the speed of the flow, and no input bounds that.  The
-# largest count a test, a verify check or a bench op makes is 1,952, under
+# largest count a test, a verify check or a bench op makes is 1,952 (the
+# generic pieces of test_each_segment_reads_only_its_own_piece), under
 # 1/130 of the budget, while a `mix` amplitude of 1e5 would otherwise run
 # for hours.
 MAX_RHS_EVALS = 2**18
@@ -63,7 +70,16 @@ class IntegrationError(RuntimeError):
 
 
 class LoopClosureError(RuntimeError):
-    """A time-1 flow expected to be the identity failed the closure check."""
+    """A time-1 flow expected to be the identity failed the closure check.
+
+    ``row`` is the failing row of the batch and ``defect`` says by how much
+    it missed, when the error comes from a batch.
+    """
+
+    def __init__(self, message: str, row: int | None = None, defect: str = ""):
+        super().__init__(message)
+        self.row = row
+        self.defect = defect
 
 
 @dataclass(frozen=True)
@@ -91,20 +107,8 @@ class TimeDepHamiltonian:
 
 
 def zero_hamiltonian() -> TimeDepHamiltonian:
-    return constant_hamiltonian(0.0, label="zero")
-
-
-def constant_hamiltonian(c: float, label: str | None = None) -> TimeDepHamiltonian:
-    c = float(c)
-
-    def ev(t, u):
-        u = np.asarray(u, dtype=float)
-        return c if u.ndim == 1 else np.full(u.shape[0], c)
-
-    def gr(t, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
-    return TimeDepHamiltonian(eval=ev, grad=gr, label=label or f"const[{c}]")
+    """f_t = 0, the linear Hamiltonian with the zero axis."""
+    return linear_hamiltonian(lambda t: np.zeros(3), label="zero")
 
 
 def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ()) -> TimeDepHamiltonian:
@@ -125,6 +129,22 @@ def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ())
 
     ev._axis = gr._axis = axis
     return TimeDepHamiltonian(eval=ev, grad=gr, label=label, breakpoints=breakpoints, axis=axis)
+
+
+@dataclass(frozen=True)
+class MemberAxis:
+    """The axis t -> field(s, t) of the member s of a family of linear Hamiltonians.
+
+    ``field(svals, t)`` takes an array of s and returns their axes at t,
+    one row each.  ``_transport`` reads the axes of all rows that share a
+    field in one call of it per right-hand-side evaluation.
+    """
+
+    field: Callable
+    s: float
+
+    def __call__(self, t) -> np.ndarray:
+        return self.field(np.array([self.s]), t)[0]
 
 
 def linear_axis(f: TimeDepHamiltonian) -> Callable | None:
@@ -280,6 +300,10 @@ def _initial_step(fun, t0, y0, t1, f0, f1, rtol, atol):
     return min(100 * h0, h1, interval)
 
 
+# A state that turns non-finite makes the error norm NaN, and every step
+# across it is rejected until the solve stops at the minimum step with its
+# own message; numpy's warning about the NaN would only repeat that.
+@np.errstate(invalid="ignore")
 def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
     """Solve y' = fun(t, y) for a complex y over t_span = (t0, t1), t0 < t1, with the DOP853 pair.
 
@@ -413,41 +437,131 @@ def _groups(slot: np.ndarray) -> list:
 def _hamiltonian_terms(fs, slot):
     """(t, u) -> (f_t(u), grad f_t(u)) for the rows of one chunk.
 
-    Row i has the Hamiltonian ``fs[slot[i]]``.  Every linear one
-    (``linear_axis``) is evaluated through one matrix of axes for all its
-    rows; each other one calls its own eval and grad on its rows.
+    Row i has the Hamiltonian ``fs[slot[i]]``; each one calls its own eval
+    and grad on its rows.
     """
-    row_axis = np.full(len(slot), -1)
-    axes, generic = [], []
-    for j, idx in _groups(slot):
-        axis = linear_axis(fs[j])
-        if axis is None:
-            generic.append((fs[j], idx))
-        else:
-            row_axis[idx] = len(axes)
-            axes.append(axis)
-    lin_rows = np.flatnonzero(row_axis >= 0)
-    lin_slot = row_axis[lin_rows]
+    groups = [(fs[j], idx) for j, idx in _groups(slot)]
 
     def terms(t, u):
-        if axes:
-            w = axes[0](t) if len(axes) == 1 else np.array([axis(t) for axis in axes])[lin_slot]
-            ul = u[lin_rows] if generic else u
-            el = ul @ w if w.ndim == 1 else (ul * w).sum(axis=1)
-            gl = w - el[:, None] * ul
-            if not generic:
-                return el, gl
         e = np.empty(len(u))
         g = np.empty((len(u), 3))
-        if axes:
-            e[lin_rows] = el
-            g[lin_rows] = gl
-        for f, idx in generic:
+        for f, idx in groups:
             e[idx] = f.eval(t, u[idx])
             g[idx] = f.grad(t, u[idx])
         return e, g
 
     return terms
+
+
+def _general_rhs(M, fs, fslot, sdots, sslot):
+    """The right-hand side of a chunk of rows with any Hamiltonians (see ``_transport``).
+
+    For unit u, w = u x X_t(u) = (2/k) (u (u . g) - g) with g = grad f.
+    """
+    turn = (2.0 / M.k) * _TURN
+    ham = _hamiltonian_terms(fs, fslot)
+    sd = _hamiltonian_terms(sdots, sslot) if sdots else None
+
+    def rhs(t, yy, out):
+        x = yy.reshape(-1, 3)[:, :2].view(float)
+        u = _bloch(x)
+        e, g = ham(t, u)
+        v = u * (u * g).sum(axis=1, keepdims=True) - g
+        o = out.view(float).reshape(-1, 6)
+        o[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(-1, 12) @ turn
+        o[:, 4] = e
+        o[:, 5] = sd(t, u)[0] if sd else 0.0
+
+    return rhs
+
+
+def _row_axes(hs, slot):
+    """t -> the axes of the rows' Hamiltonians ``hs[slot[i]]``, or None unless each is linear.
+
+    The reader returns one axis (3,) when all rows share one Hamiltonian
+    and one per row (N, 3) otherwise.  The rows whose axes are members of
+    one field (``MemberAxis``) are read in one call of that field, and the
+    rows that share any other axis in one call of it.
+    """
+    js = sorted(set(slot.tolist()))
+    axes = [linear_axis(hs[j]) for j in js]
+    if any(axis is None for axis in axes):
+        return None
+    if len(axes) == 1:
+        return axes[0]
+    groups = {}
+    for j, axis in zip(js, axes):
+        key = axis.field if isinstance(axis, MemberAxis) else axis
+        groups.setdefault(id(key), (key, []))[1].append((j, axis))
+    reads, at, count = [], {}, 0
+    for key, members in groups.values():
+        if isinstance(members[0][1], MemberAxis):
+            svals = np.array([axis.s for _, axis in members])
+            reads.append(lambda t, field=key, svals=svals: field(svals, t))
+            at.update((j, count + i) for i, (j, _) in enumerate(members))
+            count += len(members)
+        else:
+            reads.append(lambda t, axis=key: axis(t)[None])
+            at.update((j, count) for j, _ in members)
+            count += 1
+    rows = np.array([at[j] for j in slot.tolist()])
+
+    if len(reads) == 1:
+        return lambda t: reads[0](t)[rows]
+    return lambda t: np.concatenate([read(t) for read in reads])[rows]
+
+
+def _linear_basis(k: float) -> np.ndarray:
+    """B, 7 x 80: (w, 1, w_s) @ B is the 4 x 20 matrix C of a linear row's right-hand side.
+
+    w is the axis of f and w_s that of ``sdot``.  In the real view x (4,)
+    of a spinor chi, x @ C is the real view of -(i/k) (w . sigma) chi,
+    -(i/k) chi, (w . sigma) chi, (w_s . sigma) chi and chi, four entries
+    each: the last three give chi^dag (w . sigma) chi,
+    chi^dag (w_s . sigma) chi and |chi|^2 as dot products with x.
+    """
+    B = np.zeros((7, 4, 5, 4))
+    for j, m in enumerate(_PAULI):
+        B[j, :, 0] = _real(-1j * m / k).T
+        B[j, :, 2] = B[4 + j, :, 3] = _real(m).T
+    B[3, :, 1] = _real(-1j * np.eye(2) / k).T
+    B[3, :, 4] = np.eye(4)
+    return B.reshape(7, 80)
+
+
+def _linear_rhs(M, fs, fslot, sdots, sslot):
+    """The right-hand side of a chunk whose f and ``sdot`` are all linear, or None.
+
+    The general right-hand side turns chi by -(i/k) (u (u . g) - g) . sigma,
+    and (u . sigma) chi = chi, so with g the axis w of f_t(u) = w . u it is
+    chi' = (i/k) (w . sigma - f_t(u)) chi, and f_t(u) is the quadratic form
+    chi^dag (w . sigma) chi / |chi|^2, unnormalized chi included.  ``sdot``
+    is read as the quadratic form of its own axis.  One product x @ C
+    (``_linear_basis``) per evaluation gives all three; C is one matrix
+    when every row has the same f and ``sdot``, and one per row otherwise.
+    """
+    w_at = _row_axes(fs, fslot)
+    ws_at = _row_axes(sdots, sslot) if sdots else None
+    if w_at is None or (sdots and ws_at is None):
+        return None
+    basis = _linear_basis(M.k)
+    shared = len(set(fslot.tolist())) == 1 and (not sdots or len(set(sslot.tolist())) == 1)
+    coef = np.zeros(7 if shared else (len(fslot), 7))
+    coef[..., 3] = 1.0
+
+    def rhs(t, yy, out):
+        coef[..., :3] = w_at(t)
+        if ws_at is not None:
+            coef[..., 4:] = ws_at(t)
+        c = coef @ basis
+        x = yy.reshape(-1, 3)[:, :2].view(float)
+        p = x @ c.reshape(4, 20) if shared else np.matmul(x[:, None], c.reshape(-1, 4, 20))[:, 0]
+        s = np.matmul(p[:, 8:].reshape(-1, 3, 4), x[:, :, None])[:, :, 0]
+        o = out.view(float).reshape(-1, 6)
+        o[:, 4:] = s[:, :2] / s[:, 2:]
+        o[:, :4] = o[:, 4:5] * p[:, 4:8] - p[:, :4]
+
+    return rhs
 
 
 def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
@@ -459,7 +573,11 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     row each: the spinor (a, b), and the integrals of f_t and of
     ``sdot`` (0 without it) along the trajectory as the real and imaginary
     part of the third column.  Both integrands are Hamiltonians and are
-    evaluated alike, linear ones through one matrix of axes.  Also returns,
+    evaluated alike.  A chunk whose f and ``sdot`` are all linear
+    (``linear_axis``) turns its spinors by the SU(2) action, one small
+    matrix product per evaluation (``_linear_rhs``); any other chunk forms
+    the Bloch vectors and calls each Hamiltonian's own eval and grad
+    (``_general_rhs``).  Also returns,
     for each chunk of rows in order, the solution of its every solve, with
     dense output when ``dense``.  Each segment between the union of the
     rows' breakpoints is one DOP853 solve (``solve_ivp``) of the chunk.  DOP853 evaluates
@@ -477,8 +595,6 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     ``MAX_RHS_EVALS`` raises IntegrationError.
     """
     check_rel_tol(rel_tol)
-    # For unit u, w = u x X_t(u) = (2/k) (u (u . g) - g) with g = grad f.
-    turn = (2.0 / M.k) * _TURN
     fs, fslot = _distinct(f, len(u0))
     sdots, sslot = _distinct(sdot, len(u0)) if sdot is not None else ([], None)
     breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
@@ -491,18 +607,8 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
         # A copy: the first dense step keeps y0, and y takes the end state.
         yy = y[lo : lo + size].flatten()
         scale = 1.0 / math.sqrt(len(yy) // 3)
-        ham = _hamiltonian_terms(fs, fslot[lo : lo + size])
-        sd = _hamiltonian_terms(sdots, sslot[lo : lo + size]) if sdots else None
-
-        def rhs(t, yy, out):
-            x = yy.reshape(-1, 3)[:, :2].view(float)
-            u = _bloch(x)
-            e, g = ham(t, u)
-            v = u * (u * g).sum(axis=1, keepdims=True) - g
-            o = out.view(float).reshape(-1, 6)
-            o[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(-1, 12) @ turn
-            o[:, 4] = e
-            o[:, 5] = sd(t, u)[0] if sd else 0.0
+        rows = (fs, fslot[lo : lo + size], sdots, sslot[lo : lo + size] if sdots else None)
+        rhs = _linear_rhs(M, *rows) or _general_rhs(M, *rows)
 
         sols = []
         for t0, t1 in zip(stops[:-1], stops[1:]):

@@ -24,10 +24,19 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .dynamics import HamiltonianLoop, TimeDepHamiltonian, linear_hamiltonian, scale_hamiltonian, zero_hamiltonian
+from .dynamics import (
+    HamiltonianLoop,
+    LoopClosureError,
+    MemberAxis,
+    TimeDepHamiltonian,
+    linear_axis,
+    linear_hamiltonian,
+    scale_hamiltonian,
+    zero_hamiltonian,
+)
 from .holonomy import PhaseState, UnitPhase, transport_phases
 from .sphere import OrbitSphere
-from .su2 import AlgebraDirection, invariant_loop, mixing_loop, profile_functions
+from .su2 import profile_functions
 
 
 # Finest grid of the phase lift, in s-intervals.  A starting grid finer than
@@ -39,6 +48,10 @@ class UnwrapError(RuntimeError):
     """Phase samples could not be lifted continuously at the maximum grid."""
 
 
+class MemberClosureError(LoopClosureError):
+    """A member of a family fails to close; the message names its s and base point."""
+
+
 @dataclass
 class LoopFamily:
     """A one-parameter family s -> loop, with the s-derivative of its generators.
@@ -47,13 +60,18 @@ class LoopFamily:
     function on the sphere: the integrand of Omega(s), which the transport
     evaluates as it does f^s_t.  It is linear (``linear_axis``) whenever
     the generators are.  ``closed`` declares that the families at s = 0
-    and s = 1 coincide.
+    and s = 1 coincide.  A family of linear generators carries ``axis``
+    and ``s_axis``, the fields (svals, t) -> axes of f^s_t and of
+    d f^s_t / ds at an array of s, one row each; ``linear_family`` derives
+    the members from them.
     """
 
     loop_builder: Callable[[float], HamiltonianLoop]
     s_deriv: Callable[[float], TimeDepHamiltonian]
     closed: bool = False
     label: str = ""
+    axis: Callable | None = None
+    s_axis: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def loop_at(self, s: float) -> HamiltonianLoop:
@@ -63,6 +81,31 @@ class LoopFamily:
         return self._cache[key]
 
 
+def linear_family(axis, s_axis, member_label, closure_tol: float, closed: bool, label: str) -> LoopFamily:
+    """The family whose member at s is generated by the linear f^s_t(u) = axis(s, t) . u.
+
+    ``axis`` and ``s_axis`` are vectorized over an array of s, and
+    ``s_axis`` is the analytic d axis / ds.  The member's axis and its
+    s-derivative's axis are ``MemberAxis`` views of the two fields, so a
+    batch of members reads each field once per right-hand-side evaluation.
+    ``member_label(s)`` labels the loop at s.
+    """
+
+    def builder(s):
+        name = member_label(s)
+        f = linear_hamiltonian(MemberAxis(axis, s), label=name)
+        return HamiltonianLoop(f, closure_tol=closure_tol, label=name)
+
+    return LoopFamily(
+        loop_builder=builder,
+        s_deriv=lambda s: linear_hamiltonian(MemberAxis(s_axis, s)),
+        closed=closed,
+        label=label,
+        axis=axis,
+        s_axis=s_axis,
+    )
+
+
 def member_states(
     M: OrbitSphere, fam: LoopFamily, svals, points, rel_tol: float = 1e-10, omega: bool = True
 ) -> list[list[PhaseState]]:
@@ -70,18 +113,26 @@ def member_states(
 
     Returns one list per s with one state per point.  With ``omega`` each
     state carries Omega(s) from its point; without it no s-derivative is
-    integrated.  Every member must be a loop: LoopClosureError otherwise.
+    integrated.  Every member must be a loop: otherwise MemberClosureError
+    names the first member that fails and its base point.
     """
     svals = [float(s) for s in svals]
     sdots = {s: fam.s_deriv(s) for s in svals} if omega else {}
-    states = transport_phases(
-        M,
-        [fam.loop_at(s) for s in svals for _ in points],
-        [q for _ in svals for q in points],
-        rel_tol=rel_tol,
-        sdot=[sdots[s] for s in svals for _ in points] if omega else None,
-    )
     n = len(points)
+    try:
+        states = transport_phases(
+            M,
+            [fam.loop_at(s) for s in svals for _ in points],
+            [q for _ in svals for q in points],
+            rel_tol=rel_tol,
+            sdot=[sdots[s] for s in svals for _ in points] if omega else None,
+        )
+    except LoopClosureError as exc:
+        s, j = svals[exc.row // n], exc.row % n
+        raise MemberClosureError(
+            f"family '{fam.label}': the member at s={s!r}, loop '{fam.loop_at(s).label}', "
+            f"does not close at base point {j}: {exc.defect}"
+        ) from exc
     return [states[i * n : (i + 1) * n] for i in range(len(svals))]
 
 
@@ -98,7 +149,7 @@ def omega_eval(
 
     The integral of the s-derivative of the Hamiltonians along the
     trajectory, carried by the transport of the loop at s.  The member at s
-    must be a loop: LoopClosureError otherwise.
+    must be a loop: MemberClosureError otherwise.
     """
     return member_states(M, fam, [s], [q], rel_tol=rel_tol)[0][0].omega
 
@@ -252,12 +303,21 @@ def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:
 
 
 def constant_family(loop: HamiltonianLoop) -> LoopFamily:
-    """Family that does not move; its one-form and winding vanish."""
+    """Family that does not move; its one-form and winding vanish.
+
+    Every member is the loop itself and every s-derivative one zero
+    Hamiltonian, so the rows of a batch of members share both.  A linear
+    loop gives the family its axis fields.
+    """
+    zero = zero_hamiltonian()
+    base = linear_axis(loop.hamiltonian)
     return LoopFamily(
         loop_builder=lambda s: loop,
-        s_deriv=lambda s: zero_hamiltonian(),
+        s_deriv=lambda s: zero,
         closed=True,
         label=f"constant[{loop.label}]",
+        axis=None if base is None else lambda svals, t: np.tile(base(t), (len(svals), 1)),
+        s_axis=None if base is None else lambda svals, t: np.zeros((len(svals), 3)),
     )
 
 
@@ -269,54 +329,58 @@ def subgroup_rotation_family(
 ) -> LoopFamily:
     """Invariant loops with the equatorial axis rotated by 2 pi * turns * s.
 
-    Every member is a one-parameter-subgroup loop; the family is closed in s
-    exactly when ``turns`` is an integer.
+    Every member is a one-parameter-subgroup loop, the ``invariant_loop``
+    of the direction (cos lam, sin lam, 0) with lam = start_angle +
+    2 pi turns s; the family is closed in s exactly when ``turns`` is an
+    integer.
     """
     rate = 2.0 * math.pi * float(turns)
     k = M.k
 
-    def angle(s):
-        return start_angle + rate * s
+    def axis(svals, t):
+        # -pi times the axis k (-cos(lam), sin(lam), 0) of the direction's moment map
+        lam = start_angle + rate * svals
+        return -math.pi * (k * np.array([-np.cos(lam), np.sin(lam), np.zeros_like(lam)]).T)
 
-    def builder(s):
-        lam = angle(s)
-        return invariant_loop(
-            M, AlgebraDirection(math.cos(lam), math.sin(lam)), closure_tol=closure_tol
-        )
+    def s_axis(svals, t):
+        lam = start_angle + rate * svals
+        return -math.pi * k * rate * np.array([np.sin(lam), np.cos(lam), np.zeros_like(lam)]).T
 
-    def derivative(s):
-        # d/ds of the axis -pi k (-cos(lam), sin(lam), 0)
-        lam = angle(s)
-        w = -math.pi * k * rate * np.array([math.sin(lam), math.cos(lam), 0.0])
-        return linear_hamiltonian(lambda t: w)
+    def member_label(s):
+        lam = start_angle + rate * s
+        return f"invariant[h[a={math.cos(lam):g},b={math.sin(lam):g},z=0]]"
 
-    return LoopFamily(
-        loop_builder=builder,
-        s_deriv=derivative,
+    return linear_family(
+        axis,
+        s_axis,
+        member_label,
+        closure_tol,
         closed=float(turns).is_integer(),
         label=f"subgroup-rotation[turns={turns:g}]",
     )
 
 
 def _mixing_family(M, amp_fn, amp_dot_fn, profile, closure_tol, closed, label):
+    """The ``mixing_loop`` of amplitude a(s) = amp_fn(s) at every s; amp_fn and amp_dot_fn take arrays."""
     g_fn, gd_fn = profile_functions(profile)
     k = M.k
 
-    def builder(s):
-        return mixing_loop(M, amp_fn(s), profile=profile, closure_tol=closure_tol)
+    def axis(svals, t):
+        # the axis k (pi cos(2 a g), pi sin(2 a g), -a g'(t)) of mixing_loop
+        a = amp_fn(svals)
+        th = 2.0 * a * g_fn(t)
+        return np.array([k * math.pi * np.cos(th), k * math.pi * np.sin(th), -k * a * gd_fn(t)]).T
 
-    def derivative(s):
-        # d/ds of the axis k (pi cos(2 a g), pi sin(2 a g), -a g'(t)) of mixing_loop
-        a, c = amp_fn(s), k * amp_dot_fn(s)
+    def s_axis(svals, t):
+        a, c = amp_fn(svals), k * amp_dot_fn(svals)
+        g = g_fn(t)
+        th = 2.0 * a * g
+        d = [-2.0 * math.pi * g * np.sin(th), 2.0 * math.pi * g * np.cos(th), np.full_like(th, -gd_fn(t))]
+        return (c * np.array(d)).T
 
-        def axis(t):
-            g = g_fn(t)
-            th = 2.0 * a * g
-            return c * np.array([-2.0 * math.pi * g * math.sin(th), 2.0 * math.pi * g * math.cos(th), -gd_fn(t)])
-
-        return linear_hamiltonian(axis)
-
-    return LoopFamily(loop_builder=builder, s_deriv=derivative, closed=closed, label=label)
+    return linear_family(
+        axis, s_axis, lambda s: f"mix[amp={amp_fn(s):g},{profile}]", closure_tol, closed=closed, label=label
+    )
 
 
 def mixing_family(
@@ -334,7 +398,7 @@ def mixing_family(
     return _mixing_family(
         M,
         lambda s: amp * s,
-        lambda s: amp,
+        lambda s: np.full_like(s, amp),
         profile,
         closure_tol,
         closed=False,
@@ -357,8 +421,8 @@ def closed_mixing_family(
     amp = float(amplitude)
     return _mixing_family(
         M,
-        lambda s: amp * math.sin(math.pi * s) ** 2,
-        lambda s: amp * math.pi * math.sin(2.0 * math.pi * s),
+        lambda s: amp * np.sin(np.pi * s) ** 2,
+        lambda s: amp * np.pi * np.sin(2.0 * np.pi * s),
         profile,
         closure_tol,
         closed=True,

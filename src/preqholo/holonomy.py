@@ -113,10 +113,8 @@ def transport_phases(
     bad = np.flatnonzero(defects > [lp.closure_tol for lp in loops])
     if len(bad):
         i = int(bad[0])
-        raise LoopClosureError(
-            f"loop '{loops[i].label}' does not close at base point {i}: "
-            f"defect {defects[i]:.3e} exceeds tolerance {loops[i].closure_tol:.3e}"
-        )
+        defect = f"defect {defects[i]:.3e} exceeds tolerance {loops[i].closure_tol:.3e}"
+        raise LoopClosureError(f"loop '{loops[i].label}' does not close at base point {i}: {defect}", i, defect)
     # <chi0, chi1> in real arithmetic, so an unmoved spinor has an exactly
     # real overlap and a phase of exactly 0.
     p0, p1 = _spinors(u0), y[:, :2]

@@ -59,6 +59,20 @@ def line_integral_potential(M, frame, point_fn, velocity_fn, nodes=48):
     )
 
 
+def constant_hamiltonian(c):
+    """f_t = c, a Hamiltonian with a zero gradient that linear_axis does not vouch for."""
+    c = float(c)
+
+    def ev(t, u):
+        u = np.asarray(u, dtype=float)
+        return c if u.ndim == 1 else np.full(u.shape[0], c)
+
+    def gr(t, u):
+        return np.zeros_like(np.asarray(u, dtype=float))
+
+    return TimeDepHamiltonian(eval=ev, grad=gr, label=f"const[{c}]")
+
+
 def quadratic_hamiltonian(c=1.0):
     """Zero-mean non-linear Hamiltonian c * u_x * u_y; flow is not a rotation."""
 

@@ -273,6 +273,24 @@ class TestRunTask:
         assert record["error"]["kind"] == "numerical"
         assert record["error"]["element"] == "hamiltonian"
 
+    @pytest.mark.parametrize(
+        "task, family",
+        [
+            ("omega", {"name": "mixing", "amplitude": 1.3, "profile": "constant"}),
+            ("winding", {"name": "closed-mixing", "amplitude": 1.0, "profile": "constant"}),
+        ],
+    )
+    def test_family_member_that_does_not_close_names_the_family(self, tmp_path, task, family):
+        # a constant drift closes only at amplitudes in pi Z: the member at
+        # s = 1/4 is the first row that fails, at its first base point
+        out = tmp_path / "out"
+        cfg = {"n": 1, "task": task, "family": family, "base_points": "auto:2", "s_samples": 4, "seed": 0,
+               "output": {"dir": str(out)}}
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "numerical" and error["element"] == "family"
+        assert "member at s=0.25," in error["message"] and "base point 0:" in error["message"]
+
     def test_runaway_solve_stops_at_its_budget(self, tmp_path):
         # a fast enough loop needs millions of steps; the solve stops at
         # MAX_RHS_EVALS with a numerical error record instead of running for
@@ -304,6 +322,7 @@ class TestRunTask:
             env=_subprocess_env(), capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 2, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         error = json.loads((out / "results.json").read_text())["error"]
         assert error["kind"] == "numerical" and error["element"] == "flow"
         assert "spacing between numbers" in error["message"]

@@ -129,6 +129,7 @@ def test_rtol_below_the_floor_raises():
         dynamics.solve_ivp(lambda t, y, out: None, (0.0, 1.0), np.ones(2, dtype=complex), rtol=1e-15, atol=1e-13)
 
 
+@pytest.mark.filterwarnings("error")
 def test_state_that_turns_non_finite_stops_at_the_minimum_step():
     # finite at the start, NaN from t = 0.3 on: every step across 0.3 is
     # rejected until it is shorter than 10 ulps of t

@@ -7,24 +7,31 @@ from preqholo import (
     DIR_A,
     DIR_B,
     AlgebraDirection,
+    OrbitSphere,
+    TimeDepHamiltonian,
     closed_form_flow,
-    constant_hamiltonian,
+    closed_mixing_family,
+    dynamics,
     fibonacci_sphere,
     hamiltonian_vector_field,
     integrate_isotopy,
     invariant_hamiltonian,
     invariant_loop,
+    linear_axis,
+    mixing_family,
     mixing_loop,
     product_loop,
     scale_hamiltonian,
     sphere_point,
+    subgroup_rotation_family,
     transport_phase,
     unit_vector,
     zero_hamiltonian,
 )
+from preqholo.config import Tolerances, build_family
 from preqholo.sphere import random_tangent
 
-from conftest import quadratic_hamiltonian
+from conftest import constant_hamiltonian, quadratic_hamiltonian
 from oracles import chart_tangents, closure_defect, omega_area_triangle
 
 
@@ -195,3 +202,111 @@ def test_flow_is_the_transport_solve(sphere1):
         for q in fibonacci_sphere(8):
             flow_end = integrate_isotopy(sphere1, loop.hamiltonian, q).endpoint
             assert np.linalg.norm(flow_end - transport_phase(sphere1, loop, q).point) < 1e-14
+
+
+def _both_rhs(M, f, n_rows, sdot=None):
+    """The linear and the general right-hand side of one chunk of rows (f, sdot)."""
+    fs, fslot = dynamics._distinct(f, n_rows)
+    sdots, sslot = dynamics._distinct(sdot, n_rows) if sdot is not None else ([], None)
+    rows = (fs, fslot, sdots, sslot)
+    return dynamics._linear_rhs(M, *rows), dynamics._general_rhs(M, *rows)
+
+
+def _linear_rows(M, case):
+    """(f, sdot, n_rows) of a chunk whose rows are all linear."""
+    points = 18
+    if case == "shared-1":
+        return mixing_loop(M, 1.3).hamiltonian, None, 1
+    if case == "shared-18":
+        return mixing_loop(M, 1.3).hamiltonian, None, points
+    if case == "one-row-sdot":
+        # a single row always takes the one shared C
+        return [mixing_loop(M, 0.4).hamiltonian], [invariant_hamiltonian(M, DIR_B)], 1
+    if case == "per-row-18":
+        return [mixing_loop(M, 0.1 * i).hamiltonian for i in range(points)], None, points
+    if case == "family-sdot":
+        fam = closed_mixing_family(M, 0.9)
+        svals = np.repeat(np.linspace(0.0, 1.0, 9), 2)
+        return [fam.loop_at(s).hamiltonian for s in svals], [fam.s_deriv(s) for s in svals], points
+    if case == "shared-sdot":
+        fam = mixing_family(M, 1.1)
+        return fam.loop_at(0.3).hamiltonian, fam.s_deriv(0.3), 4
+    assert case == "breakpoint"
+    return product_loop(mixing_loop(M, 0.8), invariant_loop(M, DIR_A)).hamiltonian, None, 5
+
+
+@pytest.mark.parametrize(
+    "case", ["shared-1", "shared-18", "one-row-sdot", "per-row-18", "family-sdot", "shared-sdot", "breakpoint"]
+)
+def test_linear_rhs_matches_general_rhs(case):
+    # (i/k)(w . sigma - f) chi against the Bloch-vector form of the same
+    # equation, at unnormalized states: the spinor block within 1e-15 of its
+    # largest entry, and each integrand within 1e-15 of its axis's length,
+    # the largest value it takes on the sphere
+    rng = np.random.default_rng(3)
+    M = OrbitSphere(3)
+    f, sdot, n = _linear_rows(M, case)
+    lin, gen = _both_rhs(M, f, n, sdot)
+    assert lin is not None
+
+    def scale(h, t):
+        hs = [h] * n if isinstance(h, TimeDepHamiltonian) else h
+        return max(np.linalg.norm(linear_axis(g)(t)) for g in hs) if h is not None else 0.0
+
+    times = [0.5 - 1e-9, 0.5 + 1e-9] if case == "breakpoint" else []
+    for t in [*rng.uniform(size=6), *times]:
+        y = (rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n)) * rng.uniform(0.1, 10.0)
+        a, b = np.empty_like(y), np.empty_like(y)
+        lin(t, y, a)
+        gen(t, y, b)
+        a, b = a.reshape(n, 3), b.reshape(n, 3)
+        assert np.max(np.abs(a[:, :2] - b[:, :2])) <= 1e-15 * np.max(np.abs(b[:, :2]))
+        assert np.max(np.abs(a[:, 2].real - b[:, 2].real)) <= 1e-15 * scale(f, t)
+        assert np.max(np.abs(a[:, 2].imag - b[:, 2].imag)) <= 1e-15 * scale(sdot, t)
+
+
+def test_a_non_linear_row_or_sdot_takes_the_general_rhs():
+    M = OrbitSphere(1)
+    mix, quad = mixing_loop(M, 0.7).hamiltonian, quadratic_hamiltonian(1.5)
+    zero = zero_hamiltonian()
+    assert _both_rhs(M, [mix, quad, mix], 3)[0] is None
+    assert _both_rhs(M, [mix, mix], 2, sdot=[zero, constant_hamiltonian(0.2)])[0] is None
+    assert _both_rhs(M, mix, 2, sdot=zero)[0] is not None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"name": "constant"},
+        {"name": "constant", "hamiltonian": {"name": "mix", "amplitude": 1.1}},
+        {"name": "subgroup-rotation", "start_angle": 0.4, "turns": 2},
+        {"name": "mixing", "amplitude": 1.3, "profile": "constant"},
+        {"name": "closed-mixing", "amplitude": 0.9},
+    ],
+)
+def test_family_axis_fields_match_their_members(spec):
+    # axis(s, t) and s_axis(s, t), read at an array of s, give the axes of
+    # loop_at(s) and s_deriv(s) row by row
+    M = OrbitSphere(2)
+    fam = build_family(M, spec, Tolerances())
+    svals = np.linspace(0.0, 1.0, 7)
+    for t in np.linspace(0.0, 1.0, 5):
+        w, ws = fam.axis(svals, t), fam.s_axis(svals, t)
+        assert w.shape == ws.shape == (len(svals), 3)
+        for s, w_s, ws_s in zip(svals, w, ws):
+            assert np.array_equal(w_s, linear_axis(fam.loop_at(s).hamiltonian)(t))
+            assert np.array_equal(ws_s, linear_axis(fam.s_deriv(s))(t))
+
+
+def test_family_axes_match_the_su2_loops(sphere2):
+    # the vectorized fields against the closed-form loops they stand for
+    svals = np.linspace(0.0, 1.0, 6)
+    fam = closed_mixing_family(sphere2, 0.9, profile="cosine-ramp")
+    sub = subgroup_rotation_family(sphere2, start_angle=0.4, turns=2.0)
+    for t in (0.0, 0.3, 0.8):
+        for s, w_mix, w_sub in zip(svals, fam.axis(svals, t), sub.axis(svals, t)):
+            mix = mixing_loop(sphere2, 0.9 * math.sin(math.pi * s) ** 2).hamiltonian
+            lam = 0.4 + 4.0 * math.pi * s
+            inv = invariant_loop(sphere2, AlgebraDirection(math.cos(lam), math.sin(lam))).hamiltonian
+            assert np.allclose(w_mix, linear_axis(mix)(t), rtol=0, atol=1e-14)
+            assert np.allclose(w_sub, linear_axis(inv)(t), rtol=0, atol=1e-14)

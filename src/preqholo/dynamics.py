@@ -95,7 +95,10 @@ class TimeDepHamiltonian:
     ``time_independent`` is a caller's flag; the package never reads it.
     ``axis(t)``, when given, is the vector w(t) of a linear Hamiltonian
     f_t(u) = w(t) . u built by ``linear_hamiltonian``; ``linear_axis``
-    says whether it may stand in for ``eval`` and ``grad``.
+    says whether it may stand in for ``eval`` and ``grad``.  An axis reads
+    a scalar t as (3,) and a 1-D array of times as (T, 3), one row per
+    time, each the same doubles as the scalar read: the transport reads
+    it over all stage times of a step at once.
     """
 
     eval: Callable
@@ -106,17 +109,29 @@ class TimeDepHamiltonian:
     axis: Callable | None = None
 
 
+def over_times(t, value: np.ndarray) -> np.ndarray:
+    """An axis or field value that does not depend on time, read at t.
+
+    ``value`` itself at a scalar t, and one copy of it per time, as a
+    read-only view, at an array of times.
+    """
+    return value if np.ndim(t) == 0 else np.broadcast_to(value, np.shape(t) + np.shape(value))
+
+
 def zero_hamiltonian() -> TimeDepHamiltonian:
     """f_t = 0, the linear Hamiltonian with the zero axis."""
-    return linear_hamiltonian(lambda t: np.zeros(3), label="zero")
+    zero = np.zeros(3)
+    return linear_hamiltonian(lambda t: over_times(t, zero), label="zero")
 
 
 def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ()) -> TimeDepHamiltonian:
     """The Hamiltonian f_t(u) = axis(t) . u, with eval and grad derived from the axis.
 
-    Its surface gradient is the tangent part axis(t) - (u . axis(t)) u.  It
-    has zero mean on the sphere.  Both functions carry the axis they come
-    from as ``_axis``, which ``functools.wraps`` copies to a wrapper.
+    ``axis`` follows the contract of ``TimeDepHamiltonian.axis``: (3,) at a
+    scalar t, (T, 3) at an array of times.  Its surface gradient is the
+    tangent part axis(t) - (u . axis(t)) u.  It has zero mean on the
+    sphere.  Both functions carry the axis they come from as ``_axis``,
+    which ``functools.wraps`` copies to a wrapper.
     """
 
     def ev(t, u):
@@ -135,16 +150,17 @@ def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ())
 class MemberAxis:
     """The axis t -> field(s, t) of the member s of a family of linear Hamiltonians.
 
-    ``field(svals, t)`` takes an array of s and returns their axes at t,
-    one row each.  ``_transport`` reads the axes of all rows that share a
-    field in one call of it per right-hand-side evaluation.
+    ``field(svals, t)`` takes an array of s and returns their axes, one row
+    each: (S, 3) at a scalar t and (T, S, 3) at an array of times.
+    ``_transport`` reads the axes of all rows that share a field in one
+    call of it per step attempt.
     """
 
     field: Callable
     s: float
 
     def __call__(self, t) -> np.ndarray:
-        return self.field(np.array([self.s]), t)[0]
+        return self.field(np.array([self.s]), t)[..., 0, :]
 
 
 def linear_axis(f: TimeDepHamiltonian) -> Callable | None:
@@ -237,6 +253,10 @@ _EXTRA_STAGES = [
     (dop853.C[s], dop853.A[s].astype(complex)) for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED)
 ]
 _B, _E5, _E3, _D = (v.astype(complex) for v in (dop853.B, dop853.E5, dop853.E3, dop853.D))
+# The nodes of the evaluations of one step attempt (stages 1-11 and its end)
+# and of the dense output's extra stages, for ``fun.prefetch``.
+_NODES = np.array([c for c, _ in _STAGES] + [1.0])
+_EXTRA_NODES = np.array([c for c, _ in _EXTRA_STAGES])
 
 
 @dataclass
@@ -309,15 +329,21 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
 
     ``fun(t, y, out)`` writes the derivative at (t, y) into ``out``, an array
     like y: each stage is one call that fills its own row of the stage
-    array, with no copy.  The arithmetic is that of scipy 1.17's
-    ``solve_ivp(method="DOP853")``, operation for operation (initial step,
-    stages, error norm, step control, minimum step of 10 ulps, dense
-    output), so the results are the same doubles; scipy is not imported.  The solve fails (``success`` False, ``message`` says why, and
-    ``t[-1]`` is the last time reached) when the first derivative is not
-    finite, where the step control would never end; when a step would be
-    shorter than 10 ulps of t; and once it has made more than
-    ``MAX_RHS_EVALS`` right-hand-side evaluations.  An rtol below
-    ``RTOL_FLOOR`` raises ValueError.
+    array, with no copy.  When ``fun`` has a ``prefetch`` attribute, each
+    step attempt first calls ``fun.prefetch(times)`` with the array of the
+    times at which it will call ``fun`` (stages 1-11 and the step's end),
+    and each dense step calls it with the times of its 3 extra stages:
+    the very doubles those calls pass as t, so that ``fun`` can read what
+    depends only on t once per step.  The arithmetic is that of scipy
+    1.17's ``solve_ivp(method="DOP853")``, operation for operation (initial
+    step, stages, error norm, step control, minimum step of 10 ulps, dense
+    output), so the results are the same doubles; scipy is not imported.
+    The solve fails (``success`` False, ``message`` says why, and ``t[-1]``
+    is the last time reached) when the first derivative is not finite,
+    where the step control would never end; when a step would be shorter
+    than 10 ulps of t; and once it has made more than ``MAX_RHS_EVALS``
+    right-hand-side evaluations.  An rtol below ``RTOL_FLOOR`` raises
+    ValueError.
     """
     t0, t1 = map(float, t_span)
     if not t0 < t1:
@@ -325,6 +351,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
     if rtol < RTOL_FLOOR:
         raise ValueError(f"rtol {rtol:g} is below the floor {RTOL_FLOOR:g}")
     y = np.asarray(y0, dtype=complex)
+    prefetch = getattr(fun, "prefetch", None)
     # K[s] is stage s; K[12] is the derivative at the current point.
     K = np.empty((dop853.N_STAGES_EXTENDED, y.size), dtype=complex)
     KT = [K[:s].T for s in range(dop853.N_STAGES_EXTENDED + 1)]
@@ -353,6 +380,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs = abs(h)
+            if prefetch is not None:
+                prefetch(t + _NODES * h)
             for s, (c, a) in enumerate(_STAGES, start=1):
                 fun(t + c * h, y + np.dot(KT[s], a) * h, K[s])
             y_new = y + h * np.dot(KT[12], _B)
@@ -376,6 +405,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
             rejected = True
         if dense_output:
+            if prefetch is not None:
+                prefetch(t + _EXTRA_NODES * h)
             for s, (c, a) in enumerate(_EXTRA_STAGES, start=dop853.N_STAGES + 1):
                 fun(t + c * h, y + np.dot(KT[s], a) * h, K[s])
             nfev += 3
@@ -476,12 +507,13 @@ def _general_rhs(M, fs, fslot, sdots, sslot):
 
 
 def _row_axes(hs, slot):
-    """t -> the axes of the rows' Hamiltonians ``hs[slot[i]]``, or None unless each is linear.
+    """times -> the axes of the rows' Hamiltonians ``hs[slot[i]]``, or None unless each is linear.
 
-    The reader returns one axis (3,) when all rows share one Hamiltonian
-    and one per row (N, 3) otherwise.  The rows whose axes are members of
-    one field (``MemberAxis``) are read in one call of that field, and the
-    rows that share any other axis in one call of it.
+    The reader takes a 1-D array of T times and returns one axis per time
+    (T, 3) when all rows share one Hamiltonian and one per time and row
+    (T, N, 3) otherwise.  The rows whose axes are members of one field
+    (``MemberAxis``) are read in one call of that field, and the rows that
+    share any other axis in one call of it.
     """
     js = sorted(set(slot.tolist()))
     axes = [linear_axis(hs[j]) for j in js]
@@ -497,18 +529,18 @@ def _row_axes(hs, slot):
     for key, members in groups.values():
         if isinstance(members[0][1], MemberAxis):
             svals = np.array([axis.s for _, axis in members])
-            reads.append(lambda t, field=key, svals=svals: field(svals, t))
+            reads.append(lambda ts, field=key, svals=svals: field(svals, ts))
             at.update((j, count + i) for i, (j, _) in enumerate(members))
             count += len(members)
         else:
-            reads.append(lambda t, axis=key: axis(t)[None])
+            reads.append(lambda ts, axis=key: axis(ts)[:, None])
             at.update((j, count) for j, _ in members)
             count += 1
     rows = np.array([at[j] for j in slot.tolist()])
 
     if len(reads) == 1:
-        return lambda t: reads[0](t)[rows]
-    return lambda t: np.concatenate([read(t) for read in reads])[rows]
+        return lambda ts: reads[0](ts)[:, rows]
+    return lambda ts: np.concatenate([read(ts) for read in reads], axis=1)[:, rows]
 
 
 def _linear_basis(k: float) -> np.ndarray:
@@ -539,6 +571,11 @@ def _linear_rhs(M, fs, fslot, sdots, sslot):
     is read as the quadratic form of its own axis.  One product x @ C
     (``_linear_basis``) per evaluation gives all three; C is one matrix
     when every row has the same f and ``sdot``, and one per row otherwise.
+    C depends on t alone, so ``prefetch`` (``solve_ivp``) reads every axis
+    group (``_row_axes``) over all times of a step attempt in one call and
+    holds each time's C, keyed by time, for the evaluations of that
+    attempt.  A time not handed to ``prefetch`` is read as an array of one
+    time by the same readers.
     """
     w_at = _row_axes(fs, fslot)
     ws_at = _row_axes(sdots, sslot) if sdots else None
@@ -546,14 +583,27 @@ def _linear_rhs(M, fs, fslot, sdots, sslot):
         return None
     basis = _linear_basis(M.k)
     shared = len(set(fslot.tolist())) == 1 and (not sdots or len(set(sslot.tolist())) == 1)
-    coef = np.zeros(7 if shared else (len(fslot), 7))
-    coef[..., 3] = 1.0
+    shape = (7,) if shared else (len(fslot), 7)
+    held = {}
+
+    def matrices(times):
+        """C = (w, 1, w_s) @ B of the rows at each time, (T, 80) or (T, N, 80)."""
+        coef = np.zeros((len(times), *shape))
+        coef[..., 3] = 1.0
+        for cols, at in ((slice(0, 3), w_at), (slice(4, 7), ws_at)):
+            if at is not None:
+                w = at(times)
+                coef[..., cols] = w if w.ndim == coef.ndim else w[:, None]
+        return coef @ basis
+
+    def prefetch(times):
+        held.clear()
+        held.update(zip(times.tolist(), matrices(times)))
 
     def rhs(t, yy, out):
-        coef[..., :3] = w_at(t)
-        if ws_at is not None:
-            coef[..., 4:] = ws_at(t)
-        c = coef @ basis
+        c = held.get(t)
+        if c is None:
+            c = matrices(np.array([t]))[0]
         x = yy.reshape(-1, 3)[:, :2].view(float)
         p = x @ c.reshape(4, 20) if shared else np.matmul(x[:, None], c.reshape(-1, 4, 20))[:, 0]
         s = np.matmul(p[:, 8:].reshape(-1, 3, 4), x[:, :, None])[:, :, 0]
@@ -561,6 +611,7 @@ def _linear_rhs(M, fs, fslot, sdots, sslot):
         o[:, 4:] = s[:, :2] / s[:, 2:]
         o[:, :4] = o[:, 4:5] * p[:, 4:8] - p[:, :4]
 
+    rhs.prefetch = prefetch
     return rhs
 
 

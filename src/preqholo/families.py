@@ -31,6 +31,7 @@ from .dynamics import (
     TimeDepHamiltonian,
     linear_axis,
     linear_hamiltonian,
+    over_times,
     scale_hamiltonian,
     zero_hamiltonian,
 )
@@ -62,8 +63,9 @@ class LoopFamily:
     the generators are.  ``closed`` declares that the families at s = 0
     and s = 1 coincide.  A family of linear generators carries ``axis``
     and ``s_axis``, the fields (svals, t) -> axes of f^s_t and of
-    d f^s_t / ds at an array of s, one row each; ``linear_family`` derives
-    the members from them.
+    d f^s_t / ds at an array of s, one row each: (S, 3) at a scalar t and
+    (T, S, 3) at an array of times (see ``MemberAxis``);
+    ``linear_family`` derives the members from them.
     """
 
     loop_builder: Callable[[float], HamiltonianLoop]
@@ -84,10 +86,11 @@ class LoopFamily:
 def linear_family(axis, s_axis, member_label, closure_tol: float, closed: bool, label: str) -> LoopFamily:
     """The family whose member at s is generated by the linear f^s_t(u) = axis(s, t) . u.
 
-    ``axis`` and ``s_axis`` are vectorized over an array of s, and
-    ``s_axis`` is the analytic d axis / ds.  The member's axis and its
-    s-derivative's axis are ``MemberAxis`` views of the two fields, so a
-    batch of members reads each field once per right-hand-side evaluation.
+    ``axis`` and ``s_axis`` are vectorized over an array of s and over a
+    scalar t or an array of times, and ``s_axis`` is the analytic
+    d axis / ds.  The member's axis and its s-derivative's axis are
+    ``MemberAxis`` views of the two fields, so a batch of members reads
+    each field once per step attempt.
     ``member_label(s)`` labels the loop at s.
     """
 
@@ -282,7 +285,12 @@ def double_integral_check(
 
 
 def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:
-    """s-wise path product of two families; the caller matches the base loops."""
+    """s-wise path product of two families; the caller matches the base loops.
+
+    When both families carry fields, so does the product: s < 1/2 reads
+    fam1's at 2s and the rest fam2's at 2s - 1, and d/ds doubles the
+    s-derivative's, so every s-derivative is a member of one field.
+    """
 
     def builder(s):
         if s < 0.5:
@@ -294,11 +302,32 @@ def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:
             return scale_hamiltonian(fam1.s_deriv(2.0 * s), 2.0)
         return scale_hamiltonian(fam2.s_deriv(2.0 * s - 1.0), 2.0)
 
+    def halves(field1, field2):
+        def field(svals, t):
+            svals = np.asarray(svals, dtype=float)
+            first = svals < 0.5
+            w = np.empty((*np.shape(t), len(svals), 3))
+            if first.any():
+                w[..., first, :] = field1(2.0 * svals[first], t)
+            if not first.all():
+                w[..., ~first, :] = field2(2.0 * svals[~first] - 1.0, t)
+            return w
+
+        return field
+
+    axis = s_axis = None
+    if None not in (fam1.axis, fam1.s_axis, fam2.axis, fam2.s_axis):
+        axis = halves(fam1.axis, fam2.axis)
+        doubled = halves(fam1.s_axis, fam2.s_axis)
+        s_axis = lambda svals, t: 2.0 * doubled(svals, t)
+        derivative = lambda s: linear_hamiltonian(MemberAxis(s_axis, s))
     return LoopFamily(
         loop_builder=builder,
         s_deriv=derivative,
         closed=fam1.closed and fam2.closed,
         label=f"({fam1.label}).({fam2.label})",
+        axis=axis,
+        s_axis=s_axis,
     )
 
 
@@ -311,13 +340,20 @@ def constant_family(loop: HamiltonianLoop) -> LoopFamily:
     """
     zero = zero_hamiltonian()
     base = linear_axis(loop.hamiltonian)
+
+    def axis(svals, t):
+        return np.broadcast_to(base(t)[..., None, :], (*np.shape(t), len(svals), 3))
+
+    def s_axis(svals, t):
+        return over_times(t, np.zeros((len(svals), 3)))
+
     return LoopFamily(
         loop_builder=lambda s: loop,
         s_deriv=lambda s: zero,
         closed=True,
         label=f"constant[{loop.label}]",
-        axis=None if base is None else lambda svals, t: np.tile(base(t), (len(svals), 1)),
-        s_axis=None if base is None else lambda svals, t: np.zeros((len(svals), 3)),
+        axis=None if base is None else axis,
+        s_axis=None if base is None else s_axis,
     )
 
 
@@ -340,11 +376,11 @@ def subgroup_rotation_family(
     def axis(svals, t):
         # -pi times the axis k (-cos(lam), sin(lam), 0) of the direction's moment map
         lam = start_angle + rate * svals
-        return -math.pi * (k * np.array([-np.cos(lam), np.sin(lam), np.zeros_like(lam)]).T)
+        return over_times(t, -math.pi * (k * np.array([-np.cos(lam), np.sin(lam), np.zeros_like(lam)]).T))
 
     def s_axis(svals, t):
         lam = start_angle + rate * svals
-        return -math.pi * k * rate * np.array([np.sin(lam), np.cos(lam), np.zeros_like(lam)]).T
+        return over_times(t, -math.pi * k * rate * np.array([np.sin(lam), np.cos(lam), np.zeros_like(lam)]).T)
 
     def member_label(s):
         lam = start_angle + rate * s
@@ -365,18 +401,22 @@ def _mixing_family(M, amp_fn, amp_dot_fn, profile, closure_tol, closed, label):
     g_fn, gd_fn = profile_functions(profile)
     k = M.k
 
+    # g(t) and g'(t) as a column (T, 1) at an array of times, so that they
+    # broadcast against a(s) (S,).
     def axis(svals, t):
         # the axis k (pi cos(2 a g), pi sin(2 a g), -a g'(t)) of mixing_loop
         a = amp_fn(svals)
-        th = 2.0 * a * g_fn(t)
-        return np.array([k * math.pi * np.cos(th), k * math.pi * np.sin(th), -k * a * gd_fn(t)]).T
+        th = 2.0 * a * np.expand_dims(g_fn(t), -1)
+        return np.stack(
+            [k * math.pi * np.cos(th), k * math.pi * np.sin(th), -k * a * np.expand_dims(gd_fn(t), -1)], axis=-1
+        )
 
     def s_axis(svals, t):
         a, c = amp_fn(svals), k * amp_dot_fn(svals)
-        g = g_fn(t)
+        g = np.expand_dims(g_fn(t), -1)
         th = 2.0 * a * g
-        d = [-2.0 * math.pi * g * np.sin(th), 2.0 * math.pi * g * np.cos(th), np.full_like(th, -gd_fn(t))]
-        return (c * np.array(d)).T
+        d = [-2.0 * math.pi * g * np.sin(th), 2.0 * math.pi * g * np.cos(th), -np.expand_dims(gd_fn(t), -1)]
+        return np.stack([c * np.broadcast_to(x, th.shape) for x in d], axis=-1)
 
     return linear_family(
         axis, s_axis, lambda s: f"mix[amp={amp_fn(s):g},{profile}]", closure_tol, closed=closed, label=label

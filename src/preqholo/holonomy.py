@@ -196,10 +196,11 @@ def phase_spread(phases) -> float:
 def product_loop(xi: HamiltonianLoop, psi: HamiltonianLoop) -> HamiltonianLoop:
     """Path product: run psi at double speed on [0, 1/2], then xi on [1/2, 1].
 
-    The product of two linear loops is linear, with the product's axis.
-    The pieces switch on ``t < 1/2``, and 1/2 is a breakpoint: the
-    integrator reads each piece only strictly inside its own half, so the
-    solve of [0, 1/2] never sees xi.
+    The product of two linear loops is linear, with the product's axis;
+    read at an array of times, it reads each piece at only the times of
+    its own half.  The pieces switch on ``t < 1/2``, and 1/2 is a
+    breakpoint: the integrator reads each piece only strictly inside its
+    own half, so the solve of [0, 1/2] never sees xi.
     """
     f_psi = psi.hamiltonian
     f_xi = xi.hamiltonian
@@ -210,9 +211,18 @@ def product_loop(xi: HamiltonianLoop, psi: HamiltonianLoop) -> HamiltonianLoop:
     breaks = tuple(sorted(breaks))
     a_psi, a_xi = linear_axis(f_psi), linear_axis(f_xi)
     if a_psi is not None and a_xi is not None:
-        f = linear_hamiltonian(
-            lambda t: 2.0 * (a_psi(2.0 * t) if t < 0.5 else a_xi(2.0 * t - 1.0)), label=label, breakpoints=breaks
-        )
+
+        def axis(t):
+            t = np.asarray(t, dtype=float)
+            first = t < 0.5
+            w = np.empty((*t.shape, 3))
+            if first.any():
+                w[first] = a_psi(2.0 * t[first])
+            if not first.all():
+                w[~first] = a_xi(2.0 * t[~first] - 1.0)
+            return 2.0 * w
+
+        f = linear_hamiltonian(axis, label=label, breakpoints=breaks)
     else:
 
         def ev(t, u):

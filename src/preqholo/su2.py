@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianLoop, TimeDepHamiltonian, linear_hamiltonian, scale_hamiltonian
+from .dynamics import HamiltonianLoop, TimeDepHamiltonian, linear_hamiltonian, over_times, scale_hamiltonian
 from .sphere import OrbitSphere, unit_vector
 
 _A_MAT = np.array([[0.0, 1.0j], [1.0j, 0.0]])
@@ -138,7 +138,7 @@ def invariant_hamiltonian(M: OrbitSphere, direction: AlgebraDirection) -> TimeDe
     """Moment function h_dir(u) = k * w . u, a linear Hamiltonian with the constant axis k w."""
     w = M.k * direction.axis()
     return linear_hamiltonian(
-        lambda t: w, label=f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]"
+        lambda t: over_times(t, w), label=f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]"
     )
 
 
@@ -159,13 +159,16 @@ def invariant_loop(
 
 
 def profile_functions(name: str):
-    """Named drift profiles g(t) for the mixing loop, with derivatives."""
+    """Named drift profiles g(t) for the mixing loop, with derivatives.
+
+    Both read a scalar t or an array of times elementwise.
+    """
     if name == "constant":
-        return (lambda t: t), (lambda t: 1.0)
+        return (lambda t: t), (lambda t: np.ones_like(t, dtype=float))
     if name == "cosine-ramp":
         return (
-            lambda t: 0.5 * (1.0 - math.cos(2.0 * math.pi * t)),
-            lambda t: math.pi * math.sin(2.0 * math.pi * t),
+            lambda t: 0.5 * (1.0 - np.cos(2.0 * np.pi * t)),
+            lambda t: np.pi * np.sin(2.0 * np.pi * t),
         )
     raise ValueError(f"unknown profile '{name}' (expected 'constant' or 'cosine-ramp')")
 
@@ -191,9 +194,7 @@ def mixing_loop(
 
     def axis(t):
         th = 2.0 * amp * g_fn(t)
-        return np.array(
-            [k * math.pi * math.cos(th), k * math.pi * math.sin(th), -k * amp * gd_fn(t)]
-        )
+        return np.stack([k * math.pi * np.cos(th), k * math.pi * np.sin(th), -k * amp * gd_fn(t)], axis=-1)
 
     label = f"mix[amp={amp:g},{profile}]"
     return HamiltonianLoop(linear_hamiltonian(axis, label=label), closure_tol=closure_tol, label=label)

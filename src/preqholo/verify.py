@@ -74,13 +74,14 @@ def _random_axis(rng) -> AlgebraDirection:
 def _rotated(loop: HamiltonianLoop, R: np.ndarray) -> HamiltonianLoop:
     """The loop R psi_t R^-1, generated by f_t o R^-1 (rows u map to u @ R).
 
-    A linear f_t(u) = w(t) . u becomes the linear f_t(u R) = (R w(t)) . u.
+    A linear f_t(u) = w(t) . u becomes the linear f_t(u R) = (R w(t)) . u,
+    with R @ w taken at each time apart.
     """
     f = loop.hamiltonian
     label = f"R.{f.label}"
     axis = linear_axis(f)
     if axis is not None:
-        g = linear_hamiltonian(lambda t: R @ axis(t), label=label, breakpoints=f.breakpoints)
+        g = linear_hamiltonian(lambda t: (R @ axis(t)[..., None])[..., 0], label=label, breakpoints=f.breakpoints)
     else:
         g = TimeDepHamiltonian(
             eval=lambda t, u: f.eval(t, np.asarray(u) @ R),

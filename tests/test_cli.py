@@ -75,7 +75,7 @@ import numpy as np
 from preqholo import HamiltonianLoop, cli, linear_hamiltonian
 
 def axis(t):
-    return np.array([0.0, 0.0, 2.0 * math.pi]) if t < 0.4 else np.full(3, math.nan)
+    return np.where(np.expand_dims(t, -1) < 0.4, np.array([0.0, 0.0, 2.0 * math.pi]), math.nan)
 
 cli.build_loop = lambda M, spec, tol: HamiltonianLoop(linear_hamiltonian(axis), label="nan-later")
 sys.exit(cli.main(sys.argv[1:]))

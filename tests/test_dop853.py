@@ -18,16 +18,25 @@ from conftest import quadratic_hamiltonian
 
 from preqholo import (
     DIR_A,
+    DIR_B,
+    DIR_Z,
     HamiltonianLoop,
     OrbitSphere,
+    closed_mixing_family,
+    concatenate,
     dynamics,
     fibonacci_sphere,
     invariant_loop,
     mixing_family,
     mixing_loop,
     product_loop,
+    subgroup_rotation_family,
+    trajectories,
     transport_phases,
+    verify,
+    zero_hamiltonian,
 )
+from preqholo.sphere import random_rotation_matrix
 from preqholo.su2 import AlgebraDirection
 
 
@@ -112,6 +121,30 @@ def test_batch_of_distinct_rows_with_omega_column_matches_scipy(monkeypatch):
     calls = _captured_solves(monkeypatch, lambda: transport_phases(M, loops, rows, sdot=sdot))
     assert calls[0][2].shape == (3 * len(rows),)
     for fun, *rest in calls:
+        _assert_same_solve(fun, *rest)
+
+
+def test_field_rows_among_distinct_rows_match_scipy(monkeypatch):
+    # the stepper hands the right-hand side each step's stage times and it
+    # reads every axis group over them at once; scipy hands over none, so
+    # each of its calls reads its own time.  Rows: nested products of
+    # invariant loops, a rotated mix loop and the members of a
+    # concatenation, with its Omega column and the zero sdot elsewhere
+    M = OrbitSphere(2)
+    inv = [invariant_loop(M, d) for d in (DIR_A, DIR_B, DIR_Z, AlgebraDirection(0.6, 0.8))]
+    nested = product_loop(product_loop(inv[0], inv[1]), product_loop(inv[2], inv[3]))
+    rotated = verify._rotated(mixing_loop(M, 0.9), random_rotation_matrix(np.random.default_rng(2)))
+    fam = concatenate(closed_mixing_family(M, 0.8), subgroup_rotation_family(M))
+    svals = [0.2, 0.5, 0.85]
+    loops = [nested, rotated, *(fam.loop_at(s) for s in svals)]
+    zero = zero_hamiltonian()
+    sdot = [zero, zero, *(fam.s_deriv(s) for s in svals)]
+    pts = fibonacci_sphere(len(loops), rng=np.random.default_rng(6))
+    phases = _captured_solves(monkeypatch, lambda: transport_phases(M, loops, pts, sdot=sdot))
+    dense = _captured_solves(monkeypatch, lambda: trajectories(M, [lp.hamiltonian for lp in loops], pts))
+    assert len(phases) == len(dense) == 4
+    for fun, *rest in phases + dense:
+        assert hasattr(fun, "prefetch")
         _assert_same_solve(fun, *rest)
 
 

@@ -11,6 +11,7 @@ from preqholo import (
     TimeDepHamiltonian,
     closed_form_flow,
     closed_mixing_family,
+    concatenate,
     dynamics,
     fibonacci_sphere,
     hamiltonian_vector_field,
@@ -18,18 +19,24 @@ from preqholo import (
     invariant_hamiltonian,
     invariant_loop,
     linear_axis,
+    linear_hamiltonian,
+    member_states,
     mixing_family,
     mixing_loop,
     product_loop,
     scale_hamiltonian,
     sphere_point,
     subgroup_rotation_family,
+    trajectories,
     transport_phase,
     unit_vector,
+    verify,
     zero_hamiltonian,
 )
-from preqholo.config import Tolerances, build_family
-from preqholo.sphere import random_tangent
+from preqholo.config import Tolerances, build_family, build_loop
+from preqholo.dynamics import HamiltonianLoop
+from preqholo.families import linear_family
+from preqholo.sphere import random_rotation_matrix, random_tangent
 
 from conftest import constant_hamiltonian, quadratic_hamiltonian
 from oracles import chart_tangents, closure_defect, omega_area_triangle
@@ -274,21 +281,35 @@ def test_a_non_linear_row_or_sdot_takes_the_general_rhs():
     assert _both_rhs(M, mix, 2, sdot=zero)[0] is not None
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        {"name": "constant"},
-        {"name": "constant", "hamiltonian": {"name": "mix", "amplitude": 1.1}},
-        {"name": "subgroup-rotation", "start_angle": 0.4, "turns": 2},
-        {"name": "mixing", "amplitude": 1.3, "profile": "constant"},
-        {"name": "closed-mixing", "amplitude": 0.9},
-    ],
-)
+# Every registry family kind, the mixing profiles both ways, and a
+# concatenation of two families with fields.
+FAMILY_SPECS = [
+    {"name": "constant"},
+    {"name": "constant", "hamiltonian": {"name": "mix", "amplitude": 1.1}},
+    {"name": "subgroup-rotation", "start_angle": 0.4, "turns": 2},
+    {"name": "mixing", "amplitude": 1.3, "profile": "constant"},
+    {"name": "closed-mixing", "amplitude": 0.9},
+    {"name": "mixing", "amplitude": 0.8},
+    {"name": "closed-mixing", "amplitude": 0.6, "profile": "constant"},
+    "concatenate",
+]
+
+
+def _family(M, spec):
+    """The registry family of spec, or for "concatenate" a closed-mixing family then a subgroup rotation."""
+    tol = Tolerances()
+    if spec == "concatenate":
+        first = build_family(M, {"name": "closed-mixing", "amplitude": 0.9}, tol)
+        return concatenate(first, build_family(M, {"name": "subgroup-rotation", "turns": 1}, tol))
+    return build_family(M, spec, tol)
+
+
+@pytest.mark.parametrize("spec", FAMILY_SPECS)
 def test_family_axis_fields_match_their_members(spec):
     # axis(s, t) and s_axis(s, t), read at an array of s, give the axes of
     # loop_at(s) and s_deriv(s) row by row
     M = OrbitSphere(2)
-    fam = build_family(M, spec, Tolerances())
+    fam = _family(M, spec)
     svals = np.linspace(0.0, 1.0, 7)
     for t in np.linspace(0.0, 1.0, 5):
         w, ws = fam.axis(svals, t), fam.s_axis(svals, t)
@@ -310,3 +331,124 @@ def test_family_axes_match_the_su2_loops(sphere2):
             inv = invariant_loop(sphere2, AlgebraDirection(math.cos(lam), math.sin(lam))).hamiltonian
             assert np.allclose(w_mix, linear_axis(mix)(t), rtol=0, atol=1e-14)
             assert np.allclose(w_sub, linear_axis(inv)(t), rtol=0, atol=1e-14)
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _times(breakpoints=()):
+    """Times in [0, 1], with the neighbours of every breakpoint on both sides and the breakpoint itself."""
+    ts = [0.0, 0.07, 0.3, 0.61, 0.93, 1.0]
+    for b in breakpoints:
+        ts += [b - 1e-3, math.nextafter(b, 0.0), b, math.nextafter(b, 1.0), b + 1e-3]
+    return np.array(ts)
+
+
+def _package_loops(M):
+    R = random_rotation_matrix(np.random.default_rng(4))
+    inv, inv_b = invariant_loop(M, AlgebraDirection(0.6, 0.8)), invariant_loop(M, DIR_B)
+    mix, mix_const = mixing_loop(M, 1.3), mixing_loop(M, 2.0 * math.pi, profile="constant")
+    rotated = verify._rotated(mix, R)
+    return [
+        inv,
+        mix,
+        mix_const,
+        build_loop(M, {"name": "scaled", "base": {"name": "mix", "amplitude": 0.7}, "factor": 3}, Tolerances()),
+        HamiltonianLoop(zero_hamiltonian()),
+        rotated,
+        product_loop(product_loop(inv, mix_const), product_loop(rotated, inv_b)),
+        product_loop(mix, product_loop(inv_b, mix_const)),
+    ]
+
+
+def test_array_reads_equal_scalar_reads():
+    # every axis and field the package builds, read over an array of times,
+    # is the stack of its reads at each time, bit for bit
+    M = OrbitSphere(2)
+    for loop in _package_loops(M):
+        axis = linear_axis(loop.hamiltonian)
+        ts = _times(loop.hamiltonian.breakpoints)
+        assert _same(axis(ts), np.array([axis(t) for t in ts])), loop.label
+        assert axis(ts[:0]).shape == (0, 3)
+    svals = np.linspace(0.0, 1.0, 7)
+    ts = _times((0.5,))
+    for spec in FAMILY_SPECS:
+        fam = _family(M, spec)
+        for field in (fam.axis, fam.s_axis):
+            assert _same(field(svals, ts), np.array([field(svals, t) for t in ts])), spec
+            assert field(svals, ts[:0]).shape == (0, len(svals), 3)
+
+
+def _counted(fn, counts, key):
+    def counted(*args):
+        counts[key] += 1
+        return fn(*args)
+
+    return counted
+
+
+def _solve_log(monkeypatch):
+    """(nfev, dense steps) of every solve made while it is patched in."""
+    solves = []
+
+    def logged(fun, t_span, y0, rtol, atol, dense_output=False, _inner=dynamics.solve_ivp):
+        sol = _inner(fun, t_span, y0, rtol=rtol, atol=atol, dense_output=dense_output)
+        solves.append((sol.nfev, len(sol.t) - 1 if dense_output else 0))
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", logged)
+    return solves
+
+
+def _reads_allowed(solves):
+    """One read per step attempt, one per dense step and the 2 of each solve's start.
+
+    A step attempt makes 12 evaluations and a dense step 3 more; the first
+    derivative and the initial-step probe make the 2 others.
+    """
+    total = 0
+    for nfev, dense in solves:
+        attempts, rest = divmod(nfev - 2 - 3 * dense, 12)
+        assert rest == 0
+        total += attempts + dense + 2
+    return total
+
+
+def test_family_fields_are_read_once_per_step_attempt(monkeypatch):
+    # an omega batch of 6 members at 3 points: each field is one group,
+    # where one read per evaluation would make 12 per attempt
+    M = OrbitSphere(2)
+    fam = closed_mixing_family(M, 0.9)
+    counts = {"axis": 0, "s_axis": 0}
+    counted = linear_family(
+        _counted(fam.axis, counts, "axis"),
+        _counted(fam.s_axis, counts, "s_axis"),
+        lambda s: f"member {s}",
+        1e-6,
+        closed=True,
+        label="counted",
+    )
+    solves = _solve_log(monkeypatch)
+    member_states(M, counted, np.linspace(0.05, 0.95, 6), fibonacci_sphere(3))
+    assert len(solves) == 1
+    assert 0 < counts["axis"] <= _reads_allowed(solves)
+    assert 0 < counts["s_axis"] <= _reads_allowed(solves)
+
+
+def test_product_loop_axes_are_read_once_per_step_attempt(monkeypatch):
+    # dense trajectories of distinct rows, two of them nested products with
+    # breakpoints at 1/4, 1/2 and 3/4: each row's axis is its own group
+    M = OrbitSphere(1)
+    counts = {}
+    rows = []
+    for i, loop in enumerate(_package_loops(M)[5:]):
+        f = loop.hamiltonian
+        counts[i] = 0
+        rows.append(linear_hamiltonian(_counted(linear_axis(f), counts, i), breakpoints=f.breakpoints))
+    solves = _solve_log(monkeypatch)
+    trajectories(M, rows, fibonacci_sphere(len(rows)))
+    assert len(solves) == 4
+    for i, reads in counts.items():
+        assert 0 < reads <= _reads_allowed(solves), i

@@ -588,9 +588,9 @@ def test_verify_level_makes_one_solve_per_check(monkeypatch):
 def _recording_pieces(path, reads):
     """Four loops whose generators log, as (piece, local t), every time they are read.
 
-    On the "axis" path each is linear and logs through its axis; on the
-    "generic" path each is a non-linear quadratic c u_x u_y and logs through
-    its own eval and grad.
+    On the "axis" path each is linear and logs every time of an array read
+    through its axis; on the "generic" path each is a non-linear quadratic
+    c u_x u_y and logs through its own eval and grad.
     """
     rng = np.random.default_rng(7)
     loops = []
@@ -599,8 +599,8 @@ def _recording_pieces(path, reads):
         if path == "axis":
 
             def axis(t, k=k, w=w):
-                reads.append((k, t))
-                return w
+                reads.extend((k, tt) for tt in np.atleast_1d(t).tolist())
+                return np.broadcast_to(w, (*np.shape(t), 3))
 
             f = linear_hamiltonian(axis, label=f"p{k}")
         else:
@@ -665,8 +665,8 @@ def test_closed_convention_at_a_breakpoint_reads_only_its_own_piece(sphere1, pat
         w = np.array([0.3, -0.5, 0.8])
 
         def axis(t):
-            reads.append(t)
-            return 2.0 * w if t <= 0.5 else -2.0 * w
+            reads.extend(np.atleast_1d(t).tolist())
+            return np.where(np.expand_dims(t, -1) <= 0.5, 2.0 * w, -2.0 * w)
 
         f = linear_hamiltonian(axis, label="closed", breakpoints=(0.5,))
     else:
@@ -683,8 +683,8 @@ def test_closed_convention_at_a_breakpoint_reads_only_its_own_piece(sphere1, pat
         f = preqholo.TimeDepHamiltonian(eval=ev, grad=gr, label="closed", breakpoints=(0.5,))
 
     def zero_axis(t):
-        sdot_reads.append(t)
-        return np.zeros(3)
+        sdot_reads.extend(np.atleast_1d(t).tolist())
+        return np.zeros((*np.shape(t), 3))
 
     sdot = linear_hamiltonian(zero_axis)
 

@@ -16,6 +16,7 @@ from .dynamics import (
     LoopClosureError,
     TimeDepHamiltonian,
     Trajectory,
+    compose_hamiltonian,
     hamiltonian_vector_field,
     integrate_isotopy,
     linear_axis,

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -99,6 +99,20 @@ class TimeDepHamiltonian:
     a scalar t as (3,) and a 1-D array of times as (T, 3), one row per
     time, each the same doubles as the scalar read: the transport reads
     it over all stage times of a step at once.
+    ``parts``, when given, says that f is made of other Hamiltonians: a
+    tuple of ``(end, inner, a, b, c)`` with rising ends, the last inf,
+    meaning f_t = c inner_{a t + b} on the first part whose end lies above
+    t.  ``compose_hamiltonian`` builds such an f and derives its eval,
+    grad, breakpoints and (when every inner is linear) axis from the
+    parts; every part end inside (0, 1) is a breakpoint.  The transport
+    reads a non-linear f on a segment through its parts, as its innermost
+    Hamiltonian at the mapped time times the product of the factors, but
+    only while f's eval and grad are the ones derived from the parts: each
+    carries them as ``_parts``, which ``functools.wraps`` does not copy.
+    ``dataclasses.replace(f, grad=...)`` keeps the parts but not the
+    derivation, so the transport calls the replaced function.  A linear
+    f's eval and grad are derived from its axis (``linear_axis``), so the
+    transport reads it as a whole.
     """
 
     eval: Callable
@@ -107,6 +121,7 @@ class TimeDepHamiltonian:
     time_independent: bool = False
     breakpoints: tuple = ()
     axis: Callable | None = None
+    parts: tuple = ()
 
 
 def over_times(t, value: np.ndarray) -> np.ndarray:
@@ -174,18 +189,91 @@ def linear_axis(f: TimeDepHamiltonian) -> Callable | None:
     return axis if derived else None
 
 
+class _PartRead:
+    """The eval or the grad (``name``) of a Hamiltonian composed of ``parts``.
+
+    At t it reads c inner_{a t + b} on t's part, with that part's own
+    factor: the doubles of a hand-written closure over the inner
+    Hamiltonian.  A slotted object, so that ``functools.wraps`` copies no
+    ``_parts`` to a wrapper.
+    """
+
+    __slots__ = ("_parts", "_ends", "_name")
+
+    def __init__(self, parts: tuple, name: str):
+        self._parts = parts
+        self._ends = [end for end, *_ in parts[:-1]]
+        self._name = name
+
+    def __call__(self, t, u):
+        _, inner, a, b, c = self._parts[bisect.bisect_right(self._ends, t)]
+        value = getattr(inner, self._name)(a * t + b, u)
+        return c * (value if self._name == "eval" else np.asarray(value, dtype=float))
+
+
+def compose_hamiltonian(parts, label: str = "") -> TimeDepHamiltonian:
+    """The Hamiltonian f_t = c inner_{a t + b} on the part of t, one part per ``(end, inner, a, b, c)``.
+
+    A part holds for t < end, from the end of the part before it; the ends
+    rise and the last is inf.  The breakpoints are the part ends inside
+    (0, 1) and each inner's breakpoints mapped into its part's times.  When
+    every inner is linear (``linear_axis``), so is f, with the axis
+    c inner_axis(a t + b) read part by part; otherwise eval and grad read
+    the inner's own (``_PartRead``).  Either way f carries ``parts``, and
+    the doubles are those of closures that apply each part's factor to its
+    inner's value (or axis) in turn.
+    """
+    parts = tuple((float(end), inner, float(a), float(b), float(c)) for end, inner, a, b, c in parts)
+    ends = [end for end, *_ in parts]
+    if not ends or ends[-1] != math.inf or any(lo >= hi for lo, hi in zip(ends, ends[1:])):
+        raise ValueError(f"part ends must rise to inf, got {ends}")
+    breaks, start = set(), -math.inf
+    for end, inner, a, b, _ in parts:
+        breaks.update(t for t in ((beta - b) / a for beta in inner.breakpoints) if start < t < end and 0.0 < t < 1.0)
+        if 0.0 < end < 1.0:
+            breaks.add(end)
+        start = end
+    breaks = tuple(sorted(breaks))
+    axes = [linear_axis(inner) for _, inner, *_ in parts]
+    if None in axes:
+        return TimeDepHamiltonian(
+            eval=_PartRead(parts, "eval"), grad=_PartRead(parts, "grad"), label=label, breakpoints=breaks, parts=parts
+        )
+
+    def part_axis(part, inner_axis):
+        _, _, a, b, c = part
+        if (a, b) == (1.0, 0.0):
+            return lambda t: c * inner_axis(t)
+        return lambda t: c * inner_axis(a * t + b)
+
+    readers = [part_axis(part, inner_axis) for part, inner_axis in zip(parts, axes)]
+    if len(parts) == 1:
+        axis = readers[0]
+    else:
+        inner_ends = ends[:-1]
+
+        def axis(t):
+            # The times of one step lie in one part; others are split.
+            times = np.asarray(t, dtype=float)
+            if times.size:
+                first, last = (bisect.bisect_right(inner_ends, x) for x in (times.min(), times.max()))
+                if first == last:
+                    return readers[first](t)
+            part = np.searchsorted(inner_ends, times, side="right")
+            w = np.empty((*times.shape, 3))
+            for j in range(len(parts)):
+                here = part == j
+                if here.any():
+                    w[here] = readers[j](times[here])
+            return w
+
+    return replace(linear_hamiltonian(axis, label=label, breakpoints=breaks), parts=parts)
+
+
 def scale_hamiltonian(f: TimeDepHamiltonian, c: float, label: str | None = None) -> TimeDepHamiltonian:
+    """c f_t, one part."""
     c = float(c)
-    label = label or f"{c}*{f.label}"
-    axis = linear_axis(f)
-    if axis is not None:
-        return linear_hamiltonian(lambda t: c * axis(t), label=label, breakpoints=f.breakpoints)
-    return TimeDepHamiltonian(
-        eval=lambda t, u: c * f.eval(t, u),
-        grad=lambda t, u: c * np.asarray(f.grad(t, u), dtype=float),
-        label=label,
-        breakpoints=f.breakpoints,
-    )
+    return compose_hamiltonian([(math.inf, f, 1.0, 0.0, c)], label=label or f"{c}*{f.label}")
 
 
 def hamiltonian_vector_field(M: OrbitSphere, f: TimeDepHamiltonian, t: float, p) -> np.ndarray:
@@ -296,6 +384,12 @@ class DenseOutput:
         return y + y_old
 
 
+def _norm2(z: np.ndarray):
+    """np.linalg.norm(z) ** 2 of a complex vector z, by numpy's own arithmetic without its dispatch."""
+    r, i = z.real, z.imag
+    return np.sqrt(r.dot(r) + i.dot(i)) ** 2
+
+
 def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size**0.5
 
@@ -392,12 +486,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             err5 = np.dot(KT[13], _E5) / scale
             err3 = np.dot(KT[13], _E3) / scale
-            err5_2 = np.linalg.norm(err5) ** 2
-            err3_2 = np.linalg.norm(err3) ** 2
+            err5_2 = _norm2(err5)
+            err3_2 = _norm2(err3)
             if err5_2 == 0 and err3_2 == 0:
                 error_norm = 0.0
             else:
-                error_norm = np.abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+                error_norm = abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
             if error_norm < 1:
                 factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm**_EXPONENT)
                 h_abs *= min(1, factor) if rejected else factor
@@ -465,33 +559,86 @@ def _groups(slot: np.ndarray) -> list:
     return out
 
 
-def _hamiltonian_terms(fs, slot):
-    """(t, u) -> (f_t(u), grad f_t(u)) for the rows of one chunk.
+def _parts_of(f: TimeDepHamiltonian) -> tuple:
+    """f's parts if its eval and grad are the ones derived from them (``_PartRead``), else ()."""
+    derived = f.parts and all(getattr(fn, "_parts", None) is f.parts for fn in (f.eval, f.grad))
+    return f.parts if derived else ()
 
-    Row i has the Hamiltonian ``fs[slot[i]]``; each one calls its own eval
-    and grad on its rows.
+
+def _resolve(f: TimeDepHamiltonian, t0: float, t1: float):
+    """(base, a, b, c) with f_t = c base_{a t + b} for every t in [t0, t1].
+
+    Descends f's parts (``_parts_of``) while [t0, t1] lies in one part.  A
+    span across a part end, one that ``_transport`` dropped within 1e-14 of
+    0 or 1, stops the descent there: that level's own eval and grad pick
+    the part at each time.
     """
-    groups = [(fs[j], idx) for j, idx in _groups(slot)]
+    a, b, c = 1.0, 0.0, 1.0
+    while parts := _parts_of(f):
+        j = bisect.bisect_right([end for end, *_ in parts[:-1]], t0)
+        end, inner, pa, pb, pc = parts[j]
+        if not t1 < end:
+            break
+        t0, t1 = sorted((pa * t0 + pb, pa * t1 + pb))
+        f, a, b, c = inner, pa * a, pa * b + pb, c * pc
+    return f, a, b, c
+
+
+def _hamiltonian_terms(fs, slot, span):
+    """(terms, c) for the rows of one chunk at the times ``span`` of one segment.
+
+    Row i has the Hamiltonian ``fs[slot[i]]``, read as c base_{a t + b}
+    (``_resolve``): its base generator's eval and grad at the mapped time.
+    The rows that share a base and a map are read in one call.  When one
+    covers every row, ``terms(t, u)`` returns its values (f_t(u),
+    grad f_t(u)) / c, with no scatter, and c is left for the caller to
+    apply once; otherwise ``terms`` applies each row's own c and the
+    common factor is 1.
+    """
+    reads, at, fslot = [], {}, []
+    for f in fs:
+        read = _resolve(f, *span)
+        key = (id(read[0]), *read[1:])
+        if key not in at:
+            at[key] = len(reads)
+            reads.append(read)
+        fslot.append(at[key])
+    groups = [(reads[j], idx) for j, idx in _groups(np.array(fslot)[slot])]
+
+    if len(groups) == 1:
+        (base, a, b, c), _ = groups[0]
+
+        def terms(t, u):
+            tau = a * t + b
+            return base.eval(tau, u), base.grad(tau, u)
+
+        return terms, c
 
     def terms(t, u):
         e = np.empty(len(u))
         g = np.empty((len(u), 3))
-        for f, idx in groups:
-            e[idx] = f.eval(t, u[idx])
-            g[idx] = f.grad(t, u[idx])
+        for (base, a, b, c), idx in groups:
+            tau = a * t + b
+            e[idx] = c * base.eval(tau, u[idx])
+            g[idx] = c * np.asarray(base.grad(tau, u[idx]), dtype=float)
         return e, g
 
-    return terms
+    return terms, 1.0
 
 
-def _general_rhs(M, fs, fslot, sdots, sslot):
+def _general_rhs(M, fs, fslot, sdots, sslot, span=(0.0, 1.0)):
     """The right-hand side of a chunk of rows with any Hamiltonians (see ``_transport``).
 
+    It is read only at times in ``span``, one segment, where each row's
+    Hamiltonian is resolved to its base generator (``_hamiltonian_terms``).
     For unit u, w = u x X_t(u) = (2/k) (u (u . g) - g) with g = grad f.
+    The turn is linear in g, so a factor c common to every row is applied
+    to its matrix once, and to f_t as it is written: for a power of two
+    the very doubles of scaling g and f_t.
     """
-    turn = (2.0 / M.k) * _TURN
-    ham = _hamiltonian_terms(fs, fslot)
-    sd = _hamiltonian_terms(sdots, sslot) if sdots else None
+    ham, c = _hamiltonian_terms(fs, fslot, span)
+    turn = c * ((2.0 / M.k) * _TURN)
+    sd, c_sd = _hamiltonian_terms(sdots, sslot, span) if sdots else (None, 0.0)
 
     def rhs(t, yy, out):
         x = yy.reshape(-1, 3)[:, :2].view(float)
@@ -500,8 +647,11 @@ def _general_rhs(M, fs, fslot, sdots, sslot):
         v = u * (u * g).sum(axis=1, keepdims=True) - g
         o = out.view(float).reshape(-1, 6)
         o[:, :4] = (v[:, :, None] * x[:, None, :]).reshape(-1, 12) @ turn
-        o[:, 4] = e
-        o[:, 5] = sd(t, u)[0] if sd else 0.0
+        np.multiply(e, c, out=o[:, 4])
+        if sd:
+            np.multiply(sd(t, u)[0], c_sd, out=o[:, 5])
+        else:
+            o[:, 5] = 0.0
 
     return rhs
 
@@ -627,8 +777,9 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     evaluated alike.  A chunk whose f and ``sdot`` are all linear
     (``linear_axis``) turns its spinors by the SU(2) action, one small
     matrix product per evaluation (``_linear_rhs``); any other chunk forms
-    the Bloch vectors and calls each Hamiltonian's own eval and grad
-    (``_general_rhs``).  Also returns,
+    the Bloch vectors and calls, for each row, the eval and grad of the
+    base generator its Hamiltonian resolves to on the segment
+    (``_resolve``, once per segment; ``_general_rhs``).  Also returns,
     for each chunk of rows in order, the solution of its every solve, with
     dense output when ``dense``.  Each segment between the union of the
     rows' breakpoints is one DOP853 solve (``solve_ivp``) of the chunk.  DOP853 evaluates
@@ -659,7 +810,7 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
         yy = y[lo : lo + size].flatten()
         scale = 1.0 / math.sqrt(len(yy) // 3)
         rows = (fs, fslot[lo : lo + size], sdots, sslot[lo : lo + size] if sdots else None)
-        rhs = _linear_rhs(M, *rows) or _general_rhs(M, *rows)
+        linear = _linear_rhs(M, *rows)
 
         sols = []
         for t0, t1 in zip(stops[:-1], stops[1:]):
@@ -670,6 +821,7 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
             if t_lo >= t_hi:
                 # Breakpoints at most two ulps apart leave nothing to solve.
                 continue
+            rhs = linear or _general_rhs(M, *rows, (t_lo, t_hi))
             sol = solve_ivp(rhs, (t_lo, t_hi), yy, rtol=rel_tol * scale, atol=_ATOL * scale, dense_output=dense)
             if not sol.success:
                 raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t[-1]))

@@ -17,6 +17,7 @@ integrator.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,7 @@ from .dynamics import (
     _state_points,
     _spinors,
     _transport,
-    linear_axis,
-    linear_hamiltonian,
+    compose_hamiltonian,
 )
 from .sphere import TWO_PI, OrbitSphere, unit_vector
 
@@ -196,45 +196,16 @@ def phase_spread(phases) -> float:
 def product_loop(xi: HamiltonianLoop, psi: HamiltonianLoop) -> HamiltonianLoop:
     """Path product: run psi at double speed on [0, 1/2], then xi on [1/2, 1].
 
-    The product of two linear loops is linear, with the product's axis;
-    read at an array of times, it reads each piece at only the times of
-    its own half.  The pieces switch on ``t < 1/2``, and 1/2 is a
-    breakpoint: the integrator reads each piece only strictly inside its
-    own half, so the solve of [0, 1/2] never sees xi.
+    Two parts (``compose_hamiltonian``): 2 psi_{2t} for t < 1/2 and
+    2 xi_{2t - 1} after.  The product of two linear loops is linear, with
+    the product's axis; read at an array of times, it reads each piece at
+    only the times of its own half.  1/2 is a breakpoint: the integrator
+    reads each piece only strictly inside its own half, so the solve of
+    [0, 1/2] never sees xi.
     """
-    f_psi = psi.hamiltonian
-    f_xi = xi.hamiltonian
     label = f"({xi.label}).({psi.label})"
-    breaks = {0.5}
-    breaks.update(0.5 * b for b in f_psi.breakpoints if 0.0 < b < 1.0)
-    breaks.update(0.5 + 0.5 * b for b in f_xi.breakpoints if 0.0 < b < 1.0)
-    breaks = tuple(sorted(breaks))
-    a_psi, a_xi = linear_axis(f_psi), linear_axis(f_xi)
-    if a_psi is not None and a_xi is not None:
-
-        def axis(t):
-            t = np.asarray(t, dtype=float)
-            first = t < 0.5
-            w = np.empty((*t.shape, 3))
-            if first.any():
-                w[first] = a_psi(2.0 * t[first])
-            if not first.all():
-                w[~first] = a_xi(2.0 * t[~first] - 1.0)
-            return 2.0 * w
-
-        f = linear_hamiltonian(axis, label=label, breakpoints=breaks)
-    else:
-
-        def ev(t, u):
-            if t < 0.5:
-                return 2.0 * f_psi.eval(2.0 * t, u)
-            return 2.0 * f_xi.eval(2.0 * t - 1.0, u)
-
-        def gr(t, u):
-            if t < 0.5:
-                return 2.0 * np.asarray(f_psi.grad(2.0 * t, u), dtype=float)
-            return 2.0 * np.asarray(f_xi.grad(2.0 * t - 1.0, u), dtype=float)
-
-        f = TimeDepHamiltonian(eval=ev, grad=gr, label=label, breakpoints=breaks)
+    f = compose_hamiltonian(
+        [(0.5, psi.hamiltonian, 2.0, 0.0, 2.0), (math.inf, xi.hamiltonian, 2.0, -1.0, 2.0)], label=label
+    )
     return HamiltonianLoop(f, closure_tol=max(xi.closure_tol, psi.closure_tol), label=label)
 

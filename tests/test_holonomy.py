@@ -697,6 +697,82 @@ def test_closed_convention_at_a_breakpoint_reads_only_its_own_piece(sphere1, pat
         assert ts.min() == 0.0 and ts.max() == 1.0
 
 
+def _scaled_xy_product(factor):
+    """A nested path product of four non-linear xy pieces, each scaled by +-factor, the last twice."""
+    pieces = [scale_hamiltonian(quadratic_hamiltonian(1.0 + 0.5 * k), factor * (-1) ** k) for k in range(4)]
+    pieces[3] = scale_hamiltonian(pieces[3], factor)
+    p0, p1, p2, p3 = (HamiltonianLoop(f, label=f"p{k}") for k, f in enumerate(pieces))
+    return product_loop(product_loop(p3, p2), product_loop(p1, p0)).hamiltonian
+
+
+def _own_closures(f):
+    """f with its own eval and grad and no parts: the transport reads it as a whole."""
+    return preqholo.TimeDepHamiltonian(eval=f.eval, grad=f.grad, breakpoints=f.breakpoints)
+
+
+@pytest.mark.parametrize("factor, tol", [(-1.0, 0.0), (0.5, 0.0), (-0.37 * math.pi, 1e-13)])
+def test_parts_give_the_phases_of_the_closures(factor, tol):
+    # the transport reads each quarter as c * xy(4t - j); the closures apply
+    # each level's factor in turn, the same doubles for powers of two
+    M = OrbitSphere(2)
+    f = _scaled_xy_product(factor)
+    for lo, hi in [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0)]:
+        base, a, _, _ = dynamics._resolve(f, math.nextafter(lo, hi), math.nextafter(hi, lo))
+        assert not base.parts and a == 4.0
+    u0 = fibonacci_sphere(3, rng=np.random.default_rng(2))
+    y, _ = dynamics._transport(M, f, u0, 1e-10)
+    y_ref, _ = dynamics._transport(M, _own_closures(f), u0, 1e-10)
+    assert np.max(np.abs(y - y_ref)) <= tol
+    if tol == 0.0:
+        assert np.array_equal(y, y_ref)
+
+
+@pytest.mark.parametrize("field", ["eval", "grad"])
+def test_a_replaced_eval_or_grad_of_a_product_is_called(field):
+    # dataclasses.replace keeps the parts but not the functions derived from
+    # them, so the transport must call the replacement, a functools.wraps
+    # wrapper like the bench tracer's, and not read the pieces behind it
+    calls = []
+    loop = quadratic_there_and_back()
+    inner = getattr(loop.hamiltonian, field)
+
+    @functools.wraps(inner)
+    def logging(t, u):
+        calls.append(t)
+        return inner(t, u)
+
+    f = dataclasses.replace(loop.hamiltonian, **{field: logging})
+    assert f.parts is loop.hamiltonian.parts
+    q = unit_vector([0.3, 0.4, 0.866])
+    phase = transport_phase(OrbitSphere(1), dataclasses.replace(loop, hamiltonian=f), q).phase
+    assert len(calls) > 1000
+    assert phase == transport_phase(OrbitSphere(1), loop, q).phase
+
+
+def test_a_part_end_dropped_near_zero_is_read_by_its_own_closures(sphere1):
+    # the inner end 2e-14 maps to 1e-14, a breakpoint the transport drops as
+    # too close to 0, so the solve of [0, 1/2] crosses it: the transport
+    # reads that level through its own eval and grad, which pick the piece
+    # at each time, and every read lands on the right side of the end
+    reads = []
+    p0, p1, _, _ = _recording_pieces("generic", reads)
+    inner = preqholo.compose_hamiltonian(
+        [(2e-14, p0.hamiltonian, 1.0, 0.0, 1.0), (math.inf, p1.hamiltonian, 1.0, 0.0, 1.0)]
+    )
+    assert inner.breakpoints == (2e-14,)
+    back = scale_hamiltonian(quadratic_hamiltonian(0.5), -1.0)
+    f = product_loop(HamiltonianLoop(back), HamiltonianLoop(inner)).hamiltonian
+    assert f.breakpoints == (1e-14, 0.5)
+    base, a, b, c = dynamics._resolve(f, 0.0, math.nextafter(0.5, 0.0))
+    assert (base, a, b, c) == (inner, 2.0, 0.0, 2.0)
+    u0 = fibonacci_sphere(3, rng=np.random.default_rng(0))
+    y, _ = dynamics._transport(sphere1, f, u0, 1e-10)
+    by_piece = {k: np.array([t for j, t in reads if j == k]) for k in (0, 1)}
+    assert len(by_piece[0]) and np.all(by_piece[0] < 2e-14)
+    assert len(by_piece[1]) and np.all(by_piece[1] >= 2e-14)
+    assert np.array_equal(y, dynamics._transport(sphere1, _own_closures(f), u0, 1e-10)[0])
+
+
 def test_there_and_back_segments_cost_alike(monkeypatch):
     # the back segment mirrors the forth one, so their solves should cost
     # about the same; a forth solve that reads the back piece at t = 1/2

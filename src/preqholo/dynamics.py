@@ -12,17 +12,20 @@ and it needs no chart anywhere on the sphere.  Most generators are moment
 maps of SU(2), linear Hamiltonians f_t(u) = v(t) . u, and for them this is
 the SU(2) action itself: (u . sigma) chi = chi turns the equation into
 
-    d(chi)/dt = (i/k) (v . sigma - f_t(u)) chi,   f_t(u) = chi^dag (v . sigma) chi / |chi|^2,
+    d(chi)/dt = (i/k) (v . sigma - f_t(u)) chi,
 
-which needs no Bloch vector either.  ``_transport`` carries a
-batch of rows this way, each a (Hamiltonian, base point) pair, together
-with the integral of f_t along each trajectory, with the package's own
-8th-order Dormand-Prince pair (DOP853, ``solve_ivp``): one adaptive solve
-per piecewise-smooth segment of the rows' Hamiltonians.  At the tight
-tolerances of this package that pair needs 2-4x fewer right-hand-side
-evaluations than a 5th-order one.  The holonomy transport reads its end
-state; ``trajectories`` and ``integrate_isotopy`` are its dense views.
-The runtime needs numpy only.
+so chi(t) = V(t) chi(0) exp(-i h(t) . u(0) / k), where the propagator
+V' = (i/k) (v . sigma) V, V(0) = I, and h' = R(V)^T v do not depend on
+the base point.  ``_transport`` carries a batch of rows, each a
+(Hamiltonian, base point) pair, together with the integral of f_t along
+each trajectory, with the package's own 8th-order Dormand-Prince pair
+(DOP853, ``solve_ivp``): one adaptive solve per piecewise-smooth segment
+of the rows' Hamiltonians, of one propagator per distinct linear
+Hamiltonian, or of one spinor per row when any is not linear.  At the
+tight tolerances of this package that pair needs 2-4x fewer
+right-hand-side evaluations than a 5th-order one.  The holonomy transport
+reads its end state; ``trajectories`` and ``integrate_isotopy`` are its
+dense views.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -46,8 +49,10 @@ _ATOL = 1e-13
 # count grows with the speed of the flow, and no input bounds that.  The
 # largest count a test, a verify check or a bench op makes is 1,952 (the
 # generic pieces of test_each_segment_reads_only_its_own_piece), under
-# 1/130 of the budget, while a `mix` amplitude of 1e5 would otherwise run
-# for hours.
+# 1/130 of the budget; the largest propagator solve among them makes 770
+# (20 propagators at rel_tol 1e-13, in
+# test_tight_tolerance_batch_stays_above_solver_floor).  A `mix` amplitude
+# of 1e5 would otherwise run for hours.
 MAX_RHS_EVALS = 2**18
 # Component i of a x b is a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3.
 _NEXT = np.array([1, 2, 0])
@@ -584,11 +589,12 @@ def _resolve(f: TimeDepHamiltonian, t0: float, t1: float):
     return f, a, b, c
 
 
-def _hamiltonian_terms(fs, slot, span):
+def _hamiltonian_terms(fs, slot, span, grad=True):
     """(terms, c) for the rows of one chunk at the times ``span`` of one segment.
 
     Row i has the Hamiltonian ``fs[slot[i]]``, read as c base_{a t + b}
-    (``_resolve``): its base generator's eval and grad at the mapped time.
+    (``_resolve``): its base generator's eval and, unless ``grad`` is
+    False, its grad at the mapped time (None in its place otherwise).
     The rows that share a base and a map are read in one call.  When one
     covers every row, ``terms(t, u)`` returns its values (f_t(u),
     grad f_t(u)) / c, with no scatter, and c is left for the caller to
@@ -610,17 +616,18 @@ def _hamiltonian_terms(fs, slot, span):
 
         def terms(t, u):
             tau = a * t + b
-            return base.eval(tau, u), base.grad(tau, u)
+            return base.eval(tau, u), base.grad(tau, u) if grad else None
 
         return terms, c
 
     def terms(t, u):
         e = np.empty(len(u))
-        g = np.empty((len(u), 3))
+        g = np.empty((len(u), 3)) if grad else None
         for (base, a, b, c), idx in groups:
             tau = a * t + b
             e[idx] = c * base.eval(tau, u[idx])
-            g[idx] = c * np.asarray(base.grad(tau, u[idx]), dtype=float)
+            if grad:
+                g[idx] = c * np.asarray(base.grad(tau, u[idx]), dtype=float)
         return e, g
 
     return terms, 1.0
@@ -638,7 +645,7 @@ def _general_rhs(M, fs, fslot, sdots, sslot, span=(0.0, 1.0)):
     """
     ham, c = _hamiltonian_terms(fs, fslot, span)
     turn = c * ((2.0 / M.k) * _TURN)
-    sd, c_sd = _hamiltonian_terms(sdots, sslot, span) if sdots else (None, 0.0)
+    sd, c_sd = _hamiltonian_terms(sdots, sslot, span, grad=False) if sdots else (None, 0.0)
 
     def rhs(t, yy, out):
         x = yy.reshape(-1, 3)[:, :2].view(float)
@@ -693,76 +700,104 @@ def _row_axes(hs, slot):
     return lambda ts: np.concatenate([read(ts) for read in reads], axis=1)[:, rows]
 
 
-def _linear_basis(k: float) -> np.ndarray:
-    """B, 7 x 80: (w, 1, w_s) @ B is the 4 x 20 matrix C of a linear row's right-hand side.
+def _propagator_basis(k: float) -> np.ndarray:
+    """B, 6 x 200: (w, w_s) @ B is the 20 x 10 matrix L of a propagator's right-hand side.
 
-    w is the axis of f and w_s that of ``sdot``.  In the real view x (4,)
-    of a spinor chi, x @ C is the real view of -(i/k) (w . sigma) chi,
-    -(i/k) chi, (w . sigma) chi, (w_s . sigma) chi and chi, four entries
-    each: the last three give chi^dag (w . sigma) chi,
-    chi^dag (w_s . sigma) chi and |chi|^2 as dot products with x.
+    w is the axis of f and w_s that of ``sdot``.  A propagator's state is
+    (a, b, h + i h_s), five complex numbers, with V = [[a, -b*], [b, a*]]
+    and real 3-vectors h and h_s.  With x (4,) the real view of (a, b),
+    [x, x (x) x] @ L is the real view of the state's derivative:
+    V' = (i/k) (w . sigma) V, linear in x, and h' = R(V)^T w,
+    h_s' = R(V)^T w_s, quadratic in x, where R(V) is the rotation that V
+    acts as.  With (p, q) = (w . sigma)(a, b), (R^T w)_3 = Re(a* p + b* q)
+    and (R^T w)_1 + i (R^T w)_2 = a q - b p.
     """
-    B = np.zeros((7, 4, 5, 4))
+    B = np.zeros((6, 20, 10))
+    # Unit vector i of the real view is the spinor with the entry phase[i]
+    # in component [0, 0, 1, 1][i]; a q - b p is (a, b) (swap m) (a, b)^T.
+    phase = np.array([1, 1j, 1, 1j])
+    comp = np.array([0, 0, 1, 1])
     for j, m in enumerate(_PAULI):
-        B[j, :, 0] = _real(-1j * m / k).T
-        B[j, :, 2] = B[4 + j, :, 3] = _real(m).T
-    B[3, :, 1] = _real(-1j * np.eye(2) / k).T
-    B[3, :, 4] = np.eye(4)
-    return B.reshape(7, 80)
+        B[j, :4, :4] = _real(1j * m / k).T
+        swap_m = np.array([m[1], -m[0]])
+        cross = phase[:, None] * phase * swap_m[comp][:, comp]
+        along = _real(m)
+        for c, form in enumerate((cross.real, cross.imag, along)):
+            B[j, 4:, 4 + 2 * c] = B[3 + j, 4:, 5 + 2 * c] = form.ravel()
+    return B.reshape(6, 200)
 
 
-def _linear_rhs(M, fs, fslot, sdots, sslot):
-    """The right-hand side of a chunk whose f and ``sdot`` are all linear, or None.
+def _propagator_rhs(M, fs, fslot, sdots, sslot):
+    """The right-hand side of P propagators, one per (f, ``sdot``) pair, every f and ``sdot`` linear.
 
-    The general right-hand side turns chi by -(i/k) (u (u . g) - g) . sigma,
-    and (u . sigma) chi = chi, so with g the axis w of f_t(u) = w . u it is
-    chi' = (i/k) (w . sigma - f_t(u)) chi, and f_t(u) is the quadratic form
-    chi^dag (w . sigma) chi / |chi|^2, unnormalized chi included.  ``sdot``
-    is read as the quadratic form of its own axis.  One product x @ C
-    (``_linear_basis``) per evaluation gives all three; C is one matrix
-    when every row has the same f and ``sdot``, and one per row otherwise.
-    C depends on t alone, so ``prefetch`` (``solve_ivp``) reads every axis
-    group (``_row_axes``) over all times of a step attempt in one call and
-    holds each time's C, keyed by time, for the evaluations of that
-    attempt.  A time not handed to ``prefetch`` is read as an array of one
-    time by the same readers.
+    Propagator p carries the pair ``(fs[fslot[p]], sdots[sslot[p]])``
+    (no ``sdot`` without ``sdots``).  Each evaluation is one product
+    [x, x (x) x] @ L (``_propagator_basis``), one shared L when P is 1
+    and one per propagator otherwise.  L depends on t alone, so
+    ``prefetch`` (``solve_ivp``) reads every axis group (``_row_axes``)
+    over all times of a step attempt in one call and holds each time's L,
+    keyed by time, for the evaluations of that attempt.  A time not handed
+    to ``prefetch`` is read as an array of one time by the same readers.
     """
     w_at = _row_axes(fs, fslot)
     ws_at = _row_axes(sdots, sslot) if sdots else None
-    if w_at is None or (sdots and ws_at is None):
-        return None
-    basis = _linear_basis(M.k)
-    shared = len(set(fslot.tolist())) == 1 and (not sdots or len(set(sslot.tolist())) == 1)
-    shape = (7,) if shared else (len(fslot), 7)
+    basis = _propagator_basis(M.k)
+    count = len(fslot)
+    shape = (6,) if count == 1 else (count, 6)
     held = {}
+    z = np.empty((count, 20))
+    squares = z[:, 4:].reshape(count, 4, 4)
 
     def matrices(times):
-        """C = (w, 1, w_s) @ B of the rows at each time, (T, 80) or (T, N, 80)."""
+        """L of the propagators at each time, (T, 20, 10) or (T, P, 20, 10)."""
         coef = np.zeros((len(times), *shape))
-        coef[..., 3] = 1.0
-        for cols, at in ((slice(0, 3), w_at), (slice(4, 7), ws_at)):
+        for cols, at in ((slice(0, 3), w_at), (slice(3, 6), ws_at)):
             if at is not None:
                 w = at(times)
                 coef[..., cols] = w if w.ndim == coef.ndim else w[:, None]
-        return coef @ basis
+        return (coef @ basis).reshape(*coef.shape[:-1], 20, 10)
 
     def prefetch(times):
         held.clear()
         held.update(zip(times.tolist(), matrices(times)))
 
     def rhs(t, yy, out):
-        c = held.get(t)
-        if c is None:
-            c = matrices(np.array([t]))[0]
-        x = yy.reshape(-1, 3)[:, :2].view(float)
-        p = x @ c.reshape(4, 20) if shared else np.matmul(x[:, None], c.reshape(-1, 4, 20))[:, 0]
-        s = np.matmul(p[:, 8:].reshape(-1, 3, 4), x[:, :, None])[:, :, 0]
-        o = out.view(float).reshape(-1, 6)
-        o[:, 4:] = s[:, :2] / s[:, 2:]
-        o[:, :4] = o[:, 4:5] * p[:, 4:8] - p[:, :4]
+        L = held.get(t)
+        if L is None:
+            L = matrices(np.array([t]))[0]
+        x = yy.reshape(count, 5)[:, :2].view(float)
+        z[:, :4] = x
+        np.multiply(x[:, :, None], x[:, None, :], out=squares)
+        o = out.view(float).reshape(count, 10)
+        if count == 1:
+            np.dot(z, L, out=o)
+        else:
+            np.matmul(z[:, None], L, out=o[:, None])
 
     rhs.prefetch = prefetch
     return rhs
+
+
+def _turned(v: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """V chi, one row each, for propagator states v = (a, b, ...) with V = [[a, -b*], [b, a*]]."""
+    a, b = v[..., 0], v[..., 1]
+    return np.stack([a * chi[..., 0] - b.conj() * chi[..., 1], b * chi[..., 0] + a.conj() * chi[..., 1]], axis=-1)
+
+
+def _pair_slots(fslot: np.ndarray, sslot: np.ndarray | None):
+    """Each row's index into the distinct (f, ``sdot``) pairs, and the first row of each pair.
+
+    The pairs are numbered in the order of their first rows.  Python's
+    dict, not numpy's sort kernels, which would page ~0.4 MB into the
+    peak memory of a short run.
+    """
+    index, slot, first = {}, [], []
+    for i, key in enumerate(zip(fslot.tolist(), (sslot if sslot is not None else fslot).tolist())):
+        j = index.setdefault(key, len(first))
+        if j == len(first):
+            first.append(i)
+        slot.append(j)
+    return np.array(slot, dtype=int), np.array(first, dtype=int)
 
 
 def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
@@ -773,16 +808,24 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     ``sdot`` likewise, or None.  Returns the N x 3 complex end state, one
     row each: the spinor (a, b), and the integrals of f_t and of
     ``sdot`` (0 without it) along the trajectory as the real and imaginary
-    part of the third column.  Both integrands are Hamiltonians and are
-    evaluated alike.  A chunk whose f and ``sdot`` are all linear
-    (``linear_axis``) turns its spinors by the SU(2) action, one small
-    matrix product per evaluation (``_linear_rhs``); any other chunk forms
-    the Bloch vectors and calls, for each row, the eval and grad of the
-    base generator its Hamiltonian resolves to on the segment
-    (``_resolve``, once per segment; ``_general_rhs``).  Also returns,
-    for each chunk of rows in order, the solution of its every solve, with
-    dense output when ``dense``.  Each segment between the union of the
-    rows' breakpoints is one DOP853 solve (``solve_ivp``) of the chunk.  DOP853 evaluates
+    part of the third column; with ``dense``, also the ``Trajectory`` of
+    every row, else None.
+
+    When every f and ``sdot`` is linear (``linear_axis``), f_t(u) = w . u,
+    the flow is the SU(2) action and no base point enters the solve: it
+    carries one propagator per distinct (f, ``sdot``) pair
+    (``_propagator_rhs``), V' = (i/k) (w . sigma) V from V(0) = I, with
+    h' = R(V)^T w and h_s' = R(V)^T w_s.  The spinor of a row with base
+    point u0 and spinor chi0 then turns by d chi/dt = (i/k)(w . sigma - f_t)
+    chi, so chi(1) = V(1) chi0 exp(-i h . u0 / k), the integral of f_t is
+    h . u0 and that of ``sdot`` is h_s . u0.  Otherwise every row carries
+    its own spinor: the right-hand side forms the Bloch vectors and calls,
+    for each row, the eval and grad of the base generator its Hamiltonian
+    resolves to on the segment (``_resolve``, once per segment;
+    ``_general_rhs``), and only the eval of ``sdot``'s.
+
+    Each segment between the union of the rows' breakpoints is one DOP853
+    solve (``solve_ivp``).  DOP853 evaluates
     the right-hand side at both ends of the time span it solves, so at an
     end that is a breakpoint the span stops one ulp inside the segment: a
     segment reads f_t and ``sdot`` only on its own piece, and its steps are
@@ -792,25 +835,37 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     A solve's error norm, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) len), is
     taken over the whole state and, like an RMS norm, gives N identical
     copies of one row the norm of that row.  rtol and atol are therefore
-    divided by sqrt(N), so that the others cannot average away the error of
-    one row; batches too large for that are split.  A solve that passes
+    divided by sqrt(P), P the number of propagators or rows the solve
+    carries, so that the others cannot average away the error of one;
+    batches too large for that are split.  A solve that passes
     ``MAX_RHS_EVALS`` raises IntegrationError.
     """
     check_rel_tol(rel_tol)
-    fs, fslot = _distinct(f, len(u0))
-    sdots, sslot = _distinct(sdot, len(u0)) if sdot is not None else ([], None)
+    n = len(u0)
+    fs, fslot = _distinct(f, n)
+    sdots, sslot = _distinct(sdot, n) if sdot is not None else ([], None)
     breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
     stops = [0.0, *sorted(breaks), 1.0]
-    y = np.zeros((len(u0), 3), dtype=complex)
-    y[:, :2] = _spinors(u0)
+    chi0 = _spinors(u0)
+    linear = all(linear_axis(h) is not None for h in (*fs, *sdots))
+    if linear:
+        slot, first = _pair_slots(fslot, sslot)
+        fslot, sslot = fslot[first], sslot[first] if sdots else None
+        state = np.zeros((len(first), 5), dtype=complex)
+        state[:, 0] = 1.0
+    else:
+        slot = np.arange(n)
+        state = np.zeros((n, 3), dtype=complex)
+        state[:, :2] = chi0
+    width = state.shape[1]
     size = _chunk_size(rel_tol)
     chunks = []
-    for lo in range(0, len(u0), size):
-        # A copy: the first dense step keeps y0, and y takes the end state.
-        yy = y[lo : lo + size].flatten()
-        scale = 1.0 / math.sqrt(len(yy) // 3)
+    for lo in range(0, len(state), size):
+        # A copy: the first dense step keeps y0, and state takes the end state.
+        yy = state[lo : lo + size].flatten()
+        scale = 1.0 / math.sqrt(len(yy) // width)
         rows = (fs, fslot[lo : lo + size], sdots, sslot[lo : lo + size] if sdots else None)
-        linear = _linear_rhs(M, *rows)
+        propagators = _propagator_rhs(M, *rows) if linear else None
 
         sols = []
         for t0, t1 in zip(stops[:-1], stops[1:]):
@@ -821,20 +876,54 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
             if t_lo >= t_hi:
                 # Breakpoints at most two ulps apart leave nothing to solve.
                 continue
-            rhs = linear or _general_rhs(M, *rows, (t_lo, t_hi))
+            rhs = propagators or _general_rhs(M, *rows, (t_lo, t_hi))
             sol = solve_ivp(rhs, (t_lo, t_hi), yy, rtol=rel_tol * scale, atol=_ATOL * scale, dense_output=dense)
             if not sol.success:
                 raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t[-1]))
             sols.append(sol)
             yy = sol.y[:, -1]
-        y[lo : lo + size] = yy.reshape(-1, 3)
+        state[lo : lo + size] = yy.reshape(-1, width)
         chunks.append(sols)
-    return y, chunks
+    if linear:
+        v = state[slot]
+        y = np.empty((n, 3), dtype=complex)
+        y[:, 2] = (v[:, 2:] * u0).sum(axis=1)
+        y[:, :2] = _turned(v, chi0) * np.exp(-1j * y[:, 2].real / M.k)[:, None]
+    else:
+        y = state
+    if not dense:
+        return y, None
+    steps = []
+    for sols in chunks:
+        ts = np.concatenate([sols[0].t[:1]] + [s.t[1:] for s in sols])
+        steps.append((ts, np.concatenate([sols[0].y[:, :1]] + [s.y[:, 1:] for s in sols], axis=1)))
+    trajs = []
+    for i, p in enumerate(slot.tolist()):
+        (ts, ys), row, start = steps[p // size], p % size, chi0[i] if linear else None
+        points = _points(_row_spinors(ys, row, start))
+        trajs.append(Trajectory(ts=ts, points=points, _sols=chunks[p // size], row=row, chi0=start))
+    return y, trajs
+
+
+def _points(chi: np.ndarray) -> np.ndarray:
+    """The Bloch vectors of spinors chi (N, 2), one row each."""
+    return _bloch(np.ascontiguousarray(chi).view(float))
+
+
+def _row_spinors(ys: np.ndarray, row: int, chi0: np.ndarray | None) -> np.ndarray:
+    """The spinors (T, 2) of one row in a solve's states ys (S, T), one column each.
+
+    Row ``row`` of the state carries its own spinor, or, with the base
+    point's spinor ``chi0``, a propagator that turns it.
+    """
+    if chi0 is None:
+        return ys[3 * row : 3 * row + 2].T
+    return _turned(ys[5 * row : 5 * row + 2].T, chi0)
 
 
 def _state_points(y: np.ndarray) -> np.ndarray:
     """Trajectory points of states y (N, 3) of ``_transport``: the spinors' Bloch vectors."""
-    return _bloch(np.ascontiguousarray(y[:, :2]).view(float))
+    return _points(y[:, :2])
 
 
 @dataclass
@@ -842,18 +931,21 @@ class Trajectory:
     """Flow curve t -> psi_t(q) on [0, 1]: the Bloch vector of the transported spinor.
 
     ``ts`` are the solver's steps and ``points`` the trajectory there; ``at``
-    reads the dense spinor between them.  The solve may carry other rows;
-    this trajectory is its row ``row``.
+    reads the dense solve between them.  The solve may carry other rows.
+    This trajectory's spinor is its row ``row`` or, with ``chi0``, the
+    propagator in its row ``row`` applied to the spinor ``chi0`` of the base
+    point.
     """
 
     ts: np.ndarray
     points: np.ndarray
     _sols: list = field(default_factory=list, repr=False)
     row: int = 0
+    chi0: np.ndarray | None = field(default=None, repr=False)
 
     def at(self, t: float) -> np.ndarray:
         sol = next((s for s in self._sols if t <= s.t[-1]), self._sols[-1])
-        return _state_points(sol.sol(t)[3 * self.row : 3 * self.row + 3][None, :])[0]
+        return _points(_row_spinors(sol.sol(t)[:, None], self.row, self.chi0))[0]
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -864,20 +956,11 @@ def trajectories(M: OrbitSphere, f, points, rel_tol: float = 1e-10) -> list[Traj
     """Trajectories of du/dt = X_t(u) over [0, 1] from every base point, with dense output.
 
     ``f`` is one Hamiltonian or one per point; all rows are carried by one
-    batched spinor solve.  The points are Bloch vectors, unit by
-    construction.
+    batched solve (``_transport``), linear ones by their propagators.  The
+    points are Bloch vectors, unit by construction.
     """
     u0 = np.array([unit_vector(q) for q in points], dtype=float).reshape(-1, 3)
-    _, chunks = _transport(M, f, u0, rel_tol, dense=True)
-    out = []
-    for sols in chunks:
-        ts = np.concatenate([sols[0].t[:1]] + [s.t[1:] for s in sols])
-        ys = np.concatenate([sols[0].y[:, :1]] + [s.y[:, 1:] for s in sols], axis=1)
-        out += [
-            Trajectory(ts=ts, points=_state_points(ys[3 * row : 3 * row + 3].T), _sols=sols, row=row)
-            for row in range(len(ys) // 3)
-        ]
-    return out
+    return _transport(M, f, u0, rel_tol, dense=True)[1]
 
 
 def integrate_isotopy(

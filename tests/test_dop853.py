@@ -110,16 +110,19 @@ def test_piecewise_segments_match_scipy(monkeypatch):
 
 
 def test_batch_of_distinct_rows_with_omega_column_matches_scipy(monkeypatch):
-    # rows of distinct loops of a family with its s-derivative column
+    # rows of distinct loops of a family with its s-derivative column, one
+    # s-derivative per member, as member_states builds them
     M = OrbitSphere(3)
     fam = mixing_family(M, amplitude=1.1)
     svals = [0.0, 0.3, 0.7]
     pts = fibonacci_sphere(2, rng=np.random.default_rng(5))
     loops = [fam.loop_at(s) for s in svals for _ in pts]
-    sdot = [fam.s_deriv(s) for s in svals for _ in pts]
+    sdots = {s: fam.s_deriv(s) for s in svals}
+    sdot = [sdots[s] for s in svals for _ in pts]
     rows = np.concatenate([pts] * len(svals))
     calls = _captured_solves(monkeypatch, lambda: transport_phases(M, loops, rows, sdot=sdot))
-    assert calls[0][2].shape == (3 * len(rows),)
+    # one propagator (a, b, h + i h_s) per distinct (loop, sdot) pair
+    assert calls[0][2].shape == (5 * len(svals),)
     for fun, *rest in calls:
         _assert_same_solve(fun, *rest)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -29,6 +30,7 @@ from preqholo import (
     subgroup_rotation_family,
     trajectories,
     transport_phase,
+    transport_phases,
     unit_vector,
     verify,
     zero_hamiltonian,
@@ -196,27 +198,43 @@ def test_closure_probe_detects_open_isotopy(sphere1):
     assert closure_defect(sphere1, open_loop) == pytest.approx(per_point, abs=1e-9)
 
 
-def test_flow_is_the_transport_solve(sphere1):
+def test_flow_is_the_transport_solve(sphere1, monkeypatch):
     # integrate_isotopy is the one-point dense view of the transport's
-    # solve, so both end at the same point, breakpoints included
+    # solve, so both end at the same point, breakpoints included; a linear
+    # loop's flow reads V(t) off its one propagator, 5 numbers per solve
     loops = [
         invariant_loop(sphere1, DIR_A),
         mixing_loop(sphere1, 0.8),
         mixing_loop(sphere1, 2.0 * math.pi, profile="constant"),
         product_loop(invariant_loop(sphere1, DIR_B), mixing_loop(sphere1, 0.8)),
     ]
+    sizes = _state_sizes(monkeypatch)
     for loop in loops:
         for q in fibonacci_sphere(8):
             flow_end = integrate_isotopy(sphere1, loop.hamiltonian, q).endpoint
             assert np.linalg.norm(flow_end - transport_phase(sphere1, loop, q).point) < 1e-14
+    assert set(sizes) == {5}
+
+
+def _state_sizes(monkeypatch):
+    """The size of the initial state of every solve made while it is patched in."""
+    sizes = []
+
+    def logged(fun, t_span, y0, *args, _inner=dynamics.solve_ivp, **kwargs):
+        sizes.append(len(y0))
+        return _inner(fun, t_span, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", logged)
+    return sizes
 
 
 def _both_rhs(M, f, n_rows, sdot=None):
-    """The linear and the general right-hand side of one chunk of rows (f, sdot)."""
+    """The propagator and the general right-hand side of one chunk of rows (f, sdot), and each row's propagator."""
     fs, fslot = dynamics._distinct(f, n_rows)
     sdots, sslot = dynamics._distinct(sdot, n_rows) if sdot is not None else ([], None)
-    rows = (fs, fslot, sdots, sslot)
-    return dynamics._linear_rhs(M, *rows), dynamics._general_rhs(M, *rows)
+    slot, first = dynamics._pair_slots(fslot, sslot)
+    pairs = (fs, fslot[first], sdots, sslot[first] if sdots else None)
+    return dynamics._propagator_rhs(M, *pairs), dynamics._general_rhs(M, fs, fslot, sdots, sslot), slot
 
 
 def _linear_rows(M, case):
@@ -227,7 +245,7 @@ def _linear_rows(M, case):
     if case == "shared-18":
         return mixing_loop(M, 1.3).hamiltonian, None, points
     if case == "one-row-sdot":
-        # a single row always takes the one shared C
+        # a single row always takes the one shared L
         return [mixing_loop(M, 0.4).hamiltonian], [invariant_hamiltonian(M, DIR_B)], 1
     if case == "per-row-18":
         return [mixing_loop(M, 0.1 * i).hamiltonian for i in range(points)], None, points
@@ -246,15 +264,21 @@ def _linear_rows(M, case):
     "case", ["shared-1", "shared-18", "one-row-sdot", "per-row-18", "family-sdot", "shared-sdot", "breakpoint"]
 )
 def test_linear_rhs_matches_general_rhs(case):
-    # (i/k)(w . sigma - f) chi against the Bloch-vector form of the same
-    # equation, at unnormalized states: the spinor block within 1e-15 of its
-    # largest entry, and each integrand within 1e-15 of its axis's length,
-    # the largest value it takes on the sphere
+    # a row with base point u0 on a propagator V carries chi = V chi0, and
+    # its spinor turns by (i/k)(w . sigma - f) chi = V' chi0 - (i/k) f chi
+    # with f = h' . u0; its sdot is h_s' . u0.  Against the Bloch-vector
+    # form of the same equation at random V: the spinor block within 1e-15
+    # of its largest entry, and each integrand within 1e-15 of its axis's
+    # length, the largest value it takes on the sphere
     rng = np.random.default_rng(3)
     M = OrbitSphere(3)
     f, sdot, n = _linear_rows(M, case)
-    lin, gen = _both_rhs(M, f, n, sdot)
-    assert lin is not None
+    prop, gen, slot = _both_rhs(M, f, n, sdot)
+    assert prop is not None
+    count = int(slot.max()) + 1
+    fs = [f] * n if isinstance(f, TimeDepHamiltonian) else f
+    sdots = [sdot] * n if sdot is None or isinstance(sdot, TimeDepHamiltonian) else sdot
+    assert count == len({(id(h), id(hs)) for h, hs in zip(fs, sdots)})
 
     def scale(h, t):
         hs = [h] * n if isinstance(h, TimeDepHamiltonian) else h
@@ -262,23 +286,101 @@ def test_linear_rhs_matches_general_rhs(case):
 
     times = [0.5 - 1e-9, 0.5 + 1e-9] if case == "breakpoint" else []
     for t in [*rng.uniform(size=6), *times]:
-        y = (rng.normal(size=3 * n) + 1j * rng.normal(size=3 * n)) * rng.uniform(0.1, 10.0)
-        a, b = np.empty_like(y), np.empty_like(y)
-        lin(t, y, a)
-        gen(t, y, b)
-        a, b = a.reshape(n, 3), b.reshape(n, 3)
-        assert np.max(np.abs(a[:, :2] - b[:, :2])) <= 1e-15 * np.max(np.abs(b[:, :2]))
-        assert np.max(np.abs(a[:, 2].real - b[:, 2].real)) <= 1e-15 * scale(f, t)
-        assert np.max(np.abs(a[:, 2].imag - b[:, 2].imag)) <= 1e-15 * scale(sdot, t)
+        ab = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+        v = np.zeros((count, 5), dtype=complex)
+        v[:, :2] = ab / np.linalg.norm(ab, axis=1, keepdims=True)
+        u0 = fibonacci_sphere(n, rng=rng)
+        chi = dynamics._turned(v[slot], dynamics._spinors(u0))
+        y = np.zeros((n, 3), dtype=complex)
+        y[:, :2] = chi
+        a, b = np.empty(5 * count, dtype=complex), np.empty(3 * n, dtype=complex)
+        prop(t, v.ravel(), a)
+        gen(t, y.ravel(), b)
+        a, b = a.reshape(count, 5)[slot], b.reshape(n, 3)
+        action = (a[:, 2:] * u0).sum(axis=1)
+        turn = dynamics._turned(a, dynamics._spinors(u0)) - (1j / M.k) * action.real[:, None] * chi
+        assert np.max(np.abs(turn - b[:, :2])) <= 1e-15 * np.max(np.abs(b[:, :2]))
+        assert np.max(np.abs(action.real - b[:, 2].real)) <= 1e-15 * scale(f, t)
+        assert np.max(np.abs(action.imag - b[:, 2].imag)) <= 1e-15 * scale(sdot, t)
 
 
-def test_a_non_linear_row_or_sdot_takes_the_general_rhs():
+def test_a_non_linear_row_or_sdot_takes_the_general_rhs(monkeypatch):
+    # any non-linear f or sdot puts every row on its own 3-number spinor
+    # state; an all-linear batch is one 5-number propagator per (f, sdot)
     M = OrbitSphere(1)
     mix, quad = mixing_loop(M, 0.7).hamiltonian, quadratic_hamiltonian(1.5)
     zero = zero_hamiltonian()
-    assert _both_rhs(M, [mix, quad, mix], 3)[0] is None
-    assert _both_rhs(M, [mix, mix], 2, sdot=[zero, constant_hamiltonian(0.2)])[0] is None
-    assert _both_rhs(M, mix, 2, sdot=zero)[0] is not None
+    sizes = _state_sizes(monkeypatch)
+    dynamics._transport(M, [mix, quad, mix], fibonacci_sphere(3), 1e-10)
+    dynamics._transport(M, [mix, mix], fibonacci_sphere(2), 1e-10, sdot=[zero, constant_hamiltonian(0.2)])
+    dynamics._transport(M, mix, fibonacci_sphere(2), 1e-10, sdot=zero)
+    assert sizes == [9, 6, 5]
+
+
+def test_general_rhs_reads_only_the_eval_of_sdot():
+    # a non-linear sdot puts the rows on the general right-hand side, which
+    # integrates sdot's values and never needs its gradient
+    M = OrbitSphere(2)
+    loop = mixing_loop(M, 0.9)
+    sdot = quadratic_hamiltonian(0.7)
+    calls = []
+
+    def counted(t, u):
+        calls.append(t)
+        return sdot.grad(t, u)
+
+    pts = fibonacci_sphere(3, rng=np.random.default_rng(4))
+    plain = transport_phases(M, loop, pts, sdot=sdot)
+    wrapped = transport_phases(M, loop, pts, sdot=dataclasses.replace(sdot, grad=counted))
+    assert calls == []
+    assert [(s.phase, s.omega) for s in wrapped] == [(s.phase, s.omega) for s in plain]
+    assert any(s.omega != 0.0 for s in plain)
+
+
+def _eval_wrapped(f):
+    """f with its eval wrapped: linear_axis no longer vouches for it, so it takes the general path."""
+    return dataclasses.replace(f, eval=lambda t, u: f.eval(t, u))
+
+
+def _propagator_and_general_rows(M, case):
+    """(f, sdot, u0) of a batch of linear rows, each row's f and sdot one object."""
+    rng = np.random.default_rng(11)
+    if case == "family":
+        fam = closed_mixing_family(M, 0.9)
+        svals = np.repeat([0.1, 0.35, 0.7], 3)
+        return [fam.loop_at(s).hamiltonian for s in svals], [fam.s_deriv(s) for s in svals], fibonacci_sphere(9, rng=rng)
+    if case == "mixing":
+        fam = mixing_family(M, 1.3, profile="constant")
+        svals = np.repeat([0.2, 0.8], 3)
+        return [fam.loop_at(s).hamiltonian for s in svals], [fam.s_deriv(s) for s in svals], fibonacci_sphere(6, rng=rng)
+    if case == "subgroup":
+        fam = subgroup_rotation_family(M, start_angle=0.4, turns=2.0)
+        return fam.loop_at(0.3).hamiltonian, fam.s_deriv(0.3), fibonacci_sphere(4, rng=rng)
+    loops = {
+        "invariant": invariant_loop(M, AlgebraDirection(0.6, 0.8)),
+        "mix-ramp": mixing_loop(M, 1.3),
+        "mix-constant": mixing_loop(M, math.pi, profile="constant"),
+        "scaled": build_loop(M, {"name": "scaled", "base": {"name": "mix", "amplitude": 0.7}, "factor": 3}, Tolerances()),
+        "product": product_loop(mixing_loop(M, 0.9), invariant_loop(M, DIR_B)),
+    }
+    return loops[case].hamiltonian, None, fibonacci_sphere(4, rng=rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "case", ["invariant", "mix-ramp", "mix-constant", "scaled", "product", "family", "mixing", "subgroup"]
+)
+def test_propagator_columns_match_the_general_path(case, n):
+    # the action h . u0 and Omega h_s . u0 read off the propagators against
+    # the integrals of f and sdot along each row's own spinor solve
+    M = OrbitSphere(n)
+    f, sdot, u0 = _propagator_and_general_rows(M, case)
+    general = _eval_wrapped(f) if isinstance(f, TimeDepHamiltonian) else [_eval_wrapped(h) for h in f]
+    y, _ = dynamics._transport(M, f, u0, 1e-10, sdot=sdot)
+    y_gen, _ = dynamics._transport(M, general, u0, 1e-10, sdot=sdot)
+    assert np.max(np.abs(y[:, 2].real - y_gen[:, 2].real)) < 1e-9
+    assert np.max(np.abs(y[:, 2].imag - y_gen[:, 2].imag)) < 1e-9
+    assert np.max(np.linalg.norm(dynamics._state_points(y) - dynamics._state_points(y_gen), axis=1)) < 1e-9
 
 
 # Every registry family kind, the mixing profiles both ways, and a

@@ -352,6 +352,66 @@ def test_batched_transport_matches_reference(n, loop_fn):
             assert np.linalg.norm(b.point - r.point) < 1e-8
 
 
+def _propagator_loops(M):
+    """An invariant loop, both mix profiles, a scaled loop and a product: every one linear."""
+    return [
+        build_loop(M, _AXIS, Tolerances()),
+        build_loop(M, {"name": "mix", "amplitude": 1.3, "profile": "cosine-ramp"}, Tolerances()),
+        build_loop(M, {"name": "mix", "amplitude": math.pi, "profile": "constant"}, Tolerances()),
+        build_loop(M, {"name": "scaled", "base": _AXIS, "factor": 3}, Tolerances()),
+        product_loop(mixing_loop(M, 0.9), invariant_loop(M, DIR_B)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_propagator_rows_match_reference(n):
+    # each row's phase rebuilt from its loop's propagator against the frame
+    # transport of that point in its own solve; the reference runs at
+    # rel_tol 1e-11, where its own error stays under 2e-10 rev
+    M = OrbitSphere(n)
+    pts = fibonacci_sphere(3, rng=np.random.default_rng(n))
+    for loop in _propagator_loops(M):
+        assert linear_axis(loop.hamiltonian) is not None
+        ref = [reference_transport_phase(M, loop, q, rel_tol=1e-11) for q in pts]
+        for r, b in zip(ref, transport_phases(M, loop, pts)):
+            assert circle_distance(b.phase, r.phase) < 1e-9, loop.label
+
+
+def test_kappas_of_a_linear_loop_are_one_five_number_solve(monkeypatch):
+    # the base points leave the solve: 10 of them share one propagator
+    sizes = []
+
+    def counted(fun, t_span, y0, *args, _inner=dynamics.solve_ivp, **kwargs):
+        sizes.append(len(y0))
+        return _inner(fun, t_span, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    M = OrbitSphere(2)
+    vals = kappas(M, mixing_loop(M, 1.3), fibonacci_sphere(10))
+    assert sizes == [5]
+    assert max(circle_distance(v, 0.0) for v in vals) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_base_point_checks_on_a_non_linear_loop(n):
+    # on a linear loop the action terms cancel, and verify's base-point
+    # checks see only the closure of one propagator; the product of the
+    # mixing loop and a non-linear there-and-back loop takes the general
+    # path, one spinor per point, with kappa = kappa(mix) = n/2 mod 1
+    M = OrbitSphere(n)
+    tol = Tolerances()
+    loop = product_loop(mixing_loop(M, 0.8, closure_tol=tol.closure_tol), quadratic_there_and_back())
+    assert linear_axis(loop.hamiltonian) is None
+    parity = (n % 2) / 2.0
+    ref_points = [sphere_point(0.0, 0.0), sphere_point(math.pi / 2, 0.0), sphere_point(math.pi / 2, math.pi / 2)]
+    vals = kappas(M, loop, ref_points + list(fibonacci_sphere(7)), rel_tol=tol.flow_rel_tol)
+    # three-point-agreement and base-point-independence, at verify's thresholds
+    three = vals[:3]
+    assert max(max(circle_distance(v, parity) for v in three), phase_spread(three)) <= tol.phase_tol
+    assert phase_spread(vals) <= 1e-5
+    assert max(circle_distance(v, parity) for v in vals) <= tol.phase_tol
+
+
 def test_batch_with_repeated_point_gives_equal_results(sphere1):
     # rows of the batched state are integrated independently, bit for bit
     loop = mixing_loop(sphere1, 0.9)
@@ -362,8 +422,10 @@ def test_batch_with_repeated_point_gives_equal_results(sphere1):
 
 
 def test_tight_tolerance_batch_stays_above_solver_floor(monkeypatch):
-    # 40 points at rel_tol 1e-13 are split so rtol / sqrt(N) never falls
-    # below the stepper's floor of 100 eps, where solve_ivp raises
+    # a linear batch carries one propagator per distinct loop, so 40 points
+    # of one loop at rel_tol 1e-13 are one solve at that rtol, and 40
+    # distinct loops are split so rtol / sqrt(P) never falls below the
+    # stepper's floor of 100 eps, where solve_ivp raises
     rtols = []
 
     def counted(*args, _inner=dynamics.solve_ivp, **kwargs):
@@ -372,11 +434,15 @@ def test_tight_tolerance_batch_stays_above_solver_floor(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_ivp", counted)
     M = OrbitSphere(1)
-    loop = mixing_loop(M, 0.8)
-    states = transport_phases(M, loop, fibonacci_sphere(40), rel_tol=1e-13)
+    pts = fibonacci_sphere(40)
+    states = transport_phases(M, mixing_loop(M, 0.8), pts, rel_tol=1e-13)
+    assert rtols == [1e-13]
+    rtols.clear()
+    loops = [mixing_loop(M, 0.8 + 0.01 * i) for i in range(40)]
+    states += transport_phases(M, loops, pts, rel_tol=1e-13)
     assert len(rtols) > 1
     assert min(rtols) >= 100 * np.finfo(float).eps
-    assert len(states) == 40
+    assert len(states) == 80
     assert max(circle_distance(st_.phase, 0.5) for st_ in states) < 1e-8
 
 

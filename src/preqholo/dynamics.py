@@ -24,15 +24,16 @@ of the rows' Hamiltonians, of one propagator per distinct linear
 Hamiltonian, or of one spinor per row when any is not linear.  At the
 tight tolerances of this package that pair needs 2-4x fewer
 right-hand-side evaluations than a 5th-order one.  The holonomy transport
-reads its end state; ``trajectories`` and ``integrate_isotopy`` are its
-dense views.  The runtime needs numpy only.
+reads its state at t = 1; ``trajectories`` and ``integrate_isotopy`` read
+it at requested times, each of which ends one more segment of the solve.
+The runtime needs numpy only.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -47,9 +48,10 @@ _ATOL = 1e-13
 # The budget of right-hand-side evaluations of one solve (one segment of one
 # chunk): ``solve_ivp`` stops at the first step attempt past it.  The step
 # count grows with the speed of the flow, and no input bounds that.  The
-# largest count a test, a verify check or a bench op makes is 1,952 (the
-# generic pieces of test_each_segment_reads_only_its_own_piece), under
-# 1/130 of the budget; the largest propagator solve among them makes 770
+# largest count a test, a verify check or a bench op makes is 1,766 (a
+# chunk of 20 general rows at rel_tol 1e-13, in
+# test_many_distinct_rows_at_tight_tolerance_split_into_chunks), under
+# 1/140 of the budget; the largest propagator solve among them makes 770
 # (20 propagators at rel_tol 1e-13, in
 # test_tight_tolerance_batch_stays_above_solver_floor).  A `mix` amplitude
 # of 1e5 would otherwise run for hours.
@@ -339,54 +341,26 @@ _EXPONENT = -1 / 8
 RTOL_FLOOR = 100 * np.finfo(float).eps
 # The tableau cast to complex once, as numpy would cast it in every product
 # with the complex stages: (node, weights of the earlier stages) for stages
-# 1-11 of a step and the dense output's extra stages 13-15, then the weights
-# of the solution, of the two error estimates and of the interpolant.
+# 1-11 of a step, then the weights of the solution and of the two error
+# estimates.
 _STAGES = [(dop853.C[s], dop853.A[s].astype(complex)) for s in range(1, dop853.N_STAGES)]
-_EXTRA_STAGES = [
-    (dop853.C[s], dop853.A[s].astype(complex)) for s in range(dop853.N_STAGES + 1, dop853.N_STAGES_EXTENDED)
-]
-_B, _E5, _E3, _D = (v.astype(complex) for v in (dop853.B, dop853.E5, dop853.E3, dop853.D))
-# The nodes of the evaluations of one step attempt (stages 1-11 and its end)
-# and of the dense output's extra stages, for ``fun.prefetch``.
+_B, _E5, _E3 = (v.astype(complex) for v in (dop853.B, dop853.E5, dop853.E3))
+# The nodes of the evaluations of one step attempt (stages 1-11 and its end),
+# for ``fun.prefetch``.
 _NODES = np.array([c for c, _ in _STAGES] + [1.0])
-_EXTRA_NODES = np.array([c for c, _ in _EXTRA_STAGES])
 
 
 @dataclass
 class Solution:
     """What ``solve_ivp`` returns: the accepted step times ``t`` and states
     ``y`` (one column each), the right-hand-side evaluation count ``nfev``,
-    ``success`` and ``message``, and ``sol``, the dense output, or None."""
+    ``success`` and ``message``."""
 
     t: np.ndarray
     y: np.ndarray
     nfev: int
     success: bool
     message: str
-    sol: DenseOutput | None
-
-
-class DenseOutput:
-    """The DOP853 interpolants of a solve: ``sol(t)`` is the state at a scalar t.
-
-    Step i covers [ts[i], ts[i + 1]] with the 7th-degree polynomial whose
-    coefficients are ``F[i]``; a time on a step boundary reads the earlier
-    step, and times outside the solve read the first or last step.
-    """
-
-    def __init__(self, ts: list, steps: list):
-        self.ts = ts
-        self.steps = steps
-
-    def __call__(self, t) -> np.ndarray:
-        i = min(max(bisect.bisect_left(self.ts, t) - 1, 0), len(self.steps) - 1)
-        t_old, h, y_old, F = self.steps[i]
-        x = (t - t_old) / h
-        y = np.zeros_like(y_old)
-        for j, f in enumerate(F[::-1]):
-            y += f
-            y *= x if j % 2 == 0 else 1 - x
-        return y + y_old
 
 
 def _norm2(z: np.ndarray):
@@ -423,20 +397,19 @@ def _initial_step(fun, t0, y0, t1, f0, f1, rtol, atol):
 # across it is rejected until the solve stops at the minimum step with its
 # own message; numpy's warning about the NaN would only repeat that.
 @np.errstate(invalid="ignore")
-def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
+def solve_ivp(fun, t_span, y0, rtol, atol) -> Solution:
     """Solve y' = fun(t, y) for a complex y over t_span = (t0, t1), t0 < t1, with the DOP853 pair.
 
     ``fun(t, y, out)`` writes the derivative at (t, y) into ``out``, an array
     like y: each stage is one call that fills its own row of the stage
     array, with no copy.  When ``fun`` has a ``prefetch`` attribute, each
     step attempt first calls ``fun.prefetch(times)`` with the array of the
-    times at which it will call ``fun`` (stages 1-11 and the step's end),
-    and each dense step calls it with the times of its 3 extra stages:
+    times at which it will call ``fun`` (stages 1-11 and the step's end):
     the very doubles those calls pass as t, so that ``fun`` can read what
-    depends only on t once per step.  The arithmetic is that of scipy
-    1.17's ``solve_ivp(method="DOP853")``, operation for operation (initial
-    step, stages, error norm, step control, minimum step of 10 ulps, dense
-    output), so the results are the same doubles; scipy is not imported.
+    depends only on t once per step attempt.  The arithmetic is that of
+    scipy 1.17's ``solve_ivp(method="DOP853")``, operation for operation
+    (initial step, stages, error norm, step control, minimum step of 10
+    ulps), so the results are the same doubles; scipy is not imported.
     The solve fails (``success`` False, ``message`` says why, and ``t[-1]``
     is the last time reached) when the first derivative is not finite,
     where the step control would never end; when a step would be shorter
@@ -452,13 +425,12 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
     y = np.asarray(y0, dtype=complex)
     prefetch = getattr(fun, "prefetch", None)
     # K[s] is stage s; K[12] is the derivative at the current point.
-    K = np.empty((dop853.N_STAGES_EXTENDED, y.size), dtype=complex)
-    KT = [K[:s].T for s in range(dop853.N_STAGES_EXTENDED + 1)]
-    ts, ys, steps = [t0], [y], [] if dense_output else None
+    K = np.empty((dop853.N_STAGES + 1, y.size), dtype=complex)
+    KT = [K[:s].T for s in range(dop853.N_STAGES + 2)]
+    ts, ys = [t0], [y]
 
     def result(success, message):
-        sol = DenseOutput(ts, steps) if dense_output and success else None
-        return Solution(np.array(ts), np.vstack(ys).T, nfev, success, message, sol)
+        return Solution(np.array(ts), np.vstack(ys).T, nfev, success, message)
 
     fun(t0, y, K[12])
     nfev = 1
@@ -503,19 +475,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, dense_output=False) -> Solution:
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
             rejected = True
-        if dense_output:
-            if prefetch is not None:
-                prefetch(t + _EXTRA_NODES * h)
-            for s, (c, a) in enumerate(_EXTRA_STAGES, start=dop853.N_STAGES + 1):
-                fun(t + c * h, y + np.dot(KT[s], a) * h, K[s])
-            nfev += 3
-            F = np.empty((7, y.size), dtype=complex)
-            delta_y = y_new - y
-            F[0] = delta_y
-            F[1] = h * K[0] - delta_y
-            F[2] = 2 * delta_y - h * (K[12] + K[0])
-            F[3:] = h * np.dot(_D, K)
-            steps.append((t, h, y, F))
         t, y = t_new, y_new
         ts.append(t)
         ys.append(y)
@@ -800,16 +759,16 @@ def _pair_slots(fslot: np.ndarray, sslot: np.ndarray | None):
     return np.array(slot, dtype=int), np.array(first, dtype=int)
 
 
-def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
+def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     """Carry the spinors of the rows' unit base points u0 (N, 3) along their flows over [0, 1].
 
     A row is a (Hamiltonian, base point, ``sdot``) triple: ``f`` is one
     Hamiltonian for every row or a sequence with one per row, and
-    ``sdot`` likewise, or None.  Returns the N x 3 complex end state, one
-    row each: the spinor (a, b), and the integrals of f_t and of
-    ``sdot`` (0 without it) along the trajectory as the real and imaginary
-    part of the third column; with ``dense``, also the ``Trajectory`` of
-    every row, else None.
+    ``sdot`` likewise, or None.  Returns the T x N x 3 complex states at
+    the T ``times``, one per time and row: the spinor (a, b), and the
+    integrals of f_t and of ``sdot`` (0 without it) along the trajectory
+    up to that time as the real and imaginary part of the third column.
+    ``times`` is a 1-D sequence in [0, 1]; anything else raises ValueError.
 
     When every f and ``sdot`` is linear (``linear_axis``), f_t(u) = w . u,
     the flow is the SU(2) action and no base point enters the solve: it
@@ -817,20 +776,24 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     (``_propagator_rhs``), V' = (i/k) (w . sigma) V from V(0) = I, with
     h' = R(V)^T w and h_s' = R(V)^T w_s.  The spinor of a row with base
     point u0 and spinor chi0 then turns by d chi/dt = (i/k)(w . sigma - f_t)
-    chi, so chi(1) = V(1) chi0 exp(-i h . u0 / k), the integral of f_t is
-    h . u0 and that of ``sdot`` is h_s . u0.  Otherwise every row carries
-    its own spinor: the right-hand side forms the Bloch vectors and calls,
-    for each row, the eval and grad of the base generator its Hamiltonian
-    resolves to on the segment (``_resolve``, once per segment;
-    ``_general_rhs``), and only the eval of ``sdot``'s.
+    chi, so chi(t) = V(t) chi0 exp(-i h(t) . u0 / k), the integral of f_t
+    is h(t) . u0 and that of ``sdot`` is h_s(t) . u0, rebuilt at every
+    requested time at once.  Otherwise every row carries its own spinor:
+    the right-hand side forms the Bloch vectors and calls, for each row,
+    the eval and grad of the base generator its Hamiltonian resolves to on
+    the segment (``_resolve``, once per segment; ``_general_rhs``), and
+    only the eval of ``sdot``'s.
 
-    Each segment between the union of the rows' breakpoints is one DOP853
-    solve (``solve_ivp``).  DOP853 evaluates
+    The union of the rows' breakpoints and the requested times splits
+    [0, 1] into segments, each one DOP853 solve (``solve_ivp``), and the
+    state at a requested time is the end state of the segment that ends
+    there.  DOP853 evaluates
     the right-hand side at both ends of the time span it solves, so at an
     end that is a breakpoint the span stops one ulp inside the segment: a
     segment reads f_t and ``sdot`` only on its own piece, and its steps are
     not rejected over and over at a jump of the generator that belongs to
-    the next one.  The two ulps skipped at each breakpoint are far below
+    the next one.  A time at a breakpoint reads the state one ulp before
+    it.  The two ulps skipped at each breakpoint are far below
     the solver's tolerance, and so is a segment that leaves no span.
     A solve's error norm, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) len), is
     taken over the whole state and, like an RMS norm, gives N identical
@@ -841,139 +804,105 @@ def _transport(M, f, u0, rel_tol, sdot=None, dense=False):
     ``MAX_RHS_EVALS`` raises IntegrationError.
     """
     check_rel_tol(rel_tol)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not ((0.0 <= times) & (times <= 1.0)).all():
+        raise ValueError(f"times must be a 1-D sequence in [0, 1], got {times}")
     n = len(u0)
     fs, fslot = _distinct(f, n)
     sdots, sslot = _distinct(sdot, n) if sdot is not None else ([], None)
     breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
-    stops = [0.0, *sorted(breaks), 1.0]
+    stops = sorted({0.0, 1.0, *breaks, *times.tolist()})
     chi0 = _spinors(u0)
     linear = all(linear_axis(h) is not None for h in (*fs, *sdots))
+    # states[i] is the state at stops[i], one row per propagator or base point.
     if linear:
         slot, first = _pair_slots(fslot, sslot)
         fslot, sslot = fslot[first], sslot[first] if sdots else None
-        state = np.zeros((len(first), 5), dtype=complex)
-        state[:, 0] = 1.0
+        states = np.zeros((len(stops), len(first), 5), dtype=complex)
+        states[0, :, 0] = 1.0
     else:
-        slot = np.arange(n)
-        state = np.zeros((n, 3), dtype=complex)
-        state[:, :2] = chi0
-    width = state.shape[1]
+        states = np.zeros((len(stops), n, 3), dtype=complex)
+        states[0, :, :2] = chi0
+    width = states.shape[2]
     size = _chunk_size(rel_tol)
-    chunks = []
-    for lo in range(0, len(state), size):
-        # A copy: the first dense step keeps y0, and state takes the end state.
-        yy = state[lo : lo + size].flatten()
+    for lo in range(0, states.shape[1], size):
+        yy = states[0, lo : lo + size].ravel()
         scale = 1.0 / math.sqrt(len(yy) // width)
         rows = (fs, fslot[lo : lo + size], sdots, sslot[lo : lo + size] if sdots else None)
         propagators = _propagator_rhs(M, *rows) if linear else None
-
-        sols = []
-        for t0, t1 in zip(stops[:-1], stops[1:]):
+        for i, (t0, t1) in enumerate(zip(stops[:-1], stops[1:]), start=1):
             # The solve starts and ends one ulp inside each breakpoint end,
-            # so it reads f_t and sdot only on its own piece.
+            # so it reads f_t and sdot only on its own piece.  Breakpoints
+            # at most two ulps apart leave nothing to solve.
             t_lo = math.nextafter(t0, t1) if t0 in breaks else t0
             t_hi = math.nextafter(t1, t0) if t1 in breaks else t1
-            if t_lo >= t_hi:
-                # Breakpoints at most two ulps apart leave nothing to solve.
-                continue
-            rhs = propagators or _general_rhs(M, *rows, (t_lo, t_hi))
-            sol = solve_ivp(rhs, (t_lo, t_hi), yy, rtol=rel_tol * scale, atol=_ATOL * scale, dense_output=dense)
-            if not sol.success:
-                raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t[-1]))
-            sols.append(sol)
-            yy = sol.y[:, -1]
-        state[lo : lo + size] = yy.reshape(-1, width)
-        chunks.append(sols)
-    if linear:
-        v = state[slot]
-        y = np.empty((n, 3), dtype=complex)
-        y[:, 2] = (v[:, 2:] * u0).sum(axis=1)
-        y[:, :2] = _turned(v, chi0) * np.exp(-1j * y[:, 2].real / M.k)[:, None]
-    else:
-        y = state
-    if not dense:
-        return y, None
-    steps = []
-    for sols in chunks:
-        ts = np.concatenate([sols[0].t[:1]] + [s.t[1:] for s in sols])
-        steps.append((ts, np.concatenate([sols[0].y[:, :1]] + [s.y[:, 1:] for s in sols], axis=1)))
-    trajs = []
-    for i, p in enumerate(slot.tolist()):
-        (ts, ys), row, start = steps[p // size], p % size, chi0[i] if linear else None
-        points = _points(_row_spinors(ys, row, start))
-        trajs.append(Trajectory(ts=ts, points=points, _sols=chunks[p // size], row=row, chi0=start))
-    return y, trajs
-
-
-def _points(chi: np.ndarray) -> np.ndarray:
-    """The Bloch vectors of spinors chi (N, 2), one row each."""
-    return _bloch(np.ascontiguousarray(chi).view(float))
-
-
-def _row_spinors(ys: np.ndarray, row: int, chi0: np.ndarray | None) -> np.ndarray:
-    """The spinors (T, 2) of one row in a solve's states ys (S, T), one column each.
-
-    Row ``row`` of the state carries its own spinor, or, with the base
-    point's spinor ``chi0``, a propagator that turns it.
-    """
-    if chi0 is None:
-        return ys[3 * row : 3 * row + 2].T
-    return _turned(ys[5 * row : 5 * row + 2].T, chi0)
+            if t_lo < t_hi:
+                rhs = propagators or _general_rhs(M, *rows, (t_lo, t_hi))
+                sol = solve_ivp(rhs, (t_lo, t_hi), yy, rtol=rel_tol * scale, atol=_ATOL * scale)
+                if not sol.success:
+                    raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t[-1]))
+                yy = sol.y[:, -1]
+            states[i, lo : lo + size] = yy.reshape(-1, width)
+    states = states[np.searchsorted(stops, times)]
+    if not linear:
+        return states
+    v = states[:, slot]
+    y = np.empty((len(times), n, 3), dtype=complex)
+    y[..., 2] = (v[..., 2:] * u0).sum(axis=-1)
+    y[..., :2] = _turned(v, chi0) * np.exp(-1j * y[..., 2].real / M.k)[..., None]
+    return y
 
 
 def _state_points(y: np.ndarray) -> np.ndarray:
-    """Trajectory points of states y (N, 3) of ``_transport``: the spinors' Bloch vectors."""
-    return _points(y[:, :2])
+    """Trajectory points of states y (..., 3) of ``_transport``: the spinors' Bloch vectors (..., 3)."""
+    chi = np.ascontiguousarray(y[..., :2]).reshape(-1, 2)
+    return _bloch(chi.view(float)).reshape(y.shape)
 
 
 @dataclass
 class Trajectory:
-    """Flow curve t -> psi_t(q) on [0, 1]: the Bloch vector of the transported spinor.
+    """The flow t -> psi_t(q) sampled at requested times: ``points[i]`` is psi at ``ts[i]``.
 
-    ``ts`` are the solver's steps and ``points`` the trajectory there; ``at``
-    reads the dense solve between them.  The solve may carry other rows.
-    This trajectory's spinor is its row ``row`` or, with ``chi0``, the
-    propagator in its row ``row`` applied to the spinor ``chi0`` of the base
-    point.
+    Each point is the Bloch vector of the transported spinor.
     """
 
     ts: np.ndarray
     points: np.ndarray
-    _sols: list = field(default_factory=list, repr=False)
-    row: int = 0
-    chi0: np.ndarray | None = field(default=None, repr=False)
 
     def at(self, t: float) -> np.ndarray:
-        sol = next((s for s in self._sols if t <= s.t[-1]), self._sols[-1])
-        return _points(_row_spinors(sol.sol(t)[:, None], self.row, self.chi0))[0]
+        """The sample at t, which must be one of ``ts``; any other t raises ValueError."""
+        hit = np.flatnonzero(self.ts == t)
+        if not hit.size:
+            raise ValueError(f"t={t!r} is not a sampled time of this trajectory")
+        return self.points[hit[0]]
 
-    @property
-    def endpoint(self) -> np.ndarray:
-        return self.points[-1]
 
-
-def trajectories(M: OrbitSphere, f, points, rel_tol: float = 1e-10) -> list[Trajectory]:
-    """Trajectories of du/dt = X_t(u) over [0, 1] from every base point, with dense output.
+def trajectories(M: OrbitSphere, f, points, times, rel_tol: float = 1e-10) -> list[Trajectory]:
+    """Trajectories of du/dt = X_t(u) from every base point, sampled at ``times`` in [0, 1].
 
     ``f`` is one Hamiltonian or one per point; all rows are carried by one
-    batched solve (``_transport``), linear ones by their propagators.  The
-    points are Bloch vectors, unit by construction.
+    batched solve (``_transport``), linear ones by their propagators, and
+    each time ends a segment of it.  The points are Bloch vectors, unit by
+    construction.
     """
     u0 = np.array([unit_vector(q) for q in points], dtype=float).reshape(-1, 3)
-    return _transport(M, f, u0, rel_tol, dense=True)[1]
+    ts = np.array(times, dtype=float)
+    samples = _state_points(_transport(M, f, u0, rel_tol, times=ts))
+    return [Trajectory(ts=ts, points=samples[:, i]) for i in range(len(u0))]
 
 
 def integrate_isotopy(
     M: OrbitSphere,
     f: TimeDepHamiltonian,
     q,
+    times,
     rel_tol: float = 1e-10,
 ) -> Trajectory:
-    """Trajectory of du/dt = X_t(u) from q over [0, 1], with dense output.
+    """Trajectory of du/dt = X_t(u) from q, sampled at ``times`` in [0, 1].
 
     The one-row case of ``trajectories``.
     """
-    return trajectories(M, f, [q], rel_tol=rel_tol)[0]
+    return trajectories(M, f, [q], times, rel_tol=rel_tol)[0]
 
 
 @dataclass(frozen=True)

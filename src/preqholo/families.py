@@ -60,8 +60,9 @@ class LoopFamily:
     ``s_deriv(s)`` is the Hamiltonian d f^s_t / ds, itself a time-dependent
     function on the sphere: the integrand of Omega(s), which the transport
     evaluates as it does f^s_t.  It is linear (``linear_axis``) whenever
-    the generators are.  ``closed`` declares that the families at s = 0
-    and s = 1 coincide.  A family of linear generators carries ``axis``
+    the generators are.  ``closed`` declares that the loops at s = 0 and
+    s = 1 coincide; their generators may differ by a constant, which moves
+    no point.  A family of linear generators carries ``axis``
     and ``s_axis``, the fields (svals, t) -> axes of f^s_t and of
     d f^s_t / ds at an array of s, one row each: (S, 3) at a scalar t and
     (T, S, 3) at an array of times (see ``MemberAxis``);

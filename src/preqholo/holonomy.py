@@ -107,7 +107,7 @@ def transport_phases(
     else:
         loops = list(loop)
         f = [lp.hamiltonian for lp in loops]
-    y, _ = _transport(M, f, u0, rel_tol, sdot)
+    y = _transport(M, f, u0, rel_tol, sdot)[-1]
     ends = _state_points(y)
     defects = np.linalg.norm(ends - u0, axis=1)
     bad = np.flatnonzero(defects > [lp.closure_tol for lp in loops])

@@ -218,11 +218,12 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     for _ in range(10):
         directions.append(_random_axis(rng))
         qs.append(fibonacci_sphere(1, rng=rng)[0])
-    trajs = trajectories(M, [invariant_loop(M, d).hamiltonian for d in directions], qs, rel_tol=rel)
+    times = np.linspace(0.0, 1.0, 9)
+    trajs = trajectories(M, [invariant_loop(M, d).hamiltonian for d in directions], qs, times, rel_tol=rel)
     res = max(
         float(np.linalg.norm(traj.at(t) - closed_form_flow(d, math.pi * t, q)))
         for traj, d, q in zip(trajs, directions, qs)
-        for t in np.linspace(0.0, 1.0, 9)
+        for t in times
     )
     checks.append(_check("flow-oracle", res, 1e-7))
 
@@ -230,9 +231,10 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     direction = _random_axis(rng)
     f = invariant_loop(M, direction).hamiltonian
     q = fibonacci_sphere(1, rng=rng)[0]
-    traj = integrate_isotopy(M, f, q, rel_tol=rel)
+    times = np.linspace(0.0, 1.0, 21)
+    traj = integrate_isotopy(M, f, q, times, rel_tol=rel)
     f0 = float(f.eval(0.0, q))
-    res = max(abs(float(f.eval(0.0, traj.at(t))) - f0) for t in np.linspace(0.0, 1.0, 21))
+    res = max(abs(float(f.eval(0.0, traj.at(t))) - f0) for t in times)
     checks.append(_check("energy-conservation", res, 1e-7))
 
     # Defining identity of the Hamiltonian field against the area form.

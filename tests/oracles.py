@@ -89,7 +89,7 @@ def mixing_flow(amplitude: float, profile: str = "cosine-ramp"):
 def closure_defect(M: OrbitSphere, loop: HamiltonianLoop) -> float:
     """Largest distance of psi_1(q) from q over 20 probe points, in one batched solve."""
     u0 = fibonacci_sphere(20)
-    y, _ = _transport(M, loop.hamiltonian, u0, 1e-10)
+    y = _transport(M, loop.hamiltonian, u0, 1e-10)[-1]
     return float(np.max(np.linalg.norm(_state_points(y) - u0, axis=1)))
 
 

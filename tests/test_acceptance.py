@@ -233,8 +233,8 @@ def test_criterion_9_dynamics_oracle():
         lam = rng.uniform(0, 2 * math.pi)
         direction = AlgebraDirection(math.cos(lam), math.sin(lam))
         q = unit_vector(rng.normal(size=3))
-        traj = integrate_isotopy(M, invariant_loop(M, direction).hamiltonian, q)
         t = float(rng.uniform())
+        traj = integrate_isotopy(M, invariant_loop(M, direction).hamiltonian, q, [t])
         worst_flow = max(
             worst_flow, float(np.linalg.norm(traj.at(t) - closed_form_flow(direction, math.pi * t, q)))
         )
@@ -243,9 +243,10 @@ def test_criterion_9_dynamics_oracle():
     f = invariant_loop(M, AlgebraDirection(0.6, 0.8)).hamiltonian
     for _ in range(5):
         q = unit_vector(rng.normal(size=3))
-        traj = integrate_isotopy(M, f, q)
+        times = np.linspace(0, 1, 30)
+        traj = integrate_isotopy(M, f, q, times)
         f0 = float(f.eval(0.0, q))
-        for t in np.linspace(0, 1, 30):
+        for t in times:
             worst_energy = max(worst_energy, abs(float(f.eval(0.0, traj.at(t))) - f0))
 
     worst_identity = 0.0

@@ -1,9 +1,9 @@
 """The package's DOP853 stepper against scipy's, bit for bit.
 
 ``dynamics.solve_ivp`` replicates the arithmetic of scipy's
-``solve_ivp(method="DOP853")``.  Every solve a transport makes is captured
-here and solved again by both, with dense output, and the step grids, the
-states, the evaluation counts and the dense reads must be the same doubles.
+``solve_ivp(method="DOP853")``.  Every solve a transport or a flow makes
+is captured here and solved again by both, and the step grids, the states
+and the evaluation counts must be the same doubles.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ def _captured_solves(monkeypatch, run):
     """(fun, t_span, y0, rtol, atol) of every solve ``run`` makes."""
     calls = []
 
-    def capture(fun, t_span, y0, rtol, atol, dense_output=False, _inner=dynamics.solve_ivp):
+    def capture(fun, t_span, y0, rtol, atol, _inner=dynamics.solve_ivp):
         calls.append((fun, t_span, np.array(y0), rtol, atol))
-        return _inner(fun, t_span, y0, rtol=rtol, atol=atol, dense_output=dense_output)
+        return _inner(fun, t_span, y0, rtol=rtol, atol=atol)
 
     monkeypatch.setattr(dynamics, "solve_ivp", capture)
     run()
@@ -65,21 +65,12 @@ def _assert_same_solve(fun, t_span, y0, rtol, atol):
         fun(t, y, out)
         return out
 
-    ref = scipy.integrate.solve_ivp(returning, t_span, y0, method="DOP853", rtol=rtol, atol=atol, dense_output=True)
-    own = dynamics.solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol, dense_output=True)
+    ref = scipy.integrate.solve_ivp(returning, t_span, y0, method="DOP853", rtol=rtol, atol=atol)
+    own = dynamics.solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol)
     assert own.success and ref.success
     assert own.nfev == ref.nfev
     assert _same(own.t, ref.t)
     assert _same(own.y, ref.y)
-    # interior reads: the middle of every step, points a third of the way,
-    # every step boundary and the span's ends
-    ts = np.concatenate([0.5 * (ref.t[1:] + ref.t[:-1]), ref.t[:-1] + (ref.t[1:] - ref.t[:-1]) / 3, ref.t])
-    for t in ts:
-        assert _same(own.sol(t), ref.sol(t)), t
-    # the undense solve takes the same steps with 3 fewer evaluations each
-    plain = dynamics.solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol)
-    assert plain.sol is None and _same(plain.y, ref.y)
-    assert plain.nfev == ref.nfev - 3 * (len(ref.t) - 1)
 
 
 def test_linear_rows_match_scipy(monkeypatch):
@@ -144,9 +135,11 @@ def test_field_rows_among_distinct_rows_match_scipy(monkeypatch):
     sdot = [zero, zero, *(fam.s_deriv(s) for s in svals)]
     pts = fibonacci_sphere(len(loops), rng=np.random.default_rng(6))
     phases = _captured_solves(monkeypatch, lambda: transport_phases(M, loops, pts, sdot=sdot))
-    dense = _captured_solves(monkeypatch, lambda: trajectories(M, [lp.hamiltonian for lp in loops], pts))
-    assert len(phases) == len(dense) == 4
-    for fun, *rest in phases + dense:
+    # the flows read at two more times, each the end of one more segment
+    times = (0.1, 0.25, 0.5, 0.6, 1.0)
+    flows = _captured_solves(monkeypatch, lambda: trajectories(M, [lp.hamiltonian for lp in loops], pts, times))
+    assert len(phases) == 4 and len(flows) == 6
+    for fun, *rest in phases + flows:
         assert hasattr(fun, "prefetch")
         _assert_same_solve(fun, *rest)
 

@@ -115,17 +115,48 @@ def test_gradients_match_finite_differences(sphere2, rng):
 
 def test_zero_hamiltonian_constant_trajectory(sphere1):
     q = sphere_point(0.9, 4.0)
-    traj = integrate_isotopy(sphere1, zero_hamiltonian(), q)
+    traj = integrate_isotopy(sphere1, zero_hamiltonian(), q, (0.0, 0.3, 1.0))
     for t in (0.0, 0.3, 1.0):
         assert np.allclose(traj.at(t), q, atol=1e-12)
 
 
 def test_rel_tol_validation(sphere1):
+    # a rel_tol outside its range, and a time outside [0, 1] or NaN
     q = sphere_point(1.0, 1.0)
-    with pytest.raises(ValueError):
-        integrate_isotopy(sphere1, zero_hamiltonian(), q, rel_tol=1e-2)
-    with pytest.raises(ValueError):
-        integrate_isotopy(sphere1, zero_hamiltonian(), q, rel_tol=1e-14)
+    bad = [
+        (1e-2, [1.0]),
+        (1e-14, [1.0]),
+        (1e-10, [-1e-300]),
+        (1e-10, [0.5, math.nextafter(1.0, 2.0)]),
+        (1e-10, [math.nan]),
+        (1e-10, [[0.5]]),
+    ]
+    for rel_tol, times in bad:
+        with pytest.raises(ValueError):
+            integrate_isotopy(sphere1, zero_hamiltonian(), q, times, rel_tol=rel_tol)
+
+
+def test_trajectory_reads_only_requested_times(sphere1):
+    q = sphere_point(0.7, 0.3)
+    traj = integrate_isotopy(sphere1, invariant_loop(sphere1, DIR_A).hamiltonian, q, (0.25, 1.0))
+    assert np.array_equal(traj.at(0.25), traj.points[0])
+    for t in (0.0, 0.5, math.nextafter(0.25, 0.0), math.nan):
+        with pytest.raises(ValueError, match="not a sampled time"):
+            traj.at(t)
+
+
+def test_product_loop_is_read_at_its_breakpoint(sphere1):
+    # the A loop runs on [0, 1/2] and closes there; 1/2 is the breakpoint,
+    # read one ulp before it, as is the stop one ulp inside
+    loop = product_loop(invariant_loop(sphere1, DIR_B), invariant_loop(sphere1, DIR_A))
+    assert loop.hamiltonian.breakpoints == (0.5,)
+    times = (0.25, math.nextafter(0.5, 0.0), 0.5, 1.0)
+    for q in fibonacci_sphere(4, rng=np.random.default_rng(1)):
+        traj = integrate_isotopy(sphere1, loop.hamiltonian, q, times)
+        assert np.linalg.norm(traj.at(0.25) - closed_form_flow(DIR_A, math.pi / 2, q)) < 1e-7
+        for t in times[1:]:
+            assert np.linalg.norm(traj.at(t) - q) < loop.closure_tol
+        assert np.array_equal(traj.at(0.5), traj.at(math.nextafter(0.5, 0.0)))
 
 
 def test_north_pole_meridian_loop(sphere1):
@@ -133,12 +164,12 @@ def test_north_pole_meridian_loop(sphere1):
     # and back up the opposite one
     loop = invariant_loop(sphere1, DIR_A)
     q = sphere_point(0.0, 0.0)
-    traj = integrate_isotopy(sphere1, loop.hamiltonian, q)
+    traj = integrate_isotopy(sphere1, loop.hamiltonian, q, (0.25, 1.0))
     quarter = traj.at(0.25)
     theta, phi = math.acos(quarter[2]), math.atan2(quarter[1], quarter[0])
     assert theta == pytest.approx(math.pi / 2, abs=1e-8)
     assert phi == pytest.approx(math.pi / 2, abs=1e-8)
-    assert np.linalg.norm(traj.endpoint - q) < 1e-8
+    assert np.linalg.norm(traj.at(1.0) - q) < 1e-8
 
 
 def test_integrator_against_group_flow(sphere1, rng):
@@ -146,26 +177,32 @@ def test_integrator_against_group_flow(sphere1, rng):
         direction = AlgebraDirection(*unit_vector(rng.normal(size=2)))
         q = unit_vector(rng.normal(size=3))
         loop = invariant_loop(sphere1, direction)
-        traj = integrate_isotopy(sphere1, loop.hamiltonian, q)
-        for t in np.linspace(0.0, 1.0, 100):
+        times = np.linspace(0.0, 1.0, 100)
+        traj = integrate_isotopy(sphere1, loop.hamiltonian, q, times)
+        for t in times:
             exact = closed_form_flow(direction, math.pi * t, q)
             assert np.linalg.norm(traj.at(t) - exact) < 1e-7
 
 
 def test_trajectory_samples_unit_norm_and_increasing(sphere1, rng):
+    # the samples are the requested times in the order asked for, and the
+    # same solve whatever that order
     q = unit_vector(rng.normal(size=3))
-    traj = integrate_isotopy(sphere1, invariant_loop(sphere1, DIR_B).hamiltonian, q)
-    assert np.all(np.diff(traj.ts) > 0)
-    assert traj.ts[0] == 0.0 and traj.ts[-1] == 1.0
+    f = invariant_loop(sphere1, DIR_B).hamiltonian
+    times = np.linspace(0.0, 1.0, 11)
+    traj = integrate_isotopy(sphere1, f, q, times)
+    assert np.array_equal(traj.ts, times)
     assert np.max(np.abs(np.linalg.norm(traj.points, axis=1) - 1.0)) < 1e-12
+    assert np.array_equal(integrate_isotopy(sphere1, f, q, times[::-1]).points, traj.points[::-1])
 
 
 def test_energy_conservation(sphere1, rng):
     for f in (invariant_loop(sphere1, DIR_A).hamiltonian, quadratic_hamiltonian(2.0)):
         q = unit_vector(rng.normal(size=3))
-        traj = integrate_isotopy(sphere1, f, q)
+        times = np.linspace(0.0, 1.0, 40)
+        traj = integrate_isotopy(sphere1, f, q, times)
         f0 = float(f.eval(0.0, q))
-        for t in np.linspace(0.0, 1.0, 40):
+        for t in times:
             assert abs(float(f.eval(0.0, traj.at(t))) - f0) < 1e-7
 
 
@@ -178,7 +215,7 @@ def test_flow_preserves_area_of_small_triangles(sphere1, rng):
         e1 = random_tangent(rng, c)
         e2 = np.cross(c, e1)
         verts = [unit_vector(c + 0.03 * (math.cos(a) * e1 + math.sin(a) * e2)) for a in (0, 2.1, 4.4)]
-        images = [integrate_isotopy(sphere1, f, v).endpoint for v in verts]
+        images = [integrate_isotopy(sphere1, f, v, [1.0]).at(1.0) for v in verts]
         a0 = omega_area_triangle(sphere1, *verts)
         a1 = omega_area_triangle(sphere1, *images)
         assert a1 == pytest.approx(a0, abs=1e-5)
@@ -192,14 +229,14 @@ def test_closure_probe_detects_open_isotopy(sphere1):
     assert closure_defect(sphere1, open_loop) > 0.1
     # one batched solve over the 20 probe points, as if each were alone
     per_point = max(
-        np.linalg.norm(integrate_isotopy(sphere1, f, q).endpoint - unit_vector(q))
+        np.linalg.norm(integrate_isotopy(sphere1, f, q, [1.0]).at(1.0) - unit_vector(q))
         for q in fibonacci_sphere(20)
     )
     assert closure_defect(sphere1, open_loop) == pytest.approx(per_point, abs=1e-9)
 
 
 def test_flow_is_the_transport_solve(sphere1, monkeypatch):
-    # integrate_isotopy is the one-point dense view of the transport's
+    # read at t = 1, integrate_isotopy is the one-point transport's own
     # solve, so both end at the same point, breakpoints included; a linear
     # loop's flow reads V(t) off its one propagator, 5 numbers per solve
     loops = [
@@ -211,7 +248,7 @@ def test_flow_is_the_transport_solve(sphere1, monkeypatch):
     sizes = _state_sizes(monkeypatch)
     for loop in loops:
         for q in fibonacci_sphere(8):
-            flow_end = integrate_isotopy(sphere1, loop.hamiltonian, q).endpoint
+            flow_end = integrate_isotopy(sphere1, loop.hamiltonian, q, [1.0]).at(1.0)
             assert np.linalg.norm(flow_end - transport_phase(sphere1, loop, q).point) < 1e-14
     assert set(sizes) == {5}
 
@@ -376,8 +413,8 @@ def test_propagator_columns_match_the_general_path(case, n):
     M = OrbitSphere(n)
     f, sdot, u0 = _propagator_and_general_rows(M, case)
     general = _eval_wrapped(f) if isinstance(f, TimeDepHamiltonian) else [_eval_wrapped(h) for h in f]
-    y, _ = dynamics._transport(M, f, u0, 1e-10, sdot=sdot)
-    y_gen, _ = dynamics._transport(M, general, u0, 1e-10, sdot=sdot)
+    y = dynamics._transport(M, f, u0, 1e-10, sdot=sdot)[-1]
+    y_gen = dynamics._transport(M, general, u0, 1e-10, sdot=sdot)[-1]
     assert np.max(np.abs(y[:, 2].real - y_gen[:, 2].real)) < 1e-9
     assert np.max(np.abs(y[:, 2].imag - y_gen[:, 2].imag)) < 1e-9
     assert np.max(np.linalg.norm(dynamics._state_points(y) - dynamics._state_points(y_gen), axis=1)) < 1e-9
@@ -492,12 +529,12 @@ def _counted(fn, counts, key):
 
 
 def _solve_log(monkeypatch):
-    """(nfev, dense steps) of every solve made while it is patched in."""
+    """nfev of every solve made while it is patched in."""
     solves = []
 
-    def logged(fun, t_span, y0, rtol, atol, dense_output=False, _inner=dynamics.solve_ivp):
-        sol = _inner(fun, t_span, y0, rtol=rtol, atol=atol, dense_output=dense_output)
-        solves.append((sol.nfev, len(sol.t) - 1 if dense_output else 0))
+    def logged(fun, t_span, y0, rtol, atol, _inner=dynamics.solve_ivp):
+        sol = _inner(fun, t_span, y0, rtol=rtol, atol=atol)
+        solves.append(sol.nfev)
         return sol
 
     monkeypatch.setattr(dynamics, "solve_ivp", logged)
@@ -505,16 +542,16 @@ def _solve_log(monkeypatch):
 
 
 def _reads_allowed(solves):
-    """One read per step attempt, one per dense step and the 2 of each solve's start.
+    """One read per step attempt and the 2 of each solve's start.
 
-    A step attempt makes 12 evaluations and a dense step 3 more; the first
-    derivative and the initial-step probe make the 2 others.
+    A step attempt makes 12 evaluations; the first derivative and the
+    initial-step probe make the 2 others.
     """
     total = 0
-    for nfev, dense in solves:
-        attempts, rest = divmod(nfev - 2 - 3 * dense, 12)
+    for nfev in solves:
+        attempts, rest = divmod(nfev - 2, 12)
         assert rest == 0
-        total += attempts + dense + 2
+        total += attempts + 2
     return total
 
 
@@ -540,8 +577,9 @@ def test_family_fields_are_read_once_per_step_attempt(monkeypatch):
 
 
 def test_product_loop_axes_are_read_once_per_step_attempt(monkeypatch):
-    # dense trajectories of distinct rows, two of them nested products with
-    # breakpoints at 1/4, 1/2 and 3/4: each row's axis is its own group
+    # trajectories of distinct rows, read at each quarter, two of them nested
+    # products with breakpoints at 1/4, 1/2 and 3/4: each row's axis is its
+    # own group
     M = OrbitSphere(1)
     counts = {}
     rows = []
@@ -550,7 +588,7 @@ def test_product_loop_axes_are_read_once_per_step_attempt(monkeypatch):
         counts[i] = 0
         rows.append(linear_hamiltonian(_counted(linear_axis(f), counts, i), breakpoints=f.breakpoints))
     solves = _solve_log(monkeypatch)
-    trajectories(M, rows, fibonacci_sphere(len(rows)))
+    trajectories(M, rows, fibonacci_sphere(len(rows)), (0.25, 0.5, 0.75, 1.0))
     assert len(solves) == 4
     for i, reads in counts.items():
         assert 0 < reads <= _reads_allowed(solves), i

@@ -493,7 +493,7 @@ sys.exit(4)
 
 
 @pytest.mark.parametrize(
-    "call", ["kappa(M, loop, [0.0, 0.0, 1.0])", "integrate_isotopy(M, loop.hamiltonian, [0.0, 0.0, 1.0])"]
+    "call", ["kappa(M, loop, [0.0, 0.0, 1.0])", "integrate_isotopy(M, loop.hamiltonian, [0.0, 0.0, 1.0], [1.0])"]
 )
 def test_non_finite_hamiltonian_raises_instead_of_hanging(call):
     # scipy's step-size loop never ends on a NaN first step, so the call
@@ -601,7 +601,7 @@ def test_replaced_grad_is_not_read_off_a_stale_axis(sphere1):
     f_b = invariant_loop(sphere1, DIR_B).hamiltonian
     g = dataclasses.replace(f_a, eval=f_b.eval, grad=f_b.grad)
     q = sphere_point(0.9, 0.4)
-    traj_a, traj_g = trajectories(sphere1, [f_a, g], [q, q])
+    traj_a, traj_g = trajectories(sphere1, [f_a, g], [q, q], [0.3])
     assert np.linalg.norm(traj_a.at(0.3) - closed_form_flow(DIR_A, 0.3 * math.pi, q)) < 1e-8
     assert np.linalg.norm(traj_g.at(0.3) - closed_form_flow(DIR_B, 0.3 * math.pi, q)) < 1e-8
 
@@ -637,18 +637,20 @@ def test_carried_axes_stay_derived(sphere1):
 
 
 def test_verify_level_makes_one_solve_per_check(monkeypatch):
-    # rows of (loop, point) put each check's transports into one solve:
-    # 16 solve_ivp calls at n = 1, where one solve per point makes 91
-    calls = []
+    # rows of (loop, point) put each check's transports into one batch: 15
+    # batches at n = 1, where one per point makes about 90.  A batch is
+    # solved segment by segment, split at breakpoints and at the times a
+    # flow is read, so a batch is a solve that starts at t = 0
+    starts = []
 
-    def counted(*args, _inner=dynamics.solve_ivp, **kwargs):
-        calls.append(1)
-        return _inner(*args, **kwargs)
+    def counted(fun, t_span, *args, _inner=dynamics.solve_ivp, **kwargs):
+        starts.append(t_span[0])
+        return _inner(fun, t_span, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "solve_ivp", counted)
     checks = verify_level(1)
     assert all(c["passed"] for c in checks)
-    assert len(calls) <= 30
+    assert starts.count(0.0) <= 20
 
 
 def _recording_pieces(path, reads):
@@ -689,13 +691,14 @@ def _recording_pieces(path, reads):
 def test_each_segment_reads_only_its_own_piece(sphere1, path):
     # the nested path product runs p0, p1, p2, p3 on the quarters of [0, 1];
     # a breakpoint ends the solves on both sides of it, so a piece may be
-    # read exactly at its own ends only where they are the loop's ends
+    # read exactly at its own ends only where they are the loop's ends; the
+    # flow is read at each breakpoint and at two times inside the pieces
     reads = []
     p0, p1, p2, p3 = _recording_pieces(path, reads)
     f = product_loop(product_loop(p3, p2), product_loop(p1, p0)).hamiltonian
     assert f.breakpoints == (0.25, 0.5, 0.75)
     assert (linear_axis(f) is not None) == (path == "axis")
-    trajectories(sphere1, f, fibonacci_sphere(3, rng=np.random.default_rng(0)))
+    trajectories(sphere1, f, fibonacci_sphere(3, rng=np.random.default_rng(0)), [0.1, 0.25, 0.5, 0.6, 0.75, 1.0])
     for k in range(4):
         local = np.array([t for j, t in reads if j == k])
         inside = (local > 0.0) & (local < 1.0)
@@ -786,8 +789,8 @@ def test_parts_give_the_phases_of_the_closures(factor, tol):
         base, a, _, _ = dynamics._resolve(f, math.nextafter(lo, hi), math.nextafter(hi, lo))
         assert not base.parts and a == 4.0
     u0 = fibonacci_sphere(3, rng=np.random.default_rng(2))
-    y, _ = dynamics._transport(M, f, u0, 1e-10)
-    y_ref, _ = dynamics._transport(M, _own_closures(f), u0, 1e-10)
+    y = dynamics._transport(M, f, u0, 1e-10)[-1]
+    y_ref = dynamics._transport(M, _own_closures(f), u0, 1e-10)[-1]
     assert np.max(np.abs(y - y_ref)) <= tol
     if tol == 0.0:
         assert np.array_equal(y, y_ref)
@@ -832,11 +835,11 @@ def test_a_part_end_dropped_near_zero_is_read_by_its_own_closures(sphere1):
     base, a, b, c = dynamics._resolve(f, 0.0, math.nextafter(0.5, 0.0))
     assert (base, a, b, c) == (inner, 2.0, 0.0, 2.0)
     u0 = fibonacci_sphere(3, rng=np.random.default_rng(0))
-    y, _ = dynamics._transport(sphere1, f, u0, 1e-10)
+    y = dynamics._transport(sphere1, f, u0, 1e-10)[-1]
     by_piece = {k: np.array([t for j, t in reads if j == k]) for k in (0, 1)}
     assert len(by_piece[0]) and np.all(by_piece[0] < 2e-14)
     assert len(by_piece[1]) and np.all(by_piece[1] >= 2e-14)
-    assert np.array_equal(y, dynamics._transport(sphere1, _own_closures(f), u0, 1e-10)[0])
+    assert np.array_equal(y, dynamics._transport(sphere1, _own_closures(f), u0, 1e-10)[-1])
 
 
 def test_there_and_back_segments_cost_alike(monkeypatch):

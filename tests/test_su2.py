@@ -185,7 +185,7 @@ def test_flow_oracle_bulk(sphere1, rng):
         direction = AlgebraDirection(math.cos(lam), math.sin(lam))
         q = unit_vector(rng.normal(size=3))
         loop = invariant_loop(sphere1, direction)
-        traj = integrate_isotopy(sphere1, loop.hamiltonian, q)
+        traj = integrate_isotopy(sphere1, loop.hamiltonian, q, times)
         for t in times:
             worst = max(
                 worst,
@@ -219,8 +219,9 @@ def test_mixing_flow_is_oracle_for_mixing_loop(sphere1, rng):
         loop = mixing_loop(sphere1, amp, profile=profile)
         flow = mixing_flow(amp, profile=profile)
         q = unit_vector(rng.normal(size=3))
-        traj = integrate_isotopy(sphere1, loop.hamiltonian, q)
-        for t in np.linspace(0.0, 1.0, 21):
+        times = np.linspace(0.0, 1.0, 21)
+        traj = integrate_isotopy(sphere1, loop.hamiltonian, q, times)
+        for t in times:
             assert np.linalg.norm(traj.at(t) - flow(t, q)) < 1e-7
 
 

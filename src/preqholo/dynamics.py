@@ -493,34 +493,32 @@ def _chunk_size(rel_tol: float) -> int:
     return size
 
 
+def _index(keys):
+    """(first, slot) of one hashable key per row: each distinct key's first row, and each row's key.
+
+    Keys are numbered in the order of their first rows.  Python's dict,
+    not numpy's sort kernels, which would page ~0.4 MB into the peak
+    memory of a short run.
+    """
+    index, slot, first = {}, [], []
+    for i, key in enumerate(keys):
+        j = index.setdefault(key, len(first))
+        if j == len(first):
+            first.append(i)
+        slot.append(j)
+    return np.array(first, dtype=int), np.array(slot, dtype=int)
+
+
 def _distinct(items, n: int):
-    """The distinct entries of a per-row sequence, and each row's index into them.
+    """The distinct entries of a per-row sequence, and each row's index into them (``_index``).
 
     One Hamiltonian stands for every row.  Entries are told apart by identity.
     """
-    if isinstance(items, TimeDepHamiltonian):
-        return [items], np.zeros(n, dtype=int)
-    items = list(items)
+    items = [items] * n if isinstance(items, TimeDepHamiltonian) else list(items)
     if len(items) != n:
         raise ValueError(f"{len(items)} per-row entries for {n} rows")
-    distinct, index, slot = [], {}, np.empty(n, dtype=int)
-    for i, item in enumerate(items):
-        slot[i] = index.setdefault(id(item), len(distinct))
-        if slot[i] == len(distinct):
-            distinct.append(item)
-    return distinct, slot
-
-
-def _groups(slot: np.ndarray) -> list:
-    """(j, rows with slot j) for every index j that occurs in slot, in order of j.
-
-    A contiguous run of rows is a slice, so that indexing by it copies nothing.
-    """
-    out = []
-    for j in sorted(set(slot.tolist())):
-        idx = np.flatnonzero(slot == j)
-        out.append((j, slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == len(idx) else idx))
-    return out
+    first, slot = _index(map(id, items))
+    return [items[i] for i in first], slot
 
 
 def _parts_of(f: TimeDepHamiltonian) -> tuple:
@@ -554,21 +552,17 @@ def _hamiltonian_terms(fs, slot, span, grad=True):
     Row i has the Hamiltonian ``fs[slot[i]]``, read as c base_{a t + b}
     (``_resolve``): its base generator's eval and, unless ``grad`` is
     False, its grad at the mapped time (None in its place otherwise).
-    The rows that share a base and a map are read in one call.  When one
-    covers every row, ``terms(t, u)`` returns its values (f_t(u),
-    grad f_t(u)) / c, with no scatter, and c is left for the caller to
-    apply once; otherwise ``terms`` applies each row's own c and the
-    common factor is 1.
+    The rows that share a base and a map (``_index``) are read in one
+    call, by an index array.  When one covers every row, ``terms(t, u)``
+    returns its values (f_t(u), grad f_t(u)) / c, with no scatter, and c
+    is left for the caller to apply once; otherwise ``terms`` applies
+    each row's own c and the common factor is 1.
     """
-    reads, at, fslot = [], {}, []
-    for f in fs:
-        read = _resolve(f, *span)
-        key = (id(read[0]), *read[1:])
-        if key not in at:
-            at[key] = len(reads)
-            reads.append(read)
-        fslot.append(at[key])
-    groups = [(reads[j], idx) for j, idx in _groups(np.array(fslot)[slot])]
+    reads = [_resolve(f, *span) for f in fs]
+    first, at = _index((id(base), a, b, c) for base, a, b, c in reads)
+    rows = at[slot]
+    groups = [(reads[i], np.flatnonzero(rows == j)) for j, i in enumerate(first)]
+    groups = [(read, idx) for read, idx in groups if idx.size]
 
     if len(groups) == 1:
         (base, a, b, c), _ = groups[0]
@@ -743,22 +737,6 @@ def _turned(v: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return np.stack([a * chi[..., 0] - b.conj() * chi[..., 1], b * chi[..., 0] + a.conj() * chi[..., 1]], axis=-1)
 
 
-def _pair_slots(fslot: np.ndarray, sslot: np.ndarray | None):
-    """Each row's index into the distinct (f, ``sdot``) pairs, and the first row of each pair.
-
-    The pairs are numbered in the order of their first rows.  Python's
-    dict, not numpy's sort kernels, which would page ~0.4 MB into the
-    peak memory of a short run.
-    """
-    index, slot, first = {}, [], []
-    for i, key in enumerate(zip(fslot.tolist(), (sslot if sslot is not None else fslot).tolist())):
-        j = index.setdefault(key, len(first))
-        if j == len(first):
-            first.append(i)
-        slot.append(j)
-    return np.array(slot, dtype=int), np.array(first, dtype=int)
-
-
 def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     """Carry the spinors of the rows' unit base points u0 (N, 3) along their flows over [0, 1].
 
@@ -816,7 +794,7 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     linear = all(linear_axis(h) is not None for h in (*fs, *sdots))
     # states[i] is the state at stops[i], one row per propagator or base point.
     if linear:
-        slot, first = _pair_slots(fslot, sslot)
+        first, slot = _index(zip(fslot.tolist(), (sslot if sdots else fslot).tolist()))
         fslot, sslot = fslot[first], sslot[first] if sdots else None
         states = np.zeros((len(stops), len(first), 5), dtype=complex)
         states[0, :, 0] = 1.0

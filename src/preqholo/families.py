@@ -29,7 +29,6 @@ from .dynamics import (
     LoopClosureError,
     MemberAxis,
     TimeDepHamiltonian,
-    linear_axis,
     linear_hamiltonian,
     over_times,
     scale_hamiltonian,
@@ -62,19 +61,15 @@ class LoopFamily:
     evaluates as it does f^s_t.  It is linear (``linear_axis``) whenever
     the generators are.  ``closed`` declares that the loops at s = 0 and
     s = 1 coincide; their generators may differ by a constant, which moves
-    no point.  A family of linear generators carries ``axis``
-    and ``s_axis``, the fields (svals, t) -> axes of f^s_t and of
-    d f^s_t / ds at an array of s, one row each: (S, 3) at a scalar t and
-    (T, S, 3) at an array of times (see ``MemberAxis``);
-    ``linear_family`` derives the members from them.
+    no point.  The fields of a linear family live in its members' axes
+    (``MemberAxis``, see ``linear_family``).  ``loop_at`` builds each
+    member once, so the rows of a batch at one s share one propagator.
     """
 
     loop_builder: Callable[[float], HamiltonianLoop]
     s_deriv: Callable[[float], TimeDepHamiltonian]
     closed: bool = False
     label: str = ""
-    axis: Callable | None = None
-    s_axis: Callable | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def loop_at(self, s: float) -> HamiltonianLoop:
@@ -87,11 +82,11 @@ class LoopFamily:
 def linear_family(axis, s_axis, member_label, closure_tol: float, closed: bool, label: str) -> LoopFamily:
     """The family whose member at s is generated by the linear f^s_t(u) = axis(s, t) . u.
 
-    ``axis`` and ``s_axis`` are vectorized over an array of s and over a
-    scalar t or an array of times, and ``s_axis`` is the analytic
-    d axis / ds.  The member's axis and its s-derivative's axis are
-    ``MemberAxis`` views of the two fields, so a batch of members reads
-    each field once per step attempt.
+    ``axis`` and ``s_axis`` (the analytic d axis / ds) take an array of s
+    and a scalar t or an array of times, as ``MemberAxis`` reads them.
+    The family holds them only in its members: the axes of loop_at(s) and
+    s_deriv(s) are ``MemberAxis`` views of the two fields at s, so a batch
+    of members reads each field once per step attempt.
     ``member_label(s)`` labels the loop at s.
     """
 
@@ -105,8 +100,6 @@ def linear_family(axis, s_axis, member_label, closure_tol: float, closed: bool, 
         s_deriv=lambda s: linear_hamiltonian(MemberAxis(s_axis, s)),
         closed=closed,
         label=label,
-        axis=axis,
-        s_axis=s_axis,
     )
 
 
@@ -288,9 +281,8 @@ def double_integral_check(
 def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:
     """s-wise path product of two families; the caller matches the base loops.
 
-    When both families carry fields, so does the product: s < 1/2 reads
-    fam1's at 2s and the rest fam2's at 2s - 1, and d/ds doubles the
-    s-derivative's, so every s-derivative is a member of one field.
+    Below s = 1/2 the member is fam1's at 2s, else fam2's at 2s - 1,
+    and d/ds is twice the half's (``scale_hamiltonian``, linear if it is).
     """
 
     def builder(s):
@@ -303,32 +295,11 @@ def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:
             return scale_hamiltonian(fam1.s_deriv(2.0 * s), 2.0)
         return scale_hamiltonian(fam2.s_deriv(2.0 * s - 1.0), 2.0)
 
-    def halves(field1, field2):
-        def field(svals, t):
-            svals = np.asarray(svals, dtype=float)
-            first = svals < 0.5
-            w = np.empty((*np.shape(t), len(svals), 3))
-            if first.any():
-                w[..., first, :] = field1(2.0 * svals[first], t)
-            if not first.all():
-                w[..., ~first, :] = field2(2.0 * svals[~first] - 1.0, t)
-            return w
-
-        return field
-
-    axis = s_axis = None
-    if None not in (fam1.axis, fam1.s_axis, fam2.axis, fam2.s_axis):
-        axis = halves(fam1.axis, fam2.axis)
-        doubled = halves(fam1.s_axis, fam2.s_axis)
-        s_axis = lambda svals, t: 2.0 * doubled(svals, t)
-        derivative = lambda s: linear_hamiltonian(MemberAxis(s_axis, s))
     return LoopFamily(
         loop_builder=builder,
         s_deriv=derivative,
         closed=fam1.closed and fam2.closed,
         label=f"({fam1.label}).({fam2.label})",
-        axis=axis,
-        s_axis=s_axis,
     )
 
 
@@ -336,25 +307,15 @@ def constant_family(loop: HamiltonianLoop) -> LoopFamily:
     """Family that does not move; its one-form and winding vanish.
 
     Every member is the loop itself and every s-derivative one zero
-    Hamiltonian, so the rows of a batch of members share both.  A linear
-    loop gives the family its axis fields.
+    Hamiltonian, so the rows of a batch of members share both, and they
+    stay on the linear path when the loop is linear.
     """
     zero = zero_hamiltonian()
-    base = linear_axis(loop.hamiltonian)
-
-    def axis(svals, t):
-        return np.broadcast_to(base(t)[..., None, :], (*np.shape(t), len(svals), 3))
-
-    def s_axis(svals, t):
-        return over_times(t, np.zeros((len(svals), 3)))
-
     return LoopFamily(
         loop_builder=lambda s: loop,
         s_deriv=lambda s: zero,
         closed=True,
         label=f"constant[{loop.label}]",
-        axis=None if base is None else axis,
-        s_axis=None if base is None else s_axis,
     )
 
 

@@ -33,6 +33,9 @@ from .dynamics import (
 )
 from .sphere import TWO_PI, OrbitSphere, unit_vector
 
+# The largest |grad f| at which ``kappa_at_fixed_point`` takes p as critical.
+FIXED_POINT_GRAD_TOL = 1e-10
+
 
 def circle_distance(x: float, y: float) -> float:
     """Distance between two phases in revolutions, measured on the circle."""
@@ -154,9 +157,7 @@ def kappas(
     return [UnitPhase.from_revolutions(st.phase).value for st in states]
 
 
-def kappa_at_fixed_point(
-    M: OrbitSphere, f: TimeDepHamiltonian, p, grad_tol: float = 1e-10
-) -> UnitPhase:
+def kappa_at_fixed_point(M: OrbitSphere, f: TimeDepHamiltonian, p) -> UnitPhase:
     """Holonomy shortcut at a critical point of a unit-period generator.
 
     At a fixed point the trajectory is constant and the whole phase comes
@@ -165,9 +166,9 @@ def kappa_at_fixed_point(
     """
     u = unit_vector(p)
     g = np.asarray(f.grad(0.0, u), dtype=float)
-    if float(np.linalg.norm(g)) > grad_tol:
+    if float(np.linalg.norm(g)) > FIXED_POINT_GRAD_TOL:
         raise ValueError(
-            f"p is not a critical point: |grad f| = {np.linalg.norm(g):.3e} > {grad_tol:g}"
+            f"p is not a critical point: |grad f| = {np.linalg.norm(g):.3e} > {FIXED_POINT_GRAD_TOL:g}"
         )
     return UnitPhase.from_revolutions(-float(f.eval(0.0, u)))
 

@@ -190,7 +190,7 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     checks.append(_check("subgroup-one-form-vanishing", res, 1e-6))
 
     # Family-derivative identity on the closed two-axis mixing family.
-    fam = closed_mixing_family(M, amplitude=0.6)
+    fam = closed_mixing_family(M, amplitude=0.6, closure_tol=tol.closure_tol)
     dc = kappa_derivative_check(M, fam, 0.3, q, rel_tol=rel)
     checks.append(
         _check(

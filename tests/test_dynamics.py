@@ -36,7 +36,7 @@ from preqholo import (
     zero_hamiltonian,
 )
 from preqholo.config import Tolerances, build_family, build_loop
-from preqholo.dynamics import HamiltonianLoop
+from preqholo.dynamics import HamiltonianLoop, MemberAxis
 from preqholo.families import linear_family
 from preqholo.sphere import random_rotation_matrix, random_tangent
 
@@ -269,7 +269,7 @@ def _both_rhs(M, f, n_rows, sdot=None):
     """The propagator and the general right-hand side of one chunk of rows (f, sdot), and each row's propagator."""
     fs, fslot = dynamics._distinct(f, n_rows)
     sdots, sslot = dynamics._distinct(sdot, n_rows) if sdot is not None else ([], None)
-    slot, first = dynamics._pair_slots(fslot, sslot)
+    first, slot = dynamics._index(zip(fslot.tolist(), (sslot if sdots else fslot).tolist()))
     pairs = (fs, fslot[first], sdots, sslot[first] if sdots else None)
     return dynamics._propagator_rhs(M, *pairs), dynamics._general_rhs(M, fs, fslot, sdots, sslot), slot
 
@@ -434,24 +434,55 @@ FAMILY_SPECS = [
 ]
 
 
-def _family(M, spec):
-    """The registry family of spec, or for "concatenate" a closed-mixing family then a subgroup rotation."""
+def _halves(M):
+    """The two halves of the "concatenate" spec: a closed-mixing family, then a subgroup rotation."""
     tol = Tolerances()
+    first = build_family(M, {"name": "closed-mixing", "amplitude": 0.9}, tol)
+    return first, build_family(M, {"name": "subgroup-rotation", "turns": 1}, tol)
+
+
+def _family(M, spec):
+    """The registry family of spec, or for "concatenate" the path product of ``_halves``."""
     if spec == "concatenate":
-        first = build_family(M, {"name": "closed-mixing", "amplitude": 0.9}, tol)
-        return concatenate(first, build_family(M, {"name": "subgroup-rotation", "turns": 1}, tol))
-    return build_family(M, spec, tol)
+        return concatenate(*_halves(M))
+    return build_family(M, spec, Tolerances())
+
+
+def _fields(fam):
+    """The fields of a family's members and of their s-derivatives, read through the member at s = 0."""
+    return fam.loop_at(0.0).hamiltonian.axis.field, fam.s_deriv(0.0).axis.field
 
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
 def test_family_axis_fields_match_their_members(spec):
-    # axis(s, t) and s_axis(s, t), read at an array of s, give the axes of
-    # loop_at(s) and s_deriv(s) row by row
+    # a field family's members share its two fields, which, read at an
+    # array of s, give the axes of loop_at(s) and s_deriv(s) row by row; a
+    # constant family's members are its loop with a zero s-derivative, and
+    # a concatenation's are its halves' members with twice their
+    # s-derivatives, bit for bit
     M = OrbitSphere(2)
     fam = _family(M, spec)
     svals = np.linspace(0.0, 1.0, 7)
-    for t in np.linspace(0.0, 1.0, 5):
-        w, ws = fam.axis(svals, t), fam.s_axis(svals, t)
+    ts = np.linspace(0.0, 1.0, 5)
+    if spec == "concatenate":
+        first, second = _halves(M)
+        for s in svals:
+            half, x = (first, 2.0 * s) if s < 0.5 else (second, 2.0 * s - 1.0)
+            w, ws = linear_axis(fam.loop_at(s).hamiltonian), linear_axis(fam.s_deriv(s))
+            assert _same(w(ts), linear_axis(half.loop_at(x).hamiltonian)(ts))
+            assert _same(ws(ts), 2.0 * linear_axis(half.s_deriv(x))(ts))
+        return
+    if spec["name"] == "constant":
+        loop = fam.loop_at(0.0)
+        for s in svals:
+            assert fam.loop_at(s) is loop
+            assert _same(linear_axis(fam.s_deriv(s))(ts), np.zeros((len(ts), 3)))
+        return
+    field, s_field = _fields(fam)
+    for s in svals:
+        assert fam.loop_at(s).hamiltonian.axis.field is field and fam.s_deriv(s).axis.field is s_field
+    for t in ts:
+        w, ws = field(svals, t), s_field(svals, t)
         assert w.shape == ws.shape == (len(svals), 3)
         for s, w_s, ws_s in zip(svals, w, ws):
             assert np.array_equal(w_s, linear_axis(fam.loop_at(s).hamiltonian)(t))
@@ -463,8 +494,9 @@ def test_family_axes_match_the_su2_loops(sphere2):
     svals = np.linspace(0.0, 1.0, 6)
     fam = closed_mixing_family(sphere2, 0.9, profile="cosine-ramp")
     sub = subgroup_rotation_family(sphere2, start_angle=0.4, turns=2.0)
+    mix_field, sub_field = _fields(fam)[0], _fields(sub)[0]
     for t in (0.0, 0.3, 0.8):
-        for s, w_mix, w_sub in zip(svals, fam.axis(svals, t), sub.axis(svals, t)):
+        for s, w_mix, w_sub in zip(svals, mix_field(svals, t), sub_field(svals, t)):
             mix = mixing_loop(sphere2, 0.9 * math.sin(math.pi * s) ** 2).hamiltonian
             lam = 0.4 + 4.0 * math.pi * s
             inv = invariant_loop(sphere2, AlgebraDirection(math.cos(lam), math.sin(lam))).hamiltonian
@@ -515,7 +547,12 @@ def test_array_reads_equal_scalar_reads():
     ts = _times((0.5,))
     for spec in FAMILY_SPECS:
         fam = _family(M, spec)
-        for field in (fam.axis, fam.s_axis):
+        axes = [linear_axis(h) for s in svals for h in (fam.loop_at(s).hamiltonian, fam.s_deriv(s))]
+        for axis in axes:
+            assert _same(axis(ts), np.array([axis(t) for t in ts])), spec
+        # the fields the members read, once each
+        fields = {id(axis.field): axis.field for axis in axes if isinstance(axis, MemberAxis)}
+        for field in fields.values():
             assert _same(field(svals, ts), np.array([field(svals, t) for t in ts])), spec
             assert field(svals, ts[:0]).shape == (0, len(svals), 3)
 
@@ -557,21 +594,26 @@ def _reads_allowed(solves):
 
 def test_family_fields_are_read_once_per_step_attempt(monkeypatch):
     # an omega batch of 6 members at 3 points: each field is one group,
-    # where one read per evaluation would make 12 per attempt
+    # where one read per evaluation would make 12 per attempt.  loop_at
+    # builds each member once, so the 3 rows of a member share one
+    # propagator: a state of 6 x 5 numbers, where one member per row
+    # would make 18 x 5
     M = OrbitSphere(2)
-    fam = closed_mixing_family(M, 0.9)
+    field, s_field = _fields(closed_mixing_family(M, 0.9))
     counts = {"axis": 0, "s_axis": 0}
     counted = linear_family(
-        _counted(fam.axis, counts, "axis"),
-        _counted(fam.s_axis, counts, "s_axis"),
+        _counted(field, counts, "axis"),
+        _counted(s_field, counts, "s_axis"),
         lambda s: f"member {s}",
         1e-6,
         closed=True,
         label="counted",
     )
     solves = _solve_log(monkeypatch)
+    sizes = _state_sizes(monkeypatch)
     member_states(M, counted, np.linspace(0.05, 0.95, 6), fibonacci_sphere(3))
     assert len(solves) == 1
+    assert sizes == [30]
     assert 0 < counts["axis"] <= _reads_allowed(solves)
     assert 0 < counts["s_axis"] <= _reads_allowed(solves)
 

@@ -43,7 +43,7 @@ from preqholo import (
     unit_vector,
     zero_hamiltonian,
 )
-from preqholo import dynamics, verify
+from preqholo import dynamics, families, holonomy, verify
 from preqholo.config import Tolerances, build_loop
 from preqholo.holonomy import phase_spread
 from preqholo.sphere import random_rotation_matrix
@@ -651,6 +651,21 @@ def test_verify_level_makes_one_solve_per_check(monkeypatch):
     checks = verify_level(1)
     assert all(c["passed"] for c in checks)
     assert starts.count(0.0) <= 20
+
+
+def test_verify_level_transports_at_the_given_closure_tol(monkeypatch):
+    # every loop a verify level transports, the members of its families
+    # included, carries the closure_tol it is given
+    tols = []
+
+    def recorded(M, loop, *args, _inner=holonomy.transport_phases, **kwargs):
+        tols.extend(lp.closure_tol for lp in ([loop] if isinstance(loop, HamiltonianLoop) else loop))
+        return _inner(M, loop, *args, **kwargs)
+
+    for module in (holonomy, families, verify):
+        monkeypatch.setattr(module, "transport_phases", recorded)
+    verify_level(1, tol=Tolerances(closure_tol=3e-6))
+    assert tols and set(tols) == {3e-6}
 
 
 def _recording_pieces(path, reads):

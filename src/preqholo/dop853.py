@@ -1,12 +1,12 @@
-"""Coefficients of the Dormand-Prince 8(5,3) pair (DOP853).
+"""The package's one ODE solver: the Dormand-Prince 8(5,3) pair (DOP853) and its stepper.
 
 The pair is published in E. Hairer, S. P. Norsett and G. Wanner, "Solving
 Ordinary Differential Equations I: Nonstiff Problems", 2nd ed., Springer
-1993, Sec. II.10, and in their Fortran code DOP853.  The digits below are those of scipy's
-``scipy/integrate/_ivp/dop853_coefficients.py`` (scipy 1.17), and the arrays
-are built from them with the same arithmetic, so they hold the same doubles.
-Only the entries that ``dynamics.solve_ivp`` reads are kept; every entry not
-listed is 0.  That file is distributed under scipy's BSD license:
+1993, Sec. II.10, and in their Fortran code DOP853.  The digits below are
+those of scipy's ``scipy/integrate/_ivp/dop853_coefficients.py`` (scipy
+1.17), and the tableau is built from them with the same arithmetic, so it
+holds the same doubles; every entry not listed is 0.  That file is
+distributed under scipy's BSD license:
 
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
     All rights reserved.
@@ -42,15 +42,40 @@ listed is 0.  That file is distributed under scipy's BSD license:
 Stages 0-11 make a step and stage 12 is the derivative at its end.  The
 package reads a flow at a time as the end of a solve, so the pair's
 interpolant between steps (three more stages and a 7th-degree polynomial)
-is not kept.
+is not kept, and a solve keeps only its end state.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-N_STAGES = 12
+# The smallest rtol a solve accepts.
+RTOL_FLOOR = 100 * np.finfo(float).eps
+# The budget of right-hand-side evaluations of one solve (one segment of one
+# chunk): ``solve_ivp`` stops at the first step attempt past it.  The step
+# count grows with the speed of the flow, and no input bounds that.  The
+# largest count a test, a verify check or a bench op makes is 1,766 (a
+# chunk of 20 general rows at rel_tol 1e-13, in
+# test_many_distinct_rows_at_tight_tolerance_split_into_chunks), under
+# 1/140 of the budget; the largest propagator solve among them makes 770
+# (20 propagators at rel_tol 1e-13, in
+# test_tight_tolerance_batch_stays_above_solver_floor).  A `mix` amplitude
+# of 1e5 would otherwise run for hours.
+MAX_RHS_EVALS = 2**18
+
+# Step-size control of the DOP853 pair: the step grows or shrinks by
+# SAFETY * err^(-1/8) (err is the error norm, below 1 on an accepted step)
+# within [MIN_FACTOR, MAX_FACTOR], and never grows right after a rejection.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_EXPONENT = -1 / 8
+
+_N_STAGES = 12
 
 # The node of each stage but stage 0 and stage 12, which sit at the step's ends.
-C = {
+_C = {
     1: 0.526001519587677318785587544488e-01,
     2: 0.789002279381515978178381316732e-01,
     3: 0.118350341907227396726757197510,
@@ -99,30 +124,164 @@ _A_ENTRIES = {
          8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
          10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
 }
+# Weights of the 5th-order error estimate, over stages 0-12.
+_E5_ENTRIES = {
+    0: 0.1312004499419488073250102996e-1,
+    5: -0.1225156446376204440720569753e+1,
+    6: -0.4957589496572501915214079952,
+    7: 0.1664377182454986536961530415e+1,
+    8: -0.3503288487499736816886487290,
+    9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1,
+    11: -0.2235530786388629525884427845e-1,
+}
+# The 3rd-order error estimate is the solution less these weights.
+_E3_LESS = {
+    0: 0.244094488188976377952755905512,
+    8: 0.733846688281611857341361741547,
+    11: 0.220588235294117647058823529412e-1,
+}
 
 
-def _row(s: int, entries: dict) -> np.ndarray:
-    row = np.zeros(s)
+def _weights(entries: dict, size: int) -> np.ndarray:
+    """The weights of ``size`` stages, 0 where ``entries`` lists none, cast to complex as the stages are."""
+    row = np.zeros(size, dtype=complex)
     row[list(entries)] = list(entries.values())
     return row
 
 
-# A[s] holds the weights of stages 0..s-1 in stage s.
-A = {s: _row(s, entries) for s, entries in _A_ENTRIES.items()}
+# The tableau as the stepper reads it: (node, weights of the earlier
+# stages) for stages 1-11 of a step, then the weights of the solution and
+# of the two error estimates.
+_STAGES = [(_C[s], _weights(_A_ENTRIES[s], s)) for s in range(1, _N_STAGES)]
+_B = _weights(_A_ENTRIES[_N_STAGES], _N_STAGES)
+_E5 = _weights(_E5_ENTRIES, _N_STAGES + 1)
+_E3 = _weights(_A_ENTRIES[_N_STAGES], _N_STAGES + 1) - _weights(_E3_LESS, _N_STAGES + 1)
+# The nodes of the evaluations of one step attempt (stages 1-11 and its end),
+# for ``fun.prefetch``.
+_NODES = np.array([c for c, _ in _STAGES] + [1.0])
 
-B = A[N_STAGES]
 
-# Weights of the 5th- and 3rd-order error estimates, over stages 0-12.
-E5 = np.zeros(N_STAGES + 1)
-E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
-    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
-    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
-    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
-]
-E3 = np.zeros(N_STAGES + 1)
-E3[:-1] = B
-E3[0] -= 0.244094488188976377952755905512
-E3[8] -= 0.733846688281611857341361741547
-E3[11] -= 0.220588235294117647058823529412e-1
+@dataclass
+class Solution:
+    """What ``solve_ivp`` returns: the time ``t`` it reached and the state
+    ``y`` there, the right-hand-side evaluation count ``nfev``, ``success``
+    and ``message``.  No step in between is kept."""
 
+    t: float
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+def _norm2(z: np.ndarray):
+    """np.linalg.norm(z) ** 2 of a complex vector z, by numpy's own arithmetic without its dispatch."""
+    r, i = z.real, z.imag
+    return np.sqrt(r.dot(r) + i.dot(i)) ** 2
+
+
+def _rms(x: np.ndarray):
+    return np.linalg.norm(x) / x.size**0.5
+
+
+def _initial_step(fun, t0, y0, t1, f0, f1, rtol, atol):
+    """The first step size of a solve from (t0, y0) with derivative f0 (Hairer et al., Sec. II.4).
+
+    Evaluates the right-hand side once more, into ``f1``.
+    """
+    interval = t1 - t0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    fun(t0 + h0, y0 + h0 * f0, f1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval)
+
+
+# A state that turns non-finite makes the error norm NaN, and every step
+# across it is rejected until the solve stops at the minimum step with its
+# own message; numpy's warning about the NaN would only repeat that.
+@np.errstate(invalid="ignore")
+def solve_ivp(fun, t_span, y0, rtol, atol) -> Solution:
+    """Solve y' = fun(t, y) for a complex y over t_span = (t0, t1), t0 < t1, with the DOP853 pair.
+
+    ``fun(t, y, out)`` writes the derivative at (t, y) into ``out``, an array
+    like y: each stage is one call that fills its own row of the stage
+    array, with no copy.  When ``fun`` has a ``prefetch`` attribute, each
+    step attempt first calls ``fun.prefetch(times)`` with the array of the
+    times at which it will call ``fun`` (stages 1-11 and the step's end):
+    the very doubles those calls pass as t, so that ``fun`` can read what
+    depends only on t once per step attempt.  The arithmetic is that of
+    scipy 1.17's ``solve_ivp(method="DOP853")``, operation for operation
+    (initial step, stages, error norm, step control, minimum step of 10
+    ulps), so the results are the same doubles; scipy is not imported.
+    The solve fails (``success`` False, ``message`` says why, and ``t``
+    and ``y`` are the last time and state reached) when the first
+    derivative is not finite, where the step control would never end; when
+    a step would be shorter than 10 ulps of t; and once it has made more
+    than ``MAX_RHS_EVALS`` right-hand-side evaluations.  An rtol below
+    ``RTOL_FLOOR`` raises ValueError.
+    """
+    t0, t1 = map(float, t_span)
+    if not t0 < t1:
+        raise ValueError(f"solve_ivp needs t0 < t1, got ({t0!r}, {t1!r})")
+    if rtol < RTOL_FLOOR:
+        raise ValueError(f"rtol {rtol:g} is below the floor {RTOL_FLOOR:g}")
+    y = np.asarray(y0, dtype=complex)
+    prefetch = getattr(fun, "prefetch", None)
+    # K[s] is stage s; K[12] is the derivative at the current point.
+    K = np.empty((_N_STAGES + 1, y.size), dtype=complex)
+    KT = [K[:s].T for s in range(_N_STAGES + 2)]
+    t = t0
+    fun(t, y, K[12])
+    nfev = 1
+    if not np.isfinite(K[12]).all():
+        return Solution(t, y, nfev, False, "right-hand side is not finite")
+    h_abs = _initial_step(fun, t, y, t1, K[12], K[1], rtol, atol)
+    nfev += 1
+    while t < t1:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        K[0] = K[12]
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return Solution(t, y, nfev, False, "Required step size is less than spacing between numbers.")
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = abs(h)
+            if prefetch is not None:
+                prefetch(t + _NODES * h)
+            for s, (c, a) in enumerate(_STAGES, start=1):
+                fun(t + c * h, y + np.dot(KT[s], a) * h, K[s])
+            y_new = y + h * np.dot(KT[12], _B)
+            fun(t + h, y_new, K[12])
+            nfev += 12
+            if nfev > MAX_RHS_EVALS:
+                message = f"solve passed its budget of {MAX_RHS_EVALS} right-hand-side evaluations"
+                return Solution(t, y, nfev, False, message)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err5 = np.dot(KT[13], _E5) / scale
+            err3 = np.dot(KT[13], _E3) / scale
+            err5_2 = _norm2(err5)
+            err3_2 = _norm2(err3)
+            if err5_2 == 0 and err3_2 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
+            if error_norm < 1:
+                factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm**_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
+            rejected = True
+        t, y = t_new, y_new
+    return Solution(t, y, nfev, True, "The solver successfully reached the end of the integration interval.")

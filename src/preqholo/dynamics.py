@@ -38,24 +38,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import dop853
+from .dop853 import RTOL_FLOOR, solve_ivp
 from .sphere import OrbitSphere, unit_vector
 
 REL_TOL_RANGE = (1e-13, 1e-3)
 
 # The absolute tolerance of the one adaptive solve.
 _ATOL = 1e-13
-# The budget of right-hand-side evaluations of one solve (one segment of one
-# chunk): ``solve_ivp`` stops at the first step attempt past it.  The step
-# count grows with the speed of the flow, and no input bounds that.  The
-# largest count a test, a verify check or a bench op makes is 1,766 (a
-# chunk of 20 general rows at rel_tol 1e-13, in
-# test_many_distinct_rows_at_tight_tolerance_split_into_chunks), under
-# 1/140 of the budget; the largest propagator solve among them makes 770
-# (20 propagators at rel_tol 1e-13, in
-# test_tight_tolerance_batch_stays_above_solver_floor).  A `mix` amplitude
-# of 1e5 would otherwise run for hours.
-MAX_RHS_EVALS = 2**18
 # Component i of a x b is a[i+1] b[i+2] - a[i+2] b[i+1], indices mod 3.
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
@@ -330,157 +319,6 @@ def _bloch(x: np.ndarray) -> np.ndarray:
     return q[:, :3] / q[:, 3:]
 
 
-# Step-size control of the DOP853 pair: the step grows or shrinks by
-# SAFETY * err^(-1/8) (err is the error norm, below 1 on an accepted step)
-# within [MIN_FACTOR, MAX_FACTOR], and never grows right after a rejection.
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10
-_EXPONENT = -1 / 8
-# The smallest rtol a solve accepts.
-RTOL_FLOOR = 100 * np.finfo(float).eps
-# The tableau cast to complex once, as numpy would cast it in every product
-# with the complex stages: (node, weights of the earlier stages) for stages
-# 1-11 of a step, then the weights of the solution and of the two error
-# estimates.
-_STAGES = [(dop853.C[s], dop853.A[s].astype(complex)) for s in range(1, dop853.N_STAGES)]
-_B, _E5, _E3 = (v.astype(complex) for v in (dop853.B, dop853.E5, dop853.E3))
-# The nodes of the evaluations of one step attempt (stages 1-11 and its end),
-# for ``fun.prefetch``.
-_NODES = np.array([c for c, _ in _STAGES] + [1.0])
-
-
-@dataclass
-class Solution:
-    """What ``solve_ivp`` returns: the accepted step times ``t`` and states
-    ``y`` (one column each), the right-hand-side evaluation count ``nfev``,
-    ``success`` and ``message``."""
-
-    t: np.ndarray
-    y: np.ndarray
-    nfev: int
-    success: bool
-    message: str
-
-
-def _norm2(z: np.ndarray):
-    """np.linalg.norm(z) ** 2 of a complex vector z, by numpy's own arithmetic without its dispatch."""
-    r, i = z.real, z.imag
-    return np.sqrt(r.dot(r) + i.dot(i)) ** 2
-
-
-def _rms(x: np.ndarray):
-    return np.linalg.norm(x) / x.size**0.5
-
-
-def _initial_step(fun, t0, y0, t1, f0, f1, rtol, atol):
-    """The first step size of a solve from (t0, y0) with derivative f0 (Hairer et al., Sec. II.4).
-
-    Evaluates the right-hand side once more, into ``f1``.
-    """
-    interval = t1 - t0
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    fun(t0 + h0, y0 + h0 * f0, f1)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval)
-
-
-# A state that turns non-finite makes the error norm NaN, and every step
-# across it is rejected until the solve stops at the minimum step with its
-# own message; numpy's warning about the NaN would only repeat that.
-@np.errstate(invalid="ignore")
-def solve_ivp(fun, t_span, y0, rtol, atol) -> Solution:
-    """Solve y' = fun(t, y) for a complex y over t_span = (t0, t1), t0 < t1, with the DOP853 pair.
-
-    ``fun(t, y, out)`` writes the derivative at (t, y) into ``out``, an array
-    like y: each stage is one call that fills its own row of the stage
-    array, with no copy.  When ``fun`` has a ``prefetch`` attribute, each
-    step attempt first calls ``fun.prefetch(times)`` with the array of the
-    times at which it will call ``fun`` (stages 1-11 and the step's end):
-    the very doubles those calls pass as t, so that ``fun`` can read what
-    depends only on t once per step attempt.  The arithmetic is that of
-    scipy 1.17's ``solve_ivp(method="DOP853")``, operation for operation
-    (initial step, stages, error norm, step control, minimum step of 10
-    ulps), so the results are the same doubles; scipy is not imported.
-    The solve fails (``success`` False, ``message`` says why, and ``t[-1]``
-    is the last time reached) when the first derivative is not finite,
-    where the step control would never end; when a step would be shorter
-    than 10 ulps of t; and once it has made more than ``MAX_RHS_EVALS``
-    right-hand-side evaluations.  An rtol below ``RTOL_FLOOR`` raises
-    ValueError.
-    """
-    t0, t1 = map(float, t_span)
-    if not t0 < t1:
-        raise ValueError(f"solve_ivp needs t0 < t1, got ({t0!r}, {t1!r})")
-    if rtol < RTOL_FLOOR:
-        raise ValueError(f"rtol {rtol:g} is below the floor {RTOL_FLOOR:g}")
-    y = np.asarray(y0, dtype=complex)
-    prefetch = getattr(fun, "prefetch", None)
-    # K[s] is stage s; K[12] is the derivative at the current point.
-    K = np.empty((dop853.N_STAGES + 1, y.size), dtype=complex)
-    KT = [K[:s].T for s in range(dop853.N_STAGES + 2)]
-    ts, ys = [t0], [y]
-
-    def result(success, message):
-        return Solution(np.array(ts), np.vstack(ys).T, nfev, success, message)
-
-    fun(t0, y, K[12])
-    nfev = 1
-    if not np.isfinite(K[12]).all():
-        return result(False, "right-hand side is not finite")
-    h_abs = _initial_step(fun, t0, y, t1, K[12], K[1], rtol, atol)
-    nfev += 1
-    t = t0
-    while t < t1:
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
-        K[0] = K[12]
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                return result(False, "Required step size is less than spacing between numbers.")
-            t_new = min(t + h_abs, t1)
-            h = t_new - t
-            h_abs = abs(h)
-            if prefetch is not None:
-                prefetch(t + _NODES * h)
-            for s, (c, a) in enumerate(_STAGES, start=1):
-                fun(t + c * h, y + np.dot(KT[s], a) * h, K[s])
-            y_new = y + h * np.dot(KT[12], _B)
-            fun(t + h, y_new, K[12])
-            nfev += 12
-            if nfev > MAX_RHS_EVALS:
-                return result(False, f"solve passed its budget of {MAX_RHS_EVALS} right-hand-side evaluations")
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(KT[13], _E5) / scale
-            err3 = np.dot(KT[13], _E3) / scale
-            err5_2 = _norm2(err5)
-            err3_2 = _norm2(err3)
-            if err5_2 == 0 and err3_2 == 0:
-                error_norm = 0.0
-            else:
-                error_norm = abs(h) * err5_2 / np.sqrt((err5_2 + 0.01 * err3_2) * len(scale))
-            if error_norm < 1:
-                factor = _MAX_FACTOR if error_norm == 0 else min(_MAX_FACTOR, _SAFETY * error_norm**_EXPONENT)
-                h_abs *= min(1, factor) if rejected else factor
-                break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**_EXPONENT)
-            rejected = True
-        t, y = t_new, y_new
-        ts.append(t)
-        ys.append(y)
-    return result(True, "The solver successfully reached the end of the integration interval.")
-
-
 def _chunk_size(rel_tol: float) -> int:
     """Most points one solve can carry at rel_tol / sqrt(N) at or above ``RTOL_FLOOR``.
 
@@ -617,7 +455,7 @@ def _general_rhs(M, fs, fslot, sdots, sslot, span=(0.0, 1.0)):
 
 
 def _row_axes(hs, slot):
-    """times -> the axes of the rows' Hamiltonians ``hs[slot[i]]``, or None unless each is linear.
+    """times -> the axes of the rows' Hamiltonians ``hs[slot[i]]``, each linear.
 
     The reader takes a 1-D array of T times and returns one axis per time
     (T, 3) when all rows share one Hamiltonian and one per time and row
@@ -627,8 +465,6 @@ def _row_axes(hs, slot):
     """
     js = sorted(set(slot.tolist()))
     axes = [linear_axis(hs[j]) for j in js]
-    if any(axis is None for axis in axes):
-        return None
     if len(axes) == 1:
         return axes[0]
     groups = {}
@@ -778,8 +614,8 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     copies of one row the norm of that row.  rtol and atol are therefore
     divided by sqrt(P), P the number of propagators or rows the solve
     carries, so that the others cannot average away the error of one;
-    batches too large for that are split.  A solve that passes
-    ``MAX_RHS_EVALS`` raises IntegrationError.
+    batches too large for that are split.  A solve that passes its budget
+    of right-hand-side evaluations raises IntegrationError.
     """
     check_rel_tol(rel_tol)
     times = np.asarray(times, dtype=float)
@@ -818,8 +654,8 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
                 rhs = propagators or _general_rhs(M, *rows, (t_lo, t_hi))
                 sol = solve_ivp(rhs, (t_lo, t_hi), yy, rtol=rel_tol * scale, atol=_ATOL * scale)
                 if not sol.success:
-                    raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t[-1]))
-                yy = sol.y[:, -1]
+                    raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t))
+                yy = sol.y
             states[i, lo : lo + size] = yy.reshape(-1, width)
     states = states[np.searchsorted(stops, times)]
     if not linear:

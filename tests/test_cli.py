@@ -21,7 +21,7 @@ from preqholo.config import (
     build_loop,
     resolve_base_points,
 )
-from preqholo import AlgebraDirection, OrbitSphere, dynamics, invariant_loop, kappa, phase_lift, sphere_point
+from preqholo import AlgebraDirection, OrbitSphere, dop853, dynamics, invariant_loop, kappa, phase_lift, sphere_point
 from preqholo.families import omega_eval as family_omega
 
 
@@ -307,7 +307,7 @@ class TestRunTask:
         assert proc.returncode == 2, proc.stderr
         error = json.loads((out / "results.json").read_text())["error"]
         assert error["kind"] == "numerical"
-        assert f"budget of {dynamics.MAX_RHS_EVALS} right-hand-side evaluations" in error["message"]
+        assert f"budget of {dop853.MAX_RHS_EVALS} right-hand-side evaluations" in error["message"]
         assert "at t=" in error["message"]
 
     def test_generator_that_turns_non_finite_stops_at_the_minimum_step(self, tmp_path):

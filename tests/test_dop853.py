@@ -1,14 +1,16 @@
 """The package's DOP853 stepper against scipy's, bit for bit.
 
-``dynamics.solve_ivp`` replicates the arithmetic of scipy's
+``dop853.solve_ivp`` replicates the arithmetic of scipy's
 ``solve_ivp(method="DOP853")``.  Every solve a transport or a flow makes
-is captured here and solved again by both, and the step grids, the states
-and the evaluation counts must be the same doubles.
+is captured here and solved again by both: every right-hand-side call,
+rejected step attempts included, must pass the same time and state, and
+the evaluation counts, end times and end states must be the same doubles.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from preqholo import (
     OrbitSphere,
     closed_mixing_family,
     concatenate,
+    dop853,
     dynamics,
     fibonacci_sphere,
     invariant_loop,
@@ -59,18 +62,34 @@ def _same(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _logged(fun, calls):
+    """``fun`` appending each call's t and y, as exact bytes, to ``calls``; its ``prefetch`` is kept."""
+
+    def logged(t, y, out):
+        calls.append((float(t).hex(), y.dtype, y.shape, y.tobytes()))
+        fun(t, y, out)
+
+    if hasattr(fun, "prefetch"):
+        logged.prefetch = fun.prefetch
+    return logged
+
+
 def _assert_same_solve(fun, t_span, y0, rtol, atol):
+    ref_calls, own_calls = [], []
+    ref_fun = _logged(fun, ref_calls)
+
     def returning(t, y):
         out = np.empty_like(y)
-        fun(t, y, out)
+        ref_fun(t, y, out)
         return out
 
     ref = scipy.integrate.solve_ivp(returning, t_span, y0, method="DOP853", rtol=rtol, atol=atol)
-    own = dynamics.solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol)
+    own = dop853.solve_ivp(_logged(fun, own_calls), t_span, y0, rtol=rtol, atol=atol)
     assert own.success and ref.success
-    assert own.nfev == ref.nfev
-    assert _same(own.t, ref.t)
-    assert _same(own.y, ref.y)
+    assert own_calls == ref_calls
+    assert own.nfev == ref.nfev == len(own_calls)
+    assert own.t == ref.t[-1]
+    assert _same(own.y, ref.y[:, -1])
 
 
 def test_linear_rows_match_scipy(monkeypatch):
@@ -155,7 +174,7 @@ def test_driven_nonlinear_oscillator_matches_scipy():
 
 def test_rtol_below_the_floor_raises():
     with pytest.raises(ValueError, match="below the floor"):
-        dynamics.solve_ivp(lambda t, y, out: None, (0.0, 1.0), np.ones(2, dtype=complex), rtol=1e-15, atol=1e-13)
+        dop853.solve_ivp(lambda t, y, out: None, (0.0, 1.0), np.ones(2, dtype=complex), rtol=1e-15, atol=1e-13)
 
 
 @pytest.mark.filterwarnings("error")
@@ -165,8 +184,30 @@ def test_state_that_turns_non_finite_stops_at_the_minimum_step():
     def fun(t, y, out):
         out[:] = -y if t < 0.3 else math.nan
 
-    sol = dynamics.solve_ivp(fun, (0.0, 1.0), np.ones(3, dtype=complex), rtol=1e-10, atol=1e-13)
+    sol = dop853.solve_ivp(fun, (0.0, 1.0), np.ones(3, dtype=complex), rtol=1e-10, atol=1e-13)
     assert not sol.success
     assert "spacing between numbers" in sol.message
-    assert sol.t[-1] < 0.3
+    assert sol.t < 0.3
     assert sol.nfev < 2000
+
+
+def test_a_solve_keeps_only_its_end_state():
+    # a solve holds its stages and its current state, not one state per
+    # accepted step: the memory peak of a non-linear transport of 1,024
+    # points stays within a small multiple of its state
+    M = OrbitSphere(1)
+    loop = HamiltonianLoop(quadratic_hamiltonian(1.5), closure_tol=2.0)
+    pts = fibonacci_sphere(1024)
+    state_bytes = 1024 * 3 * 16
+    tracemalloc.start()
+    try:
+        transport_phases(M, loop, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * state_bytes
+
+    y0 = np.ones(4, dtype=complex)
+    sol = dop853.solve_ivp(lambda t, y, out: np.negative(y, out=out), (0.0, 1.0), y0, rtol=1e-10, atol=1e-13)
+    assert sol.success and sol.t == 1.0
+    assert sol.y.shape == y0.shape

@@ -77,7 +77,7 @@ def _write_results(record: dict, out_dir: str) -> Path:
     return target
 
 
-def write_phases_csv(rows, target) -> None:
+def _write_phases_csv(rows, target) -> None:
     """Write (s, phase lift) rows as ``phases.csv`` text to the target file."""
     lines = ["s,phase_rev,kappa_re,kappa_im"]
     for s, phase in rows:
@@ -226,34 +226,32 @@ def _run_su2_demo(scenario: Scenario) -> dict:
     }
 
 
+# The runner of every task but verify, whose record also sets the exit status.
+_TASK_RUNNERS = {"kappa": _run_kappa_task, "action": _run_kappa_task, "omega": _run_omega_task,
+                 "winding": _run_winding_task, "su2-demo": _run_su2_demo}
+
+
 def run_scenario(scenario: Scenario) -> tuple[dict, int]:
     """Execute one scenario; returns (record, exit_status)."""
-    if scenario.task in ("kappa", "action"):
-        record = _run_kappa_task(scenario)
-        status = 0
-    elif scenario.task == "omega":
-        record = _run_omega_task(scenario)
-        status = 0
-    elif scenario.task == "winding":
-        record = _run_winding_task(scenario)
-        status = 0
-    elif scenario.task == "verify":
+    if scenario.task == "verify":
         record = verify_suite(scenario.n_values, seed=scenario.seed, tol=scenario.tolerances)
         record["meta"] = _meta(scenario)
         status = 0 if record["all_passed"] else 2
-    elif scenario.task == "su2-demo":
-        record = _run_su2_demo(scenario)
-        status = 0
-    else:  # pragma: no cover - guarded by validation
-        raise ConfigError(f"unhandled task {scenario.task!r}")
+    else:
+        record, status = _TASK_RUNNERS[scenario.task](scenario), 0
 
     phase_rows = record.pop("phase_rows", None)
     target = _write_results(record, scenario.out_dir)
     if phase_rows is not None:
-        write_phases_csv(phase_rows, target.with_name("phases.csv"))
+        _write_phases_csv(phase_rows, target.with_name("phases.csv"))
     if scenario.out_format == "csv" and "points" in record:
         _write_points_csv(record["points"], target.with_name("points.csv"))
     return record, status
+
+
+# The config element a numerical failure names; a subclass comes before its base.
+_FAILED_ELEMENT = {MemberClosureError: "family", LoopClosureError: "hamiltonian", UnwrapError: "family",
+                   IntegrationError: "flow"}
 
 
 def _error_record(kind: str, message: str, element: str = "") -> dict:
@@ -339,22 +337,12 @@ def main(argv=None) -> int:
         log.error("configuration error: %s", exc)
         _write_results(_error_record("config", str(exc)), out_dir)
         return 1
-    except LoopClosureError as exc:
-        log.error("closure failure: %s", exc)
-        element = "family" if isinstance(exc, MemberClosureError) else "hamiltonian"
+    except (SpreadError, *_FAILED_ELEMENT) as exc:
+        element = exc.element if isinstance(exc, SpreadError) else next(
+            name for kind, name in _FAILED_ELEMENT.items() if isinstance(exc, kind)
+        )
+        log.error("numerical failure in %s: %s", element, exc)
         _write_results(_error_record("numerical", str(exc), element), out_dir)
-        return 2
-    except UnwrapError as exc:
-        log.error("unwrap failure: %s", exc)
-        _write_results(_error_record("numerical", str(exc), "family"), out_dir)
-        return 2
-    except SpreadError as exc:
-        log.error("spread failure: %s", exc)
-        _write_results(_error_record("numerical", str(exc), exc.element), out_dir)
-        return 2
-    except IntegrationError as exc:
-        log.error("integration failure: %s", exc)
-        _write_results(_error_record("numerical", str(exc), "flow"), out_dir)
         return 2
 
 

@@ -24,9 +24,13 @@ TASKS = ("kappa", "action", "omega", "winding", "verify", "su2-demo")
 HAMILTONIAN_NAMES = ("zero", "invariant", "mix", "scaled")
 FAMILY_NAMES = ("constant", "subgroup-rotation", "mixing", "closed-mixing")
 OUTPUT_FORMATS = ("json", "csv")
-# Most base points an 'auto:<count>' spec may ask for; 2^14 points of a
-# time-dependent loop take ~20 s.
+# Most base points an 'auto:<count>' spec may ask for; a `preqholo run` of
+# kappa on mix (amplitude 2.0, n = 3) at 'auto:16384' takes 0.8-0.9 s and
+# 70 MB peak RSS on a 2-core Xeon with numpy 2.4.
 MAX_BASE_POINTS = 2**14
+# Deepest nesting of objects and lists in a config section; building a loop and
+# echoing the config recurse per level, and a `scaled` chain 500 deep overflows.
+MAX_DEPTH = 32
 # Largest level |n|: a float holds every integer up to 2^53 exactly, and the
 # level enters the computation as the float k = n / (2 pi).
 MAX_LEVEL = 2**53
@@ -93,6 +97,8 @@ def read_config(path):
         raise ConfigError(f"cannot read config: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer literal past Python's digit limit
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config is nested too deeply to parse: {exc}") from exc
 
 
 @dataclass
@@ -123,6 +129,8 @@ class Scenario:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in d.items():
+            _check_depth(value, key)
         task = d.get("task")
         if task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
@@ -164,13 +172,15 @@ class Scenario:
             f"an integer in [2, {MAX_LIFT_SAMPLES}]",
         )
 
-        output = _section(d.get("output"), "output")
-        out_format = output.get("format", "json")
+        output = dict(_section(d.get("output"), "output"))
+        out_format = output.pop("format", "json")
         if out_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}")
-        out_dir = output.get("dir", "out")
+        out_dir = output.pop("dir", "out")
         if not isinstance(out_dir, str):
             raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
+        if output:
+            raise ConfigError(f"unknown output keys: {sorted(output)}")
 
         return cls(
             n=n,
@@ -191,6 +201,17 @@ class Scenario:
         out = asdict(self)
         del out["out_dir"], out["out_format"]
         return out
+
+
+def _check_depth(value, key: str) -> None:
+    """Raise ConfigError if value nests more than MAX_DEPTH objects or lists; measured level by level."""
+    level = [value]
+    for _ in range(MAX_DEPTH + 1):
+        level = [c for c in level if isinstance(c, (dict, list))]
+        if not level:
+            return
+        level = [v for c in level for v in (c.values() if isinstance(c, dict) else c)]
+    raise ConfigError(f"{key} is nested more than {MAX_DEPTH} levels deep")
 
 
 def _check_int(value, key: str, ok, what: str) -> None:

@@ -14,6 +14,7 @@ from preqholo.cli import main
 from preqholo.config import (
     FAMILY_NAMES,
     HAMILTONIAN_NAMES,
+    MAX_DEPTH,
     ConfigError,
     Scenario,
     Tolerances,
@@ -42,6 +43,14 @@ def kappa_config(out_dir, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def scaled_chain(depth):
+    """A hamiltonian section nested ``depth`` objects deep: ``scaled`` around ``scaled`` around ``invariant``."""
+    spec = {"name": "invariant"}
+    for _ in range(depth - 1):
+        spec = {"name": "scaled", "base": spec, "factor": 1}
+    return spec
 
 
 # Minimal parameters for every registry name.
@@ -129,6 +138,10 @@ class TestScenarioValidation:
         c = resolve_base_points("auto:12", seed=10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_section_at_max_depth_is_valid(self, tmp_path):
+        scenario = Scenario.from_dict(kappa_config(tmp_path, hamiltonian=scaled_chain(MAX_DEPTH)))
+        assert scenario.echo()["hamiltonian"] == scaled_chain(MAX_DEPTH)
 
     def test_explicit_points(self):
         pts = resolve_base_points([[math.pi / 2, 0.0]], seed=0)
@@ -403,6 +416,7 @@ class TestRunTask:
             ({"base_points": [[10**400, 0.0]]}, "base_points[0]"),
             ({"task": "omega", "family": {"name": "subgroup-rotation", "turns": 10**400}}, "subgroup-rotation.turns"),
             ({"tolerances": {"phase_tol": 10**400}}, "tolerances.phase_tol"),
+            ({"output": {"fromat": "csv"}}, "fromat"),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, overrides, key):
@@ -422,6 +436,25 @@ class TestRunTask:
         out = tmp_path / "out"
         assert main(["run", str(cfg), "--out", str(out)]) == 1
         assert json.loads((out / "results.json").read_text())["error"]["kind"] == "config"
+
+    def test_deeply_nested_json_is_a_config_error(self, tmp_path):
+        # json.load recurses once per level and passes Python's recursion limit
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"task": "kappa", "hamiltonian": ' + "[" * 2000 + "]" * 2000 + "}")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == 1
+        assert json.loads((out / "results.json").read_text())["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 500])
+    def test_section_nested_past_max_depth_is_a_config_error(self, tmp_path, depth):
+        # unchecked, a chain 500 deep runs its transport and then passes the
+        # recursion limit while echoing the config into results.json
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, kappa_config(out, hamiltonian=scaled_chain(depth), base_points="auto:2"))
+        assert main(["run", cfg]) == 1
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "config"
+        assert error["message"] == f"hamiltonian is nested more than {MAX_DEPTH} levels deep"
 
     @pytest.mark.parametrize(
         "section, name",

@@ -1,5 +1,5 @@
-"""Tooling: every module-level import of the package and of the scripts is used,
-and every module-level private name of theirs is read."""
+"""Tooling: every module-level import of the package is used, and every
+module-level private name of its modules is read."""
 
 import ast
 from pathlib import Path
@@ -8,15 +8,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # __init__.py re-exports what it imports, so it is exempt.
-MODULES = sorted(
-    path
-    for path in (*(ROOT / "src" / "preqholo").glob("*.py"), *(ROOT / "scripts").glob("*.py"))
-    if path.name != "__init__.py"
-)
-SOURCES = {
-    path.stem: path.read_text()
-    for path in (*(ROOT / "src" / "preqholo").glob("*.py"), *(ROOT / "scripts").glob("*.py"))
-}
+MODULES = sorted(path for path in (ROOT / "src" / "preqholo").glob("*.py") if path.name != "__init__.py")
+SOURCES = {path.stem: path.read_text() for path in (ROOT / "src" / "preqholo").glob("*.py")}
 
 
 def _annotation_names(node) -> set:

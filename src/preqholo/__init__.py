@@ -35,7 +35,6 @@ from .families import (
     double_integral_check,
     kappa_derivative_check,
     lift_circle_samples,
-    member_kappas,
     member_states,
     mixing_family,
     phase_lift,

@@ -19,19 +19,27 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, Scenario, build_family, build_loop, read_config, resolve_base_points
+from .config import (
+    ConfigError,
+    Scenario,
+    build_family,
+    build_loop,
+    check_out_dir,
+    read_config,
+    resolve_base_points,
+)
 from .dynamics import IntegrationError, LoopClosureError
 from .families import (
     MemberClosureError,
     UnwrapError,
     lift_circle_samples,
-    member_kappas,
     member_states,
     phase_lift,
     winding_of,
 )
-from .holonomy import UnitPhase, kappa, kappas, phase_spread
+from .holonomy import kappas, phase_spread
 from .sphere import OrbitSphere, spherical_coords, sphere_point
+from .su2 import DIR_A, DIR_B, AlgebraDirection, invariant_loop
 from .verify import verify_suite
 
 log = logging.getLogger("preqholo")
@@ -77,40 +85,23 @@ def _write_results(record: dict, out_dir: str) -> Path:
     return target
 
 
-def _write_phases_csv(rows, target) -> None:
-    """Write (s, phase lift) rows as ``phases.csv`` text to the target file."""
-    lines = ["s,phase_rev,kappa_re,kappa_im"]
-    for s, phase in rows:
-        s, phase = float(s), float(phase)
-        z = np.exp(2j * np.pi * phase)
-        lines.append(f"{s!r},{phase!r},{float(z.real)!r},{float(z.imag)!r}")
-    Path(target).write_text("\n".join(lines) + "\n")
-
-
-def _write_points_csv(points_data, target: Path) -> None:
-    lines = ["theta,phi,phase_rev,kappa_re,kappa_im"]
-    for entry in points_data:
-        lines.append(
-            f"{entry['theta']!r},{entry['phi']!r},{entry['phase_rev']!r},"
-            f"{entry['kappa_re']!r},{entry['kappa_im']!r}"
-        )
+def _write_csv(rows: list[dict], target: Path) -> None:
+    """Write rows that share their keys as CSV: the keys, then each row's values by repr."""
+    lines = [",".join(rows[0])] + [",".join(repr(v) for v in row.values()) for row in rows]
     target.write_text("\n".join(lines) + "\n")
+
+
+def _phase_columns(phase) -> dict:
+    """A phase in revolutions and its point exp(2 pi i phase) on the circle."""
+    z = np.exp(2j * np.pi * float(phase))
+    return {"phase_rev": float(phase), "kappa_re": float(z.real), "kappa_im": float(z.imag)}
 
 
 def _point_records(points, phases) -> list[dict]:
     out = []
     for q, phase in zip(points, phases):
         theta, phi = spherical_coords(q)
-        z = np.exp(2j * np.pi * phase)
-        out.append(
-            {
-                "theta": theta,
-                "phi": phi,
-                "phase_rev": float(phase),
-                "kappa_re": float(z.real),
-                "kappa_im": float(z.imag),
-            }
-        )
+        out.append({"theta": theta, "phi": phi, **_phase_columns(phase)})
     return out
 
 
@@ -123,17 +114,11 @@ def _run_kappa_task(scenario: Scenario) -> dict:
     spread = phase_spread(phases)
     _check_spread("holonomy", spread, scenario.tolerances.phase_tol, "hamiltonian")
 
-    record = {
-        "task": scenario.task,
-        "n": scenario.n,
+    return {
         "loop": loop.label,
         "points": _point_records(points, phases),
         "spread": spread,
-        "meta": _meta(scenario),
     }
-    if scenario.task == "action":
-        record["action_rev"] = [float(p) for p in phases]
-    return record
 
 
 def _run_omega_task(scenario: Scenario) -> dict:
@@ -141,37 +126,31 @@ def _run_omega_task(scenario: Scenario) -> dict:
     fam = build_family(M, scenario.family, scenario.tolerances)
     points = resolve_base_points(scenario.base_points, scenario.seed)
     rel = scenario.tolerances.flow_rel_tol
-
-    # One solve of the rows (s, point) on the first grid gives Omega at up to
-    # three points and the holonomy at the first; the phase lift samples that
-    # grid, and solves only to refine it.
-    grid = np.linspace(0.0, 1.0, scenario.s_samples + 1)
     omega_rows = []
-    phases = {}
-    for s, states in zip(grid, member_states(M, fam, grid, points[:3], rel_tol=rel)):
-        vals = [st.omega for st in states]
-        phases[s] = UnitPhase.from_revolutions(states[0].phase).value
-        omega_rows.append(
-            {"s": float(s), "omega": float(np.mean(vals)), "q_spread": float(np.ptp(vals))}
-        )
-    # Omega(s) = -d kappa / ds does not depend on the base point either.
-    worst = max(row["q_spread"] for row in omega_rows)
-    _check_spread("Omega", worst, scenario.tolerances.phase_tol, "family")
 
+    # The lift's first grid is one solve of the rows (s, point): Omega at up
+    # to three points, and the holonomy at the first.  A finer grid solves
+    # only the holonomy at the first point.
     def eval_phases(svals):
-        new = [s for s in svals if s not in phases]
-        if new:
-            phases.update(zip(new, member_kappas(M, fam, new, points[0], rel_tol=rel)))
-        return [phases[s] for s in svals]
+        if omega_rows:
+            rows = member_states(M, fam, svals, points[:1], rel_tol=rel, omega=False)
+            return [states[0].phase for states in rows]
+        rows = member_states(M, fam, svals, points[:3], rel_tol=rel)
+        for s, states in zip(svals, rows):
+            vals = [st.omega for st in states]
+            omega_rows.append(
+                {"s": float(s), "omega": float(np.mean(vals)), "q_spread": float(np.ptp(vals))}
+            )
+        # Omega(s) = -d kappa / ds does not depend on the base point either.
+        worst = max(row["q_spread"] for row in omega_rows)
+        _check_spread("Omega", worst, scenario.tolerances.phase_tol, "family")
+        return [states[0].phase for states in rows]
 
     lift_s, lift = lift_circle_samples(eval_phases, scenario.s_samples)
     return {
-        "task": "omega",
-        "n": scenario.n,
         "family": fam.label,
         "omega": omega_rows,
         "phase_rows": list(zip(lift_s, lift)),
-        "meta": _meta(scenario),
     }
 
 
@@ -183,14 +162,11 @@ def _run_winding_task(scenario: Scenario) -> dict:
     svals, lift = phase_lift(M, fam, points[0], s_samples=scenario.s_samples, rel_tol=rel)
     winding = winding_of(lift)
     return {
-        "task": "winding",
-        "n": scenario.n,
         "family": fam.label,
         "winding": winding,
         "degree": -winding,
         "lift_residual": abs(float(lift[-1] - lift[0]) - winding),
         "phase_rows": list(zip(svals, lift)),
-        "meta": _meta(scenario),
     }
 
 
@@ -198,9 +174,6 @@ def _run_su2_demo(scenario: Scenario) -> dict:
     n = scenario.n
     M = OrbitSphere(n)
     tol = scenario.tolerances
-    rel = tol.flow_rel_tol
-    from .su2 import DIR_A, DIR_B, AlgebraDirection, invariant_loop
-
     axes = {
         "A": DIR_A,
         "B": DIR_B,
@@ -214,19 +187,16 @@ def _run_su2_demo(scenario: Scenario) -> dict:
     table = {}
     for axis_name, direction in axes.items():
         loop = invariant_loop(M, direction, closure_tol=tol.closure_tol)
-        table[axis_name] = {
-            pt_name: kappa(M, loop, q, rel_tol=rel).value for pt_name, q in ref_points.items()
-        }
+        phases = kappas(M, loop, list(ref_points.values()), rel_tol=tol.flow_rel_tol)
+        table[axis_name] = dict(zip(ref_points, phases))
     return {
-        "task": "su2-demo",
-        "n": n,
         "expected_phase": (n % 2) / 2.0,
         "holonomy_phases": table,
-        "meta": _meta(scenario),
     }
 
 
-# The runner of every task but verify, whose record also sets the exit status.
+# The runner of every task but verify, whose record also sets the exit status;
+# run_scenario adds the task, the level and the meta block to each record.
 _TASK_RUNNERS = {"kappa": _run_kappa_task, "action": _run_kappa_task, "omega": _run_omega_task,
                  "winding": _run_winding_task, "su2-demo": _run_su2_demo}
 
@@ -235,17 +205,19 @@ def run_scenario(scenario: Scenario) -> tuple[dict, int]:
     """Execute one scenario; returns (record, exit_status)."""
     if scenario.task == "verify":
         record = verify_suite(scenario.n_values, seed=scenario.seed, tol=scenario.tolerances)
-        record["meta"] = _meta(scenario)
         status = 0 if record["all_passed"] else 2
     else:
-        record, status = _TASK_RUNNERS[scenario.task](scenario), 0
+        record, status = {"task": scenario.task, "n": scenario.n}, 0
+        record.update(_TASK_RUNNERS[scenario.task](scenario))
+    record["meta"] = _meta(scenario)
 
     phase_rows = record.pop("phase_rows", None)
     target = _write_results(record, scenario.out_dir)
     if phase_rows is not None:
-        _write_phases_csv(phase_rows, target.with_name("phases.csv"))
+        rows = [{"s": float(s), **_phase_columns(phase)} for s, phase in phase_rows]
+        _write_csv(rows, target.with_name("phases.csv"))
     if scenario.out_format == "csv" and "points" in record:
-        _write_points_csv(record["points"], target.with_name("points.csv"))
+        _write_csv(record["points"], target.with_name("points.csv"))
     return record, status
 
 
@@ -254,8 +226,12 @@ _FAILED_ELEMENT = {MemberClosureError: "family", LoopClosureError: "hamiltonian"
                    IntegrationError: "flow"}
 
 
-def _error_record(kind: str, message: str, element: str = "") -> dict:
-    return {"error": {"kind": kind, "message": message, "element": element}}
+def _write_error(out_dir: str, kind: str, message: str, element: str = "") -> None:
+    """Write an error record to out_dir; where that is not possible, log that none was written."""
+    try:
+        _write_results({"error": {"kind": kind, "message": message, "element": element}}, out_dir)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        log.error("no error record written: %s", exc)
 
 
 def main(argv=None) -> int:
@@ -283,9 +259,11 @@ def main(argv=None) -> int:
     p_demo.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
-    out_dir = getattr(args, "out", None) or "out"
+    out_dir = args.out or "out"
 
     try:
+        if args.out is not None:
+            check_out_dir(args.out, "--out")
         if args.command == "run":
             data = read_config(args.config)
             # The error record of a config that fails validation goes where
@@ -295,55 +273,50 @@ def main(argv=None) -> int:
                 out_dir = configured["dir"]
             if args.seed is not None and isinstance(data, dict):
                 data = dict(data, seed=args.seed)
-            scenario = Scenario.from_dict(data)
-            if args.out is not None:
-                scenario.out_dir = args.out
-            out_dir = scenario.out_dir
-            record, status = run_scenario(scenario)
-            log.info("task %s finished with status %d", scenario.task, status)
-            return status
-        if args.command == "verify":
+        elif args.command == "verify":
             try:
                 n_values = [int(v) for v in str(args.n).split(",") if v.strip()]
             except ValueError as exc:
                 raise ConfigError(f"bad --n list: {exc}") from exc
             # An empty list fails on n_values rather than on n.
-            scenario = Scenario.from_dict(
-                {"task": "verify", "n": n_values[0] if n_values else 1, "n_values": n_values,
-                 "seed": args.seed, "output": {"dir": args.out}}
-            )
-            record, status = run_scenario(scenario)
-            for level in record["levels"]:
-                for check in level["checks"]:
-                    log.info(
-                        "n=%d %-32s %s residual=%.3e threshold=%.3e",
-                        level["n"],
-                        check["name"],
-                        "pass" if check["passed"] else "FAIL",
-                        check["residual"],
-                        check["threshold"],
-                    )
-            print("all checks passed" if record["all_passed"] else "SOME CHECKS FAILED")
-            return status
-        if args.command == "su2-demo":
-            scenario = Scenario.from_dict(
-                {"task": "su2-demo", "n": args.n, "seed": args.seed, "output": {"dir": args.out}}
-            )
-            record, status = run_scenario(scenario)
-            print(json.dumps(record["holonomy_phases"], indent=2, sort_keys=True))
-            return status
-        raise ConfigError(f"unknown command {args.command!r}")
+            data = {"task": "verify", "n": n_values[0] if n_values else 1, "n_values": n_values,
+                    "seed": args.seed, "output": {"dir": args.out}}
+        else:
+            data = {"task": "su2-demo", "n": args.n, "seed": args.seed, "output": {"dir": args.out}}
+        scenario = Scenario.from_dict(data)
+        if args.out is not None:
+            scenario.out_dir = args.out
+        out_dir = scenario.out_dir
+        record, status = run_scenario(scenario)
     except ConfigError as exc:
         log.error("configuration error: %s", exc)
-        _write_results(_error_record("config", str(exc)), out_dir)
+        _write_error(out_dir, "config", str(exc))
         return 1
     except (SpreadError, *_FAILED_ELEMENT) as exc:
         element = exc.element if isinstance(exc, SpreadError) else next(
             name for kind, name in _FAILED_ELEMENT.items() if isinstance(exc, kind)
         )
         log.error("numerical failure in %s: %s", element, exc)
-        _write_results(_error_record("numerical", str(exc), element), out_dir)
+        _write_error(out_dir, "numerical", str(exc), element)
         return 2
+
+    if args.command == "verify":
+        for level in record["levels"]:
+            for check in level["checks"]:
+                log.info(
+                    "n=%d %-32s %s residual=%.3e threshold=%.3e",
+                    level["n"],
+                    check["name"],
+                    "pass" if check["passed"] else "FAIL",
+                    check["residual"],
+                    check["threshold"],
+                )
+        print("all checks passed" if record["all_passed"] else "SOME CHECKS FAILED")
+    elif args.command == "su2-demo":
+        print(json.dumps(record["holonomy_phases"], indent=2, sort_keys=True))
+    else:
+        log.info("task %s finished with status %d", scenario.task, status)
+    return status
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ TASKS = ("kappa", "action", "omega", "winding", "verify", "su2-demo")
 HAMILTONIAN_NAMES = ("zero", "invariant", "mix", "scaled")
 FAMILY_NAMES = ("constant", "subgroup-rotation", "mixing", "closed-mixing")
 OUTPUT_FORMATS = ("json", "csv")
-# Most base points an 'auto:<count>' spec may ask for; a `preqholo run` of
-# kappa on mix (amplitude 2.0, n = 3) at 'auto:16384' takes 0.8-0.9 s and
+# Most base points a list or an 'auto:<count>' spec may give; a `preqholo run`
+# of kappa on mix (amplitude 2.0, n = 3) at 'auto:16384' takes 0.8-0.9 s and
 # 70 MB peak RSS on a 2-core Xeon with numpy 2.4.
 MAX_BASE_POINTS = 2**14
 # Deepest nesting of objects and lists in a config section; building a loop and
@@ -179,6 +180,7 @@ class Scenario:
         out_dir = output.pop("dir", "out")
         if not isinstance(out_dir, str):
             raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
+        check_out_dir(out_dir, "output.dir")
         if output:
             raise ConfigError(f"unknown output keys: {sorted(output)}")
 
@@ -201,6 +203,17 @@ class Scenario:
         out = asdict(self)
         del out["out_dir"], out["out_format"]
         return out
+
+
+def check_out_dir(path: str, key: str) -> None:
+    """Raise ConfigError if results.json cannot go under path: path, or its nearest existing ancestor, is a file."""
+    if "\0" in path:
+        raise ConfigError(f"{key} must not contain a NUL character, got {path!r}")
+    existing = path
+    while not os.path.lexists(existing) and os.path.dirname(existing) != existing:
+        existing = os.path.dirname(existing) or "."
+    if os.path.lexists(existing) and not os.path.isdir(existing):
+        raise ConfigError(f"{key} must name a directory, but {existing!r} exists and is not one")
 
 
 def _check_depth(value, key: str) -> None:
@@ -243,8 +256,8 @@ def _validate_base_points(value):
             raise ConfigError(f"base_points auto count must lie in [1, {MAX_BASE_POINTS}], got {count}")
         return
     if isinstance(value, list):
-        if not value:
-            raise ConfigError("base_points must not be an empty list")
+        if not 1 <= len(value) <= MAX_BASE_POINTS:
+            raise ConfigError(f"base_points list length must lie in [1, {MAX_BASE_POINTS}], got {len(value)}")
         for i, entry in enumerate(value):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
                 raise ConfigError("base_points entries must be [theta, phi] pairs")

@@ -133,12 +133,6 @@ def member_states(
     return [states[i * n : (i + 1) * n] for i in range(len(svals))]
 
 
-def member_kappas(M: OrbitSphere, fam: LoopFamily, svals, q, rel_tol: float = 1e-10) -> list[float]:
-    """Holonomy of the member at every s from q, in revolutions in [0, 1): one batched solve."""
-    rows = member_states(M, fam, svals, [q], rel_tol=rel_tol, omega=False)
-    return [UnitPhase.from_revolutions(row[0].phase).value for row in rows]
-
-
 def omega_eval(
     M: OrbitSphere, fam: LoopFamily, s: float, q, rel_tol: float = 1e-10
 ) -> float:
@@ -170,18 +164,18 @@ def kappa_derivative_check(
     fam: LoopFamily,
     s: float,
     q,
-    h_s: float = 1e-3,
+    ds: float = 1e-3,
     rel_tol: float = 1e-10,
 ) -> DerivativeCheck:
     """Centered-difference holonomy-phase slope against -Omega at s.
 
-    Both sides come from one solve of the two rows at s +- h_s: the
+    Both sides come from one solve of the two rows at s +- ds: the
     difference of their holonomies, taken on the circle so no phase lift
     enters, against minus the mean of their Omega values.
     """
-    (plus,), (minus,) = member_states(M, fam, [s + h_s, s - h_s], [q], rel_tol=rel_tol)
+    (plus,), (minus,) = member_states(M, fam, [s + ds, s - ds], [q], rel_tol=rel_tol)
     d = ((plus.phase - minus.phase + 0.5) % 1.0) - 0.5
-    lhs = d / (2.0 * h_s)
+    lhs = d / (2.0 * ds)
     rhs = -0.5 * (plus.omega + minus.omega)
     rel_err = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
     return DerivativeCheck(lhs=lhs, rhs=rhs, rel_err=rel_err)
@@ -192,8 +186,9 @@ def lift_circle_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Continuous lift of a circle-valued map sampled on a uniform s-grid.
 
-    ``eval_phases(svals)`` returns the map's phases at an array of s
-    values, so a caller can evaluate them in one batch.  Adjacent samples
+    ``eval_phases(svals)`` returns the map's phases in revolutions at an
+    array of s values, so a caller can evaluate them in one batch; they
+    are reduced mod 1 here, and only here.  Adjacent samples
     are joined by the nearest circle representative; any wrapped jump of a
     quarter revolution or more triggers a dyadic refinement of the grid, up
     to ``MAX_LIFT_SAMPLES`` intervals.  Each grid level is one call of
@@ -209,7 +204,7 @@ def lift_circle_samples(
     while True:
         svals = np.linspace(0.0, 1.0, m + 1)
         new = np.array([s for s in svals if s not in seen])
-        seen.update(zip(new, (float(v) % 1.0 for v in eval_phases(new))))
+        seen.update(zip(new, (UnitPhase.from_revolutions(v).value for v in eval_phases(new))))
         phases = np.array([seen[s] for s in svals])
         diffs = ((np.diff(phases) + 0.5) % 1.0) - 0.5
         jump = float(np.max(np.abs(diffs)))
@@ -232,7 +227,11 @@ def phase_lift(
     rel_tol: float = 1e-10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Continuous lift of s -> kappa(loop_at(s)) sampled from base point q, one solve per grid level."""
-    return lift_circle_samples(lambda svals: member_kappas(M, fam, svals, q, rel_tol=rel_tol), s_samples)
+
+    def eval_phases(svals):
+        return [row[0].phase for row in member_states(M, fam, svals, [q], rel_tol=rel_tol, omega=False)]
+
+    return lift_circle_samples(eval_phases, s_samples)
 
 
 def winding_number(

@@ -14,6 +14,7 @@ from preqholo.cli import main
 from preqholo.config import (
     FAMILY_NAMES,
     HAMILTONIAN_NAMES,
+    MAX_BASE_POINTS,
     MAX_DEPTH,
     ConfigError,
     Scenario,
@@ -22,8 +23,20 @@ from preqholo.config import (
     build_loop,
     resolve_base_points,
 )
-from preqholo import AlgebraDirection, OrbitSphere, dop853, dynamics, invariant_loop, kappa, phase_lift, sphere_point
+from preqholo import (
+    DIR_A,
+    AlgebraDirection,
+    OrbitSphere,
+    cli,
+    dop853,
+    dynamics,
+    invariant_loop,
+    kappa,
+    phase_lift,
+    sphere_point,
+)
 from preqholo.families import omega_eval as family_omega
+from test_families import drift_family
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -43,6 +56,18 @@ def kappa_config(out_dir, **overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def count_solves(monkeypatch):
+    """A list that gets one entry per call of dynamics.solve_ivp, the package's one solve."""
+    calls = []
+
+    def counted(*args, _inner=dynamics.solve_ivp, **kwargs):
+        calls.append(1)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    return calls
 
 
 def scaled_chain(depth):
@@ -143,6 +168,20 @@ class TestScenarioValidation:
         scenario = Scenario.from_dict(kappa_config(tmp_path, hamiltonian=scaled_chain(MAX_DEPTH)))
         assert scenario.echo()["hamiltonian"] == scaled_chain(MAX_DEPTH)
 
+    def test_base_point_list_at_the_bound_is_valid(self):
+        points = [[1.0, 0.5]] * MAX_BASE_POINTS
+        scenario = Scenario.from_dict(
+            {"task": "kappa", "hamiltonian": {"name": "zero"}, "base_points": points}
+        )
+        assert len(scenario.base_points) == MAX_BASE_POINTS
+
+    @pytest.mark.parametrize("target", ["F", "F/sub", "link"])
+    def test_output_dir_under_an_existing_file_is_a_config_error(self, tmp_path, target):
+        (tmp_path / "F").write_text("")
+        (tmp_path / "link").symlink_to(tmp_path / "missing")
+        with pytest.raises(ConfigError, match="output.dir"):
+            Scenario.from_dict({"task": "su2-demo", "output": {"dir": str(tmp_path / target)}})
+
     def test_explicit_points(self):
         pts = resolve_base_points([[math.pi / 2, 0.0]], seed=0)
         assert np.allclose(pts[0], [1.0, 0.0, 0.0], atol=1e-12)
@@ -171,11 +210,18 @@ class TestRunTask:
         assert all(e["phase_rev"] == pytest.approx(0.0, abs=1e-9) for e in record["points"])
 
     def test_action_task(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, kappa_config(out, task="action", base_points="auto:2"))
-        assert main(["run", cfg]) == 0
-        record = json.loads((out / "results.json").read_text())
-        assert "action_rev" in record
+        # the action record is the kappa record of the same config: the
+        # phase_rev of its points is the mod-1 action
+        records = {}
+        for task in ("kappa", "action"):
+            out = tmp_path / task
+            cfg = write_config(tmp_path, kappa_config(out, task=task, base_points="auto:2"), f"{task}.json")
+            assert main(["run", cfg]) == 0
+            records[task] = json.loads((out / "results.json").read_text())
+        action = records["action"]
+        assert action["task"] == action["meta"]["config"]["task"] == "action"
+        action["task"] = action["meta"]["config"]["task"] = "kappa"
+        assert action == records["kappa"]
 
     def test_winding_task_writes_unwrapped_csv(self, tmp_path):
         out = tmp_path / "out"
@@ -223,13 +269,7 @@ class TestRunTask:
     def test_omega_task_takes_one_transport_solve_for_its_grid(self, tmp_path, monkeypatch, family):
         # every (s, point) row of the first grid rides one solve; neither
         # family has breakpoints, so that solve is one solve_ivp call
-        calls = []
-
-        def counted(*args, _inner=dynamics.solve_ivp, **kwargs):
-            calls.append(1)
-            return _inner(*args, **kwargs)
-
-        monkeypatch.setattr(dynamics, "solve_ivp", counted)
+        calls = count_solves(monkeypatch)
         out = tmp_path / "out"
         cfg = {"n": 2, "task": "omega", "family": family, "base_points": "auto:3", "s_samples": 4,
                "seed": 5, "output": {"dir": str(out)}}
@@ -249,6 +289,30 @@ class TestRunTask:
         rows = np.loadtxt(out / "phases.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(rows[:, 0] - lift_s)) < 1e-9
         assert np.max(np.abs(rows[:, 1] - lift)) < 1e-9
+
+    @pytest.mark.parametrize("rate, levels", [(None, 1), (3.0, 2)])
+    def test_omega_task_makes_one_solve_per_lift_level(self, tmp_path, monkeypatch, rate, levels):
+        # the Omega solve is also the lift's first level; with the drift
+        # family of Omega = 3, kappa(s) moves 3/8 revolutions per interval of
+        # the first grid, so the lift refines once
+        if rate is not None:
+            drift = lambda M, spec, tol: drift_family(invariant_loop(M, DIR_A), rate)
+            monkeypatch.setattr(cli, "build_family", drift)
+        evals = []
+
+        def lift(eval_phases, s_samples, _inner=cli.lift_circle_samples):
+            return _inner(lambda svals: evals.append(1) or eval_phases(svals), s_samples)
+
+        monkeypatch.setattr(cli, "lift_circle_samples", lift)
+        calls = count_solves(monkeypatch)
+        out = tmp_path / "out"
+        cfg = {"n": 1, "task": "omega", "family": {"name": "subgroup-rotation", "turns": 1},
+               "base_points": "auto:3", "s_samples": 8, "output": {"dir": str(out)}}
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        assert len(evals) == levels
+        assert len(calls) == levels
+        record = json.loads((out / "results.json").read_text())
+        assert [row["s"] for row in record["omega"]] == list(np.linspace(0.0, 1.0, 9))
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"task": "kappa", "n": 0, "hamiltonian": {"name": "zero"}})
@@ -417,6 +481,7 @@ class TestRunTask:
             ({"task": "omega", "family": {"name": "subgroup-rotation", "turns": 10**400}}, "subgroup-rotation.turns"),
             ({"tolerances": {"phase_tol": 10**400}}, "tolerances.phase_tol"),
             ({"output": {"fromat": "csv"}}, "fromat"),
+            ({"output": {"dir": "a\0b"}}, "output.dir"),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, overrides, key):
@@ -485,6 +550,15 @@ class TestRunTask:
         assert main(["run", cfg, "--seed", "-1"]) == 1
         assert "seed" in json.loads((flag / "results.json").read_text())["error"]["message"]
 
+    def test_base_point_list_past_the_bound_is_a_config_error(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, kappa_config(out, base_points=[[1.0, 0.5]] * (MAX_BASE_POINTS + 1)))
+        assert main(["run", cfg]) == 1
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "config"
+        bound = f"base_points list length must lie in [1, {MAX_BASE_POINTS}]"
+        assert error["message"] == f"{bound}, got {MAX_BASE_POINTS + 1}"
+
     def test_csv_format_writes_points(self, tmp_path):
         out = tmp_path / "out"
         cfg_data = kappa_config(out, base_points="auto:3")
@@ -503,6 +577,12 @@ class TestVerifyAndDemo:
             for v in axis_vals.values():
                 d = abs(v - record["expected_phase"]) % 1.0
                 assert min(d, 1 - d) < 1e-6
+
+    def test_su2_demo_makes_one_solve_per_axis(self, tmp_path, monkeypatch):
+        # each reference axis is one transport from all three reference points
+        calls = count_solves(monkeypatch)
+        assert main(["su2-demo", "--n", "1", "--out", str(tmp_path / "demo")]) == 0
+        assert len(calls) == 3
 
     def test_su2_demo_subcommand_matches_run(self, tmp_path):
         demo, run = tmp_path / "demo", tmp_path / "run"
@@ -664,13 +744,31 @@ _configs = st.builds(
 
 
 @settings(max_examples=40, deadline=None)
-@given(config=_configs)
-def test_fuzzed_configs_exit_cleanly(config):
+@given(
+    config=_configs,
+    target=st.sampled_from(["absent", "directory", "file", "nested", "nul"]),
+    by_flag=st.booleans(),
+)
+def test_fuzzed_configs_exit_cleanly(config, target, by_flag):
     # every config ends in a documented exit status with a valid results.json
+    # in its output directory, given by --out or by output.dir; an output
+    # target that is an existing file, or has a NUL in its name, ends in
+    # exit 1, and the file is left as it was
     with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / {"nested": "a/b/out", "nul": "o\0ut"}.get(target, "out")
+        if target == "directory":
+            out.mkdir()
+        elif target == "file":
+            out.write_text("a file\n")
+        flag = by_flag or not isinstance(config.get("output", {}), dict)
+        if not flag:
+            config = {**config, "output": {**config.get("output", {}), "dir": str(out)}}
         path = write_config(Path(tmp), config)
-        out = Path(tmp) / "out"
-        status = main(["run", path, "--out", str(out)])
+        status = main(["run", path, "--out", str(out)] if flag else ["run", path])
+        if target in ("file", "nul"):
+            assert status == 1
+            assert target == "nul" or out.read_text() == "a file\n"
+            return
         assert status in (0, 1, 2)
         record = _strict_json((out / "results.json").read_text())
         assert ("error" in record) == (status != 0)

@@ -113,7 +113,7 @@ def test_derivative_check_mixing_family(sphere2, q, s):
     dc = kappa_derivative_check(sphere2, mixing_family(sphere2, 1.0), s, q)
     assert dc.rel_err < 1e-3
     # richardson oracle for the slope itself: halving the step agrees
-    dc_half = kappa_derivative_check(sphere2, mixing_family(sphere2, 1.0), s, q, h_s=5e-4)
+    dc_half = kappa_derivative_check(sphere2, mixing_family(sphere2, 1.0), s, q, ds=5e-4)
     assert abs(dc.lhs - dc_half.lhs) < 1e-4
 
 

@@ -60,8 +60,9 @@ RTOL_FLOOR = 100 * np.finfo(float).eps
 # test_many_distinct_rows_at_tight_tolerance_split_into_chunks), under
 # 1/140 of the budget; the largest propagator solve among them makes 770
 # (20 propagators at rel_tol 1e-13, in
-# test_tight_tolerance_batch_stays_above_solver_floor).  A `mix` amplitude
-# of 1e5 would otherwise run for hours.
+# test_tight_tolerance_batch_stays_above_solver_floor), with their action
+# vectors free or not: V steers that solve.  A `mix` amplitude of 1e5 would
+# otherwise run for hours.
 MAX_RHS_EVALS = 2**18
 
 # Step-size control of the DOP853 pair: the step grows or shrinks by
@@ -185,19 +186,27 @@ def _rms(x: np.ndarray):
     return np.linalg.norm(x) / x.size**0.5
 
 
-def _initial_step(fun, t0, y0, t1, f0, f1, rtol, atol):
+def _steering(x: np.ndarray, free) -> np.ndarray:
+    """x, a complex array of scaled components, with the real components ``free`` set to 0 in place."""
+    if free is not None:
+        x.view(float)[free] = 0.0
+    return x
+
+
+def _initial_step(fun, t0, y0, t1, f0, f1, rtol, atol, free):
     """The first step size of a solve from (t0, y0) with derivative f0 (Hairer et al., Sec. II.4).
 
-    Evaluates the right-hand side once more, into ``f1``.
+    Evaluates the right-hand side once more, into ``f1``.  The real
+    components ``free`` (None for none) count as 0 in every norm.
     """
     interval = t1 - t0
     scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    d0 = _rms(_steering(y0 / scale, free))
+    d1 = _rms(_steering(f0 / scale, free))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     fun(t0 + h0, y0 + h0 * f0, f1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    d2 = _rms(_steering((f1 - f0) / scale, free)) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -218,10 +227,20 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> Solution:
     step attempt first calls ``fun.prefetch(times)`` with the array of the
     times at which it will call ``fun`` (stages 1-11 and the step's end):
     the very doubles those calls pass as t, so that ``fun`` can read what
-    depends only on t once per step attempt.  The arithmetic is that of
-    scipy 1.17's ``solve_ivp(method="DOP853")``, operation for operation
-    (initial step, stages, error norm, step control, minimum step of 10
-    ulps), so the results are the same doubles; scipy is not imported.
+    depends only on t once per step attempt.  When ``fun`` has a ``free``
+    attribute, an index array into the real view ``y.view(float)``, those
+    components are free: they are integrated like the others, but count as
+    0 in the norms of the initial step and of the error estimates (whose
+    length, the divisor of the RMS, stays that of y), so they never steer
+    the step and their own error is not controlled: CVODES' quadrature
+    variables without ``errconQ``.  That is sound only for a component
+    that no derivative reads, whose error the answer cancels, and that
+    turns non-finite only with a component that steers, which then stops
+    the solve (see ``dynamics._propagator_rhs``).  Without ``free``, the
+    arithmetic is that of scipy 1.17's ``solve_ivp(method="DOP853")``,
+    operation for operation (initial step, stages, error norm, step
+    control, minimum step of 10 ulps), so the results are the same
+    doubles; scipy is not imported.
     The solve fails (``success`` False, ``message`` says why, and ``t``
     and ``y`` are the last time and state reached) when the first
     derivative is not finite, where the step control would never end; when
@@ -236,6 +255,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> Solution:
         raise ValueError(f"rtol {rtol:g} is below the floor {RTOL_FLOOR:g}")
     y = np.asarray(y0, dtype=complex)
     prefetch = getattr(fun, "prefetch", None)
+    free = getattr(fun, "free", None)
     # K[s] is stage s; K[12] is the derivative at the current point.
     K = np.empty((_N_STAGES + 1, y.size), dtype=complex)
     KT = [K[:s].T for s in range(_N_STAGES + 2)]
@@ -244,7 +264,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> Solution:
     nfev = 1
     if not np.isfinite(K[12]).all():
         return Solution(t, y, nfev, False, "right-hand side is not finite")
-    h_abs = _initial_step(fun, t, y, t1, K[12], K[1], rtol, atol)
+    h_abs = _initial_step(fun, t, y, t1, K[12], K[1], rtol, atol, free)
     nfev += 1
     while t < t1:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -269,8 +289,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> Solution:
                 message = f"solve passed its budget of {MAX_RHS_EVALS} right-hand-side evaluations"
                 return Solution(t, y, nfev, False, message)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.dot(KT[13], _E5) / scale
-            err3 = np.dot(KT[13], _E3) / scale
+            err5 = _steering(np.dot(KT[13], _E5) / scale, free)
+            err3 = _steering(np.dot(KT[13], _E3) / scale, free)
             err5_2 = _norm2(err5)
             err3_2 = _norm2(err3)
             if err5_2 == 0 and err3_2 == 0:

@@ -352,7 +352,9 @@ def _distinct(items, n: int):
 
     One Hamiltonian stands for every row.  Entries are told apart by identity.
     """
-    items = [items] * n if isinstance(items, TimeDepHamiltonian) else list(items)
+    if isinstance(items, TimeDepHamiltonian):
+        return [items], np.zeros(n, dtype=int)
+    items = list(items)
     if len(items) != n:
         raise ValueError(f"{len(items)} per-row entries for {n} rows")
     first, slot = _index(map(id, items))
@@ -527,6 +529,15 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
     over all times of a step attempt in one call and holds each time's L,
     keyed by time, for the evaluations of that attempt.  A time not handed
     to ``prefetch`` is read as an array of one time by the same readers.
+
+    The action vector h, the real parts of entries 2-4, is free in the
+    solve (``free``, see ``solve_ivp``): it does not steer the step, and
+    its error is not controlled.  No derivative reads it, h' = R(V)^T w is
+    finite wherever V' is, and h cancels from every phase: a row's spinor
+    carries exp(-i h . u0 / k), ``holonomy.transport_phases`` subtracts
+    the action integral h . u0 again, and n / (2 pi k) = 1, so an error in
+    h moves a phase by whole revolutions only.  The Omega vector h_s, the
+    imaginary parts, has no such twin, so it steers with V.
     """
     w_at = _row_axes(fs, fslot)
     ws_at = _row_axes(sdots, sslot) if sdots else None
@@ -564,6 +575,10 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
             np.matmul(z[:, None], L, out=o[:, None])
 
     rhs.prefetch = prefetch
+    # h in the real view: components 4, 6 and 8 of each propagator's 10,
+    # by arithmetic: numpy's set routines would page their sort kernels
+    # into the peak memory of a short run (see ``_index``).
+    rhs.free = (10 * np.arange(count)[:, None] + [4, 6, 8]).ravel()
     return rhs
 
 
@@ -609,13 +624,21 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     the next one.  A time at a breakpoint reads the state one ulp before
     it.  The two ulps skipped at each breakpoint are far below
     the solver's tolerance, and so is a segment that leaves no span.
-    A solve's error norm, |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) len), is
-    taken over the whole state and, like an RMS norm, gives N identical
-    copies of one row the norm of that row.  rtol and atol are therefore
-    divided by sqrt(P), P the number of propagators or rows the solve
-    carries, so that the others cannot average away the error of one;
-    batches too large for that are split.  A solve that passes its budget
-    of right-hand-side evaluations raises IntegrationError.
+    A solve's error norm, |dt| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) len)
+    with dt the step size, is taken over the state and, like an RMS norm,
+    gives N identical copies of one row the norm of that row.  rtol and
+    atol are therefore divided by sqrt(P), P the number of propagators or
+    rows the solve carries, so that the others cannot average away the
+    error of one; batches too large for that are split.  On the propagator
+    path the action vector h is left out of that norm (``_propagator_rhs``):
+    it cancels from every phase mod 1, while V and the Omega vector h_s
+    steer the step.  On the general path the real part of the third column
+    is the action integral of f_t itself, which nothing cancels, so the
+    whole state steers.  An offset c(t) added to f_t, constant on the
+    sphere, moves no point, so its integral cancels from nothing either: it
+    must go into a column that steers, never into a free one, or a fast
+    c(t) would go unresolved.  A solve that passes its budget of
+    right-hand-side evaluations raises IntegrationError.
     """
     check_rel_tol(rel_tol)
     times = np.asarray(times, dtype=float)
@@ -630,9 +653,14 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     linear = all(linear_axis(h) is not None for h in (*fs, *sdots))
     # states[i] is the state at stops[i], one row per propagator or base point.
     if linear:
-        first, slot = _index(zip(fslot.tolist(), (sslot if sdots else fslot).tolist()))
-        fslot, sslot = fslot[first], sslot[first] if sdots else None
-        states = np.zeros((len(stops), len(first), 5), dtype=complex)
+        # One propagator per distinct (f, sdot) pair; without sdot, the
+        # pairs are the distinct f in the order ``_distinct`` numbers them.
+        if sdots:
+            first, slot = _index(zip(fslot.tolist(), sslot.tolist()))
+            fslot, sslot = fslot[first], sslot[first]
+        else:
+            fslot, slot = np.arange(len(fs)), fslot
+        states = np.zeros((len(stops), len(fslot), 5), dtype=complex)
         states[0, :, 0] = 1.0
     else:
         states = np.zeros((len(stops), n, 3), dtype=complex)

@@ -1,10 +1,13 @@
-"""The package's DOP853 stepper against scipy's, bit for bit.
+"""The package's DOP853 stepper against scipy's, bit for bit, and its free components.
 
-``dop853.solve_ivp`` replicates the arithmetic of scipy's
-``solve_ivp(method="DOP853")``.  Every solve a transport or a flow makes
-is captured here and solved again by both: every right-hand-side call,
-rejected step attempts included, must pass the same time and state, and
-the evaluation counts, end times and end states must be the same doubles.
+Without free components, ``dop853.solve_ivp`` replicates the arithmetic
+of scipy's ``solve_ivp(method="DOP853")``.  Every solve a transport or a
+flow makes is captured here and solved again by both, without the
+right-hand side's ``free``: every right-hand-side call, rejected step
+attempts included, must pass the same time and state, and the evaluation
+counts, end times and end states must be the same doubles.  Free
+components have no scipy twin; they are checked against the stepper
+itself and against what the transport reads of them.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from preqholo import (
     DIR_Z,
     HamiltonianLoop,
     OrbitSphere,
+    circle_distance,
     closed_mixing_family,
     concatenate,
     dop853,
@@ -63,7 +67,12 @@ def _same(a, b):
 
 
 def _logged(fun, calls):
-    """``fun`` appending each call's t and y, as exact bytes, to ``calls``; its ``prefetch`` is kept."""
+    """``fun`` appending each call's t and y, as exact bytes, to ``calls``; its ``prefetch`` is kept.
+
+    Its ``free`` is not: scipy has no free components, so the parity tests
+    check the stepper without them, on the right-hand sides the package
+    solves.
+    """
 
     def logged(t, y, out):
         calls.append((float(t).hex(), y.dtype, y.shape, y.tobytes()))
@@ -211,3 +220,56 @@ def test_a_solve_keeps_only_its_end_state():
     sol = dop853.solve_ivp(lambda t, y, out: np.negative(y, out=out), (0.0, 1.0), y0, rtol=1e-10, atol=1e-13)
     assert sol.success and sol.t == 1.0
     assert sol.y.shape == y0.shape
+
+
+def _driven_solve(drive: bool, free):
+    """The times of every call, and the end state, of a solve of y = (z, q), z' = i z and q' = cos(50 t) or 0."""
+    times = []
+
+    def fun(t, y, out):
+        times.append(t)
+        out[0] = 1j * y[0]
+        out[1] = math.cos(50.0 * t) if drive else 0.0
+
+    if free is not None:
+        fun.free = free
+    sol = dop853.solve_ivp(fun, (0.0, 3.0), np.array([1.0 + 0j, 0j]), rtol=1e-10, atol=1e-13)
+    assert sol.success
+    return times, sol.y
+
+
+def test_free_components_never_steer_the_step():
+    # Re q is free: driven or not, the solve calls the right-hand side at
+    # the same times, from the initial step on, and z ends on the same
+    # doubles.  Without free, the drive sets the step
+    free = np.array([2])
+    driven, y_driven = _driven_solve(True, free)
+    still, y_still = _driven_solve(False, free)
+    assert driven == still
+    assert y_driven[0] == y_still[0]
+    assert _driven_solve(True, None)[0] != _driven_solve(False, None)[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["mix", "invariant"])
+def test_action_column_cancels_from_every_phase(monkeypatch, kind, n):
+    # the free h of every propagator, shifted by a constant after each
+    # solve, leaves every phase the same mod 1: the spinor carries
+    # exp(-i h . u0 / k), the phase subtracts h . u0 again, and
+    # n / (2 pi k) = 1.  Its unreduced value moves by whole multiples of n
+    M = OrbitSphere(n)
+    loop = mixing_loop(M, 0.9) if kind == "mix" else invariant_loop(M, AlgebraDirection(0.6, 0.8))
+    pts = fibonacci_sphere(8, rng=np.random.default_rng(7))
+    plain = transport_phases(M, loop, pts)
+
+    def shifted(fun, t_span, y0, rtol, atol, _inner=dynamics.solve_ivp):
+        sol = _inner(fun, t_span, y0, rtol=rtol, atol=atol)
+        sol.y.view(float)[fun.free] += 0.37
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", shifted)
+    moved = transport_phases(M, loop, pts)
+    for a, b in zip(plain, moved):
+        assert circle_distance(a.phase, b.phase) <= 1e-15
+        turns = (b.phase - a.phase) / n
+        assert abs(turns - round(turns)) < 1e-12

@@ -36,7 +36,7 @@ from preqholo import (
     zero_hamiltonian,
 )
 from preqholo.config import Tolerances, build_family, build_loop
-from preqholo.dynamics import HamiltonianLoop, MemberAxis
+from preqholo.dynamics import HamiltonianLoop, MemberAxis, over_times
 from preqholo.families import linear_family
 from preqholo.sphere import random_rotation_matrix, random_tangent
 
@@ -418,6 +418,38 @@ def test_propagator_columns_match_the_general_path(case, n):
     assert np.max(np.abs(y[:, 2].real - y_gen[:, 2].real)) < 1e-9
     assert np.max(np.abs(y[:, 2].imag - y_gen[:, 2].imag)) < 1e-9
     assert np.max(np.linalg.norm(dynamics._state_points(y) - dynamics._state_points(y_gen), axis=1)) < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("j", [5, 20, 40])
+def test_omega_column_steers_the_step(n, j):
+    # h_s, unlike h, cancels from nothing: an s-derivative that turns much
+    # faster than the flow, with the spinor on a constant axis, must still
+    # be resolved.  The reference is the general path at rel_tol 1e-12.
+    # The flow turns u once about e_x, so sin(2 pi j t) is orthogonal to
+    # sdot's axis . u(t) and Omega is 0: an error shows whole
+    M = OrbitSphere(n)
+    k = M.k
+    f = linear_hamiltonian(lambda t: over_times(t, np.array([k * math.pi, 0.0, 0.0])))
+    sdot = linear_hamiltonian(lambda t: k * np.multiply.outer(np.sin(2.0 * math.pi * j * t), [0.0, 0.3, 0.9]))
+    pts = fibonacci_sphere(4, rng=np.random.default_rng(12))
+    states = transport_phases(M, HamiltonianLoop(f), pts, sdot=sdot)
+    reference = transport_phases(M, HamiltonianLoop(_eval_wrapped(f)), pts, rel_tol=1e-12, sdot=sdot)
+    assert max(abs(a.omega - b.omega) for a, b in zip(states, reference)) < 1e-9
+    assert max(abs(b.omega) for b in reference) < 1e-12
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_one_hamiltonian_is_a_list_of_copies(nonlinear):
+    # one Hamiltonian for every row skips the pairing of rows to
+    # Hamiltonians and propagators, with the same doubles as n copies of it
+    M = OrbitSphere(2)
+    f = quadratic_hamiltonian(0.7) if nonlinear else mixing_loop(M, 0.9).hamiltonian
+    u0 = fibonacci_sphere(64, rng=np.random.default_rng(8))
+    times = (0.25, 1.0)
+    alone = dynamics._transport(M, f, u0, 1e-10, times=times)
+    copies = dynamics._transport(M, [f] * len(u0), u0, 1e-10, times=times)
+    assert _same(alone, copies)
 
 
 # Every registry family kind, the mixing profiles both ways, and a

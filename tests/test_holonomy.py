@@ -595,6 +595,24 @@ def test_replaced_eval_is_not_read_off_a_stale_axis(sphere1, shift):
     assert circle_distance(rows[1].phase, expected) < 1e-9
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("j, amplitude", [(1, 0.3), (20, 0.3), (40, 0.7)])
+@pytest.mark.parametrize("kind", ["invariant", "mix"])
+def test_general_action_column_steers_the_step(kind, j, amplitude, n):
+    # on the general path the action column holds the integral of f_t
+    # itself, which nothing cancels: an offset A sin^2(2 pi j t) that moves
+    # no point, however fast, moves the holonomy by exactly -A/2
+    M = OrbitSphere(n)
+    loop = invariant_loop(M, AlgebraDirection(0.6, 0.8)) if kind == "invariant" else mixing_loop(M, 0.8)
+    f = loop.hamiltonian
+    offset = dataclasses.replace(f, eval=lambda t, u: f.eval(t, u) + amplitude * np.sin(2.0 * math.pi * j * t) ** 2)
+    pts = fibonacci_sphere(3, rng=np.random.default_rng(9))
+    plain = kappas(M, loop, pts)
+    moved = kappas(M, HamiltonianLoop(offset, label="offset"), pts)
+    phase_tol = Tolerances().phase_tol
+    assert max(circle_distance(a - amplitude / 2, b) for a, b in zip(plain, moved)) < phase_tol
+
+
 def test_replaced_grad_is_not_read_off_a_stale_axis(sphere1):
     # the B-axis flow under the A-axis Hamiltonian's stale axis
     f_a = invariant_loop(sphere1, DIR_A).hamiltonian

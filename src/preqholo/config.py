@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -19,11 +19,12 @@ from .families import (
     subgroup_rotation_family,
 )
 from .sphere import OrbitSphere, fibonacci_sphere, sphere_point
-from .su2 import AlgebraDirection, invariant_loop, mixing_loop
+from .su2 import DIR_A, invariant_loop, mixing_loop
 
 TASKS = ("kappa", "action", "omega", "winding", "verify", "su2-demo")
-HAMILTONIAN_NAMES = ("zero", "invariant", "mix", "scaled")
-FAMILY_NAMES = ("constant", "subgroup-rotation", "mixing", "closed-mixing")
+ROOT_KEYS = (
+    "n", "task", "hamiltonian", "family", "base_points", "s_samples", "tolerances", "seed", "output", "n_values",
+)
 OUTPUT_FORMATS = ("json", "csv")
 # Most base points a list or an 'auto:<count>' spec may give; a `preqholo run`
 # of kappa on mix (amplitude 2.0, n = 3) at 'auto:16384' takes 0.8-0.9 s and
@@ -62,14 +63,9 @@ class Tolerances:
 
     @classmethod
     def from_dict(cls, d: dict | None) -> "Tolerances":
-        d = dict(_section(d, "tolerances"))
-        out = cls(
-            flow_rel_tol=_float(d.pop("flow_rel_tol", 1e-10), "tolerances.flow_rel_tol"),
-            phase_tol=_float(d.pop("phase_tol", 1e-6), "tolerances.phase_tol"),
-            closure_tol=_float(d.pop("closure_tol", 1e-6), "tolerances.closure_tol"),
-        )
-        if d:
-            raise ConfigError(f"unknown tolerance keys: {sorted(d)}")
+        d = _section(d, "tolerances")
+        _check_keys(d, [f.name for f in fields(cls)], "tolerances")
+        out = cls(**{key: _float(value, f"tolerances.{key}") for key, value in d.items()})
         try:
             check_rel_tol(out.flow_rel_tol)
         except ValueError as exc:
@@ -78,6 +74,13 @@ class Tolerances:
             if getattr(out, key) <= 0.0:
                 raise ConfigError(f"tolerances.{key} must be > 0, got {getattr(out, key)!r}")
         return out
+
+
+def _check_keys(section: dict, takes, key: str) -> None:
+    """Raise ConfigError naming every key of section that is not in takes, and the keys it takes."""
+    unknown = [k for k in section if k not in takes]
+    if unknown:
+        raise ConfigError(f"unknown {key} keys {unknown}: {key} takes {list(takes)}")
 
 
 def _section(value, key: str) -> dict:
@@ -123,13 +126,7 @@ class Scenario:
         """Validate every section the config gives, whether or not its task reads it."""
         if not isinstance(d, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {
-            "n", "task", "hamiltonian", "family", "base_points", "s_samples",
-            "tolerances", "seed", "output", "n_values",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(d, ROOT_KEYS, "config")
         for key, value in d.items():
             _check_depth(value, key)
         task = d.get("task")
@@ -156,10 +153,8 @@ class Scenario:
             raise ConfigError(f"task '{task}' requires a family spec")
         M = OrbitSphere(n)
         if ham is not None:
-            _validate_named(ham, HAMILTONIAN_NAMES, "hamiltonian")
             build_loop(M, ham, tol)
         if fam is not None:
-            _validate_named(fam, FAMILY_NAMES, "family")
             built = build_family(M, fam, tol)
             if task == "winding" and not built.closed:
                 raise ConfigError(f"winding requires a closed family, '{built.label}' is not")
@@ -173,16 +168,15 @@ class Scenario:
             f"an integer in [2, {MAX_LIFT_SAMPLES}]",
         )
 
-        output = dict(_section(d.get("output"), "output"))
-        out_format = output.pop("format", "json")
+        output = _section(d.get("output"), "output")
+        _check_keys(output, ("dir", "format"), "output")
+        out_format = output.get("format", "json")
         if out_format not in OUTPUT_FORMATS:
             raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}")
-        out_dir = output.pop("dir", "out")
+        out_dir = output.get("dir", "out")
         if not isinstance(out_dir, str):
             raise ConfigError(f"output.dir must be a string, got {out_dir!r}")
         check_out_dir(out_dir, "output.dir")
-        if output:
-            raise ConfigError(f"unknown output keys: {sorted(output)}")
 
         return cls(
             n=n,
@@ -237,13 +231,6 @@ def _is_level(v: int) -> bool:
     return 0 < abs(v) <= MAX_LEVEL
 
 
-def _validate_named(spec, names, what):
-    if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError(f"{what} spec must be an object with a 'name' key")
-    if spec["name"] not in names:
-        raise ConfigError(f"{what} name must be one of {names}, got {spec['name']!r}")
-
-
 def _validate_base_points(value):
     if isinstance(value, str):
         if not value.startswith("auto:"):
@@ -275,84 +262,80 @@ def resolve_base_points(value, seed: int) -> np.ndarray:
     return np.array([sphere_point(float(th), float(ph)) for th, ph in value])
 
 
-def _require_unit_axis(a: float, b: float, z: float):
-    nrm = math.sqrt(a * a + b * b + z * z)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ConfigError(f"invariant axis must have unit norm, got |(a,b,z)| = {nrm:.6g}")
+def _invariant(M, tol, **axis):
+    # a, b and z default to those of DIR_A
+    return invariant_loop(M, replace(DIR_A, **axis), closure_tol=tol.closure_tol)
+
+
+def _scaled(M, tol, base, factor):
+    # the label shows the factor as given
+    inner = _build(HAMILTONIANS, "scaled.base", M, base, tol)
+    f = scale_hamiltonian(inner.hamiltonian, _float(factor, "scaled.factor"))
+    return HamiltonianLoop(f, closure_tol=tol.closure_tol, label=f"{factor}*{inner.label}")
+
+
+def _constant(M, tol, hamiltonian={"name": "invariant"}):
+    return constant_family(_build(HAMILTONIANS, "constant.hamiltonian", M, hamiltonian, tol))
+
+
+def _library(builder):
+    return lambda M, tol, **params: builder(M, closure_tol=tol.closure_tol, **params)
+
+
+# A registry maps a name to (build, readers, required).  build(M, tol, **params)
+# gets only the parameters the spec gives, under the library's own keyword
+# names, each read by readers[key] (None: passed as given), so a default lives
+# in the library signature that takes it.  invariant_loop and mixing_loop are
+# looked up at each build, so that a wrapper set in their place is called.
+HAMILTONIANS = {
+    "zero": (lambda M, tol: HamiltonianLoop(zero_hamiltonian(), closure_tol=tol.closure_tol, label="zero"), {}, ()),
+    "invariant": (_invariant, {"a": _float, "b": _float, "z": _float}, ()),
+    "mix": (
+        lambda M, tol, **params: mixing_loop(M, closure_tol=tol.closure_tol, **params),
+        {"amplitude": _float, "profile": None},
+        ("amplitude",),
+    ),
+    "scaled": (_scaled, {"base": None, "factor": None}, ("base", "factor")),
+}
+FAMILIES = {
+    "constant": (_constant, {"hamiltonian": None}, ()),
+    "subgroup-rotation": (_library(subgroup_rotation_family), {"start_angle": _float, "turns": _float}, ()),
+    "mixing": (_library(mixing_family), {"amplitude": _float, "profile": None}, ()),
+    "closed-mixing": (_library(closed_mixing_family), {"amplitude": _float, "profile": None}, ()),
+}
+HAMILTONIAN_NAMES = tuple(HAMILTONIANS)
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def _build(registry: dict, what: str, M: OrbitSphere, spec, tol: Tolerances):
+    """Build the entry of registry that spec names; any fault, a ValueError of the library too, is a ConfigError."""
+    if not isinstance(spec, dict) or "name" not in spec:
+        raise ConfigError(f"{what} spec must be an object with a 'name' key")
+    name = spec["name"]
+    if not isinstance(name, str) or name not in registry:  # a list or an object is no key
+        raise ConfigError(f"{what} name must be one of {tuple(registry)}, got {name!r}")
+    build, readers, required = registry[name]
+    _check_keys(spec, ("name", *readers), name)
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ConfigError(f"{name} requires {missing}")
+    params = {
+        key: reader(spec[key], f"{name}.{key}") if reader else spec[key]
+        for key, reader in readers.items()
+        if key in spec
+    }
+    try:
+        return build(M, tol, **params)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_loop(M: OrbitSphere, spec: dict, tol: Tolerances) -> HamiltonianLoop:
     """Build a registry Hamiltonian loop; closure is checked at run time."""
-    name = spec["name"]
-    params = {key: val for key, val in spec.items() if key != "name"}
-    if name == "zero":
-        if params:
-            raise ConfigError(f"zero takes no parameters, got {sorted(params)}")
-        return HamiltonianLoop(zero_hamiltonian(), closure_tol=tol.closure_tol, label="zero")
-    if name == "invariant":
-        a = _float(params.pop("a", 1.0), "invariant.a")
-        b = _float(params.pop("b", 0.0), "invariant.b")
-        z = _float(params.pop("z", 0.0), "invariant.z")
-        if params:
-            raise ConfigError(f"invariant takes a, b, z, got extra {sorted(params)}")
-        _require_unit_axis(a, b, z)
-        return invariant_loop(M, AlgebraDirection(a, b, z), closure_tol=tol.closure_tol)
-    if name == "mix":
-        amplitude = params.pop("amplitude", None)
-        profile = params.pop("profile", "cosine-ramp")
-        if params:
-            raise ConfigError(f"mix takes amplitude, profile, got extra {sorted(params)}")
-        if amplitude is None:
-            raise ConfigError("mix requires an amplitude")
-        amplitude = _float(amplitude, "mix.amplitude")
-        try:
-            return mixing_loop(M, amplitude, profile=profile, closure_tol=tol.closure_tol)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if name == "scaled":
-        base = params.pop("base", None)
-        factor = params.pop("factor", None)
-        if params:
-            raise ConfigError(f"scaled takes base, factor, got extra {sorted(params)}")
-        if base is None or factor is None:
-            raise ConfigError("scaled requires base and factor")
-        _validate_named(base, HAMILTONIAN_NAMES, "scaled.base")
-        inner = build_loop(M, base, tol)
-        return HamiltonianLoop(
-            scale_hamiltonian(inner.hamiltonian, _float(factor, "scaled.factor")),
-            closure_tol=tol.closure_tol,
-            label=f"{factor}*{inner.label}",
-        )
-    raise ConfigError(f"unknown hamiltonian '{name}'")
+    return _build(HAMILTONIANS, "hamiltonian", M, spec, tol)
 
 
 def build_family(M: OrbitSphere, spec: dict, tol: Tolerances) -> LoopFamily:
-    name = spec["name"]
-    params = {key: val for key, val in spec.items() if key != "name"}
-    try:
-        if name == "constant":
-            base = params.pop("hamiltonian", {"name": "invariant", "a": 1.0, "b": 0.0})
-            if params:
-                raise ConfigError(f"constant family takes hamiltonian, got extra {sorted(params)}")
-            _validate_named(base, HAMILTONIAN_NAMES, "family.hamiltonian")
-            return constant_family(build_loop(M, base, tol))
-        if name == "subgroup-rotation":
-            start = _float(params.pop("start_angle", 0.0), "subgroup-rotation.start_angle")
-            turns = _float(params.pop("turns", 1.0), "subgroup-rotation.turns")
-            if params:
-                raise ConfigError(
-                    f"subgroup-rotation takes start_angle, turns, got extra {sorted(params)}"
-                )
-            return subgroup_rotation_family(M, start_angle=start, turns=turns, closure_tol=tol.closure_tol)
-        if name in ("mixing", "closed-mixing"):
-            amplitude = _float(params.pop("amplitude", 0.5), f"{name}.amplitude")
-            profile = params.pop("profile", "cosine-ramp")
-            if params:
-                raise ConfigError(f"{name} takes amplitude, profile, got extra {sorted(params)}")
-            builder = closed_mixing_family if name == "closed-mixing" else mixing_family
-            return builder(M, amplitude=amplitude, profile=profile, closure_tol=tol.closure_tol)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown family '{name}'")
+    return _build(FAMILIES, "family", M, spec, tol)

@@ -40,7 +40,9 @@ from .su2 import profile_functions
 
 
 # Finest grid of the phase lift, in s-intervals.  A starting grid finer than
-# this could never be evaluated, so config rejects a larger s_samples.
+# this could never be evaluated, so config rejects a larger s_samples.  A
+# `preqholo run` of omega on closed-mixing from 'auto:3' at s_samples 2^14
+# takes 8.7-10.4 s and 450 MB peak RSS on a 2-core Xeon with numpy 2.4.
 MAX_LIFT_SAMPLES = 2**14
 
 
@@ -386,7 +388,7 @@ def _mixing_family(M, amp_fn, amp_dot_fn, profile, closure_tol, closed, label):
 
 def mixing_family(
     M: OrbitSphere,
-    amplitude: float = 1.0,
+    amplitude: float = 0.5,
     profile: str = "cosine-ramp",
     closure_tol: float = 1e-6,
 ) -> LoopFamily:

@@ -151,8 +151,9 @@ def invariant_loop(
     reparametrizes it to [0, 1].  The moment functions are linear in u, so
     the Hamiltonian already has zero mean.
     """
-    if abs(direction.norm - 1.0) > 1e-12:
-        raise ValueError("invariant loops require a unit direction")
+    nrm = math.hypot(direction.a, direction.b, direction.z)  # direction.norm raises OverflowError from ~1.35e154
+    if abs(nrm - 1.0) > 1e-12:
+        raise ValueError(f"invariant loops require a unit direction, got |(a,b,z)| = {nrm!r}")
     h = invariant_hamiltonian(M, direction)
     f = scale_hamiltonian(h, -math.pi, label=f"pi*(-{h.label})")
     return HamiltonianLoop(f, closure_tol=closure_tol, label=f"invariant[{h.label}]")

@@ -482,6 +482,27 @@ class TestRunTask:
             ({"tolerances": {"phase_tol": 10**400}}, "tolerances.phase_tol"),
             ({"output": {"fromat": "csv"}}, "fromat"),
             ({"output": {"dir": "a\0b"}}, "output.dir"),
+            # an axis past the library's unit-norm tolerance of 1e-12, and
+            # one whose squared norm overflows a float
+            ({"hamiltonian": {"name": "invariant", "a": 1.0000000005, "b": 0}}, "|(a,b,z)| = 1.0000000005"),
+            ({"hamiltonian": {"name": "invariant", "a": 1e308}}, "|(a,b,z)| = 1e+308"),
+            # names that are no dict key
+            ({"hamiltonian": {"name": []}}, "hamiltonian name"),
+            ({"family": {"name": {}}}, "family name"),
+            ({"hamiltonian": {"name": "mix", "amplitude": None}}, "mix.amplitude"),
+            # one unknown key per section
+            ({"zorp": 1}, "unknown config keys ['zorp']: config takes ['n', 'task',"),
+            ({"tolerances": {"zorp": 1}}, "unknown tolerances keys ['zorp']: tolerances takes ['flow_rel_tol',"),
+            ({"output": {"zorp": 1}}, "unknown output keys ['zorp']: output takes ['dir', 'format']"),
+            ({"hamiltonian": {"name": "zero", "zorp": 1}}, "unknown zero keys ['zorp']: zero takes ['name']"),
+            ({"hamiltonian": {"name": "invariant", "zorp": 1}}, "unknown invariant keys ['zorp']"),
+            ({"hamiltonian": {"name": "mix", "amplitude": 1.0, "zorp": 1}}, "unknown mix keys ['zorp']"),
+            ({"hamiltonian": {"name": "scaled", "base": {"name": "zero"}, "factor": 2, "zorp": 1}},
+             "unknown scaled keys ['zorp']"),
+            ({"family": {"name": "constant", "zorp": 1}}, "unknown constant keys ['zorp']"),
+            ({"family": {"name": "subgroup-rotation", "zorp": 1}}, "unknown subgroup-rotation keys ['zorp']"),
+            ({"family": {"name": "mixing", "zorp": 1}}, "unknown mixing keys ['zorp']"),
+            ({"family": {"name": "closed-mixing", "zorp": 1}}, "unknown closed-mixing keys ['zorp']"),
         ],
     )
     def test_bad_values_are_config_errors(self, tmp_path, overrides, key):
@@ -699,6 +720,7 @@ _edits = st.sampled_from(
         ("hamiltonian", {"name": "mix", "amplitude": "nan"}),
         ("hamiltonian", {"name": "scaled", "base": {"name": "invariant"}, "factor": 0.5}),
         ("hamiltonian", {"name": "invariant", "a": 2.0}),
+        ("hamiltonian", {"name": "invariant", "a": 1.0000000005, "b": 0}),
         ("family", {"name": "subgroup-rotation", "turns": 0.5}),
         ("family", {"name": "mixing", "amplitude": "inf"}),
         ("output", {"format": "xml"}),

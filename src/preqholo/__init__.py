@@ -11,6 +11,8 @@ integrator in the package.
 __version__ = "0.1.0"
 
 from .dynamics import (
+    ConstantAxis,
+    ConstantField,
     HamiltonianLoop,
     IntegrationError,
     LoopClosureError,

@@ -227,7 +227,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol) -> Solution:
     step attempt first calls ``fun.prefetch(times)`` with the array of the
     times at which it will call ``fun`` (stages 1-11 and the step's end):
     the very doubles those calls pass as t, so that ``fun`` can read what
-    depends only on t once per step attempt.  When ``fun`` has a ``free``
+    depends only on t once per step attempt.  A right-hand side whose
+    t-dependent part is constant (``dynamics._propagator_rhs`` of an
+    all-constant batch, see ``dynamics.ConstantAxis``) forms it once and
+    has no ``prefetch``.  When ``fun`` has a ``free``
     attribute, an index array into the real view ``y.view(float)``, those
     components are free: they are integrated like the others, but count as
     0 in the norms of the initial step and of the error estimates (whose

@@ -94,7 +94,13 @@ class TimeDepHamiltonian:
     says whether it may stand in for ``eval`` and ``grad``.  An axis reads
     a scalar t as (3,) and a 1-D array of times as (T, 3), one row per
     time, each the same doubles as the scalar read: the transport reads
-    it over all stage times of a step at once.
+    it over all stage times of a step at once.  An axis that does not
+    depend on t says so by its type, ``ConstantAxis`` or a ``MemberAxis``
+    of a ``ConstantField``, as those of ``zero_hamiltonian``,
+    ``su2.invariant_hamiltonian``, one-part compositions of them and the
+    subgroup-rotation members and s-derivatives do; a batch of them only
+    forms its matrix once per chunk, with no ``prefetch``
+    (``_propagator_rhs``).
     ``parts``, when given, says that f is made of other Hamiltonians: a
     tuple of ``(end, inner, a, b, c)`` with rising ends, the last inf,
     meaning f_t = c inner_{a t + b} on the first part whose end lies above
@@ -120,26 +126,50 @@ class TimeDepHamiltonian:
     parts: tuple = ()
 
 
-def over_times(t, value: np.ndarray) -> np.ndarray:
-    """An axis or field value that does not depend on time, read at t.
-
-    ``value`` itself at a scalar t, and one copy of it per time, as a
-    read-only view, at an array of times.
-    """
+def _over_times(t, value: np.ndarray) -> np.ndarray:
+    """``value`` at a scalar t, and a read-only view of one copy per time at an array of times."""
     return value if np.ndim(t) == 0 else np.broadcast_to(value, np.shape(t) + np.shape(value))
+
+
+@dataclass(frozen=True, eq=False)
+class ConstantAxis:
+    """An axis that does not depend on t: ``value`` (3,), kept as a read-only copy, at every time."""
+
+    value: np.ndarray
+
+    def __post_init__(self):
+        value = np.array(self.value, dtype=float)
+        if value.shape != (3,):
+            raise ValueError(f"a constant axis is one 3-vector, got shape {value.shape}")
+        value.flags.writeable = False
+        object.__setattr__(self, "value", value)
+
+    def __call__(self, t) -> np.ndarray:
+        return _over_times(t, self.value)
+
+
+@dataclass(frozen=True, eq=False)
+class ConstantField:
+    """A family's field (``MemberAxis``) that does not depend on t: ``value(svals)`` (S, 3) at every time."""
+
+    value: Callable
+
+    def __call__(self, svals, t) -> np.ndarray:
+        return _over_times(t, self.value(svals))
 
 
 def zero_hamiltonian() -> TimeDepHamiltonian:
     """f_t = 0, the linear Hamiltonian with the zero axis."""
-    zero = np.zeros(3)
-    return linear_hamiltonian(lambda t: over_times(t, zero), label="zero")
+    return linear_hamiltonian(ConstantAxis(np.zeros(3)), label="zero")
 
 
 def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ()) -> TimeDepHamiltonian:
     """The Hamiltonian f_t(u) = axis(t) . u, with eval and grad derived from the axis.
 
     ``axis`` follows the contract of ``TimeDepHamiltonian.axis``: (3,) at a
-    scalar t, (T, 3) at an array of times.  Its surface gradient is the
+    scalar t, (T, 3) at an array of times.  Give an axis that does not
+    depend on t as ``ConstantAxis(w)``: any other callable is read on
+    every step attempt (``_propagator_rhs``).  Its surface gradient is the
     tangent part axis(t) - (u . axis(t)) u.  It has zero mean on the
     sphere.  Both functions carry the axis they come from as ``_axis``,
     which ``functools.wraps`` copies to a wrapper.
@@ -172,6 +202,11 @@ class MemberAxis:
 
     def __call__(self, t) -> np.ndarray:
         return self.field(np.array([self.s]), t)[..., 0, :]
+
+
+def _constant(axis) -> bool:
+    """Whether a linear axis is a ``ConstantAxis`` or a member of a ``ConstantField``."""
+    return isinstance(axis, ConstantAxis) or isinstance(axis, MemberAxis) and isinstance(axis.field, ConstantField)
 
 
 def linear_axis(f: TimeDepHamiltonian) -> Callable | None:
@@ -214,10 +249,11 @@ def compose_hamiltonian(parts, label: str = "") -> TimeDepHamiltonian:
     rise and the last is inf.  The breakpoints are the part ends inside
     (0, 1) and each inner's breakpoints mapped into its part's times.  When
     every inner is linear (``linear_axis``), so is f, with the axis
-    c inner_axis(a t + b) read part by part; otherwise eval and grad read
-    the inner's own (``_PartRead``).  Either way f carries ``parts``, and
-    the doubles are those of closures that apply each part's factor to its
-    inner's value (or axis) in turn.
+    c inner_axis(a t + b) read part by part (one part of a constant inner
+    is a ``ConstantAxis``); otherwise eval and grad read the inner's own
+    (``_PartRead``).  Either way f carries ``parts``, and the doubles are
+    those of closures that apply each part's factor to its inner's value
+    (or axis) in turn.
     """
     parts = tuple((float(end), inner, float(a), float(b), float(c)) for end, inner, a, b, c in parts)
     ends = [end for end, *_ in parts]
@@ -242,10 +278,12 @@ def compose_hamiltonian(parts, label: str = "") -> TimeDepHamiltonian:
             return lambda t: c * inner_axis(t)
         return lambda t: c * inner_axis(a * t + b)
 
-    readers = [part_axis(part, inner_axis) for part, inner_axis in zip(parts, axes)]
-    if len(parts) == 1:
-        axis = readers[0]
+    if len(parts) == 1 and _constant(axes[0]):
+        axis = ConstantAxis(parts[0][4] * axes[0](0.0))
+    elif len(parts) == 1:
+        axis = part_axis(parts[0], axes[0])
     else:
+        readers = [part_axis(part, inner_axis) for part, inner_axis in zip(parts, axes)]
         inner_ends = ends[:-1]
 
         def axis(t):
@@ -524,11 +562,13 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
     Propagator p carries the pair ``(fs[fslot[p]], sdots[sslot[p]])``
     (no ``sdot`` without ``sdots``).  Each evaluation is one product
     [x, x (x) x] @ L (``_propagator_basis``), one shared L when P is 1
-    and one per propagator otherwise.  L depends on t alone, so
-    ``prefetch`` (``solve_ivp``) reads every axis group (``_row_axes``)
-    over all times of a step attempt in one call and holds each time's L,
-    keyed by time, for the evaluations of that attempt.  A time not handed
-    to ``prefetch`` is read as an array of one time by the same readers.
+    and one per propagator otherwise.  L depends on t alone.  When every
+    axis of the chunk is constant (``_constant``), L is formed once and
+    holds on every segment, with no ``prefetch``.  Otherwise ``prefetch``
+    (``solve_ivp``) reads every axis group (``_row_axes``) over all times
+    of a step attempt in one call and holds each time's L, keyed by time,
+    for the evaluations of that attempt.  A time not handed to
+    ``prefetch`` is read as an array of one time by the same readers.
 
     The action vector h, the real parts of entries 2-4, is free in the
     solve (``free``, see ``solve_ivp``): it does not steer the step, and
@@ -544,7 +584,6 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
     basis = _propagator_basis(M.k)
     count = len(fslot)
     shape = (6,) if count == 1 else (count, 6)
-    held = {}
     z = np.empty((count, 20))
     squares = z[:, 4:].reshape(count, 4, 4)
 
@@ -557,14 +596,7 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
                 coef[..., cols] = w if w.ndim == coef.ndim else w[:, None]
         return (coef @ basis).reshape(*coef.shape[:-1], 20, 10)
 
-    def prefetch(times):
-        held.clear()
-        held.update(zip(times.tolist(), matrices(times)))
-
-    def rhs(t, yy, out):
-        L = held.get(t)
-        if L is None:
-            L = matrices(np.array([t]))[0]
+    def apply(L, yy, out):
         x = yy.reshape(count, 5)[:, :2].view(float)
         z[:, :4] = x
         np.multiply(x[:, :, None], x[:, None, :], out=squares)
@@ -574,7 +606,25 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
         else:
             np.matmul(z[:, None], L, out=o[:, None])
 
-    rhs.prefetch = prefetch
+    slots = [(fs, fslot), (sdots, sslot)] if sdots else [(fs, fslot)]
+    if all(_constant(linear_axis(hs[j])) for hs, slot in slots for j in set(slot.tolist())):
+        L = matrices(np.zeros(1))[0]
+
+        def rhs(t, yy, out):
+            apply(L, yy, out)
+
+    else:
+        held = {}
+
+        def prefetch(times):
+            held.clear()
+            held.update(zip(times.tolist(), matrices(times)))
+
+        def rhs(t, yy, out):
+            L = held.get(t)
+            apply(matrices(np.array([t]))[0] if L is None else L, yy, out)
+
+        rhs.prefetch = prefetch
     # h in the real view: components 4, 6 and 8 of each propagator's 10,
     # by arithmetic: numpy's set routines would page their sort kernels
     # into the peak memory of a short run (see ``_index``).

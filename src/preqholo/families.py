@@ -25,12 +25,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dynamics import (
+    ConstantField,
     HamiltonianLoop,
     LoopClosureError,
     MemberAxis,
     TimeDepHamiltonian,
     linear_hamiltonian,
-    over_times,
     scale_hamiltonian,
     zero_hamiltonian,
 )
@@ -336,14 +336,16 @@ def subgroup_rotation_family(
     rate = 2.0 * math.pi * float(turns)
     k = M.k
 
-    def axis(svals, t):
+    @ConstantField
+    def axis(svals):
         # -pi times the axis k (-cos(lam), sin(lam), 0) of the direction's moment map
         lam = start_angle + rate * svals
-        return over_times(t, -math.pi * (k * np.array([-np.cos(lam), np.sin(lam), np.zeros_like(lam)]).T))
+        return -math.pi * (k * np.array([-np.cos(lam), np.sin(lam), np.zeros_like(lam)]).T)
 
-    def s_axis(svals, t):
+    @ConstantField
+    def s_axis(svals):
         lam = start_angle + rate * svals
-        return over_times(t, -math.pi * k * rate * np.array([np.sin(lam), np.cos(lam), np.zeros_like(lam)]).T)
+        return -math.pi * k * rate * np.array([np.sin(lam), np.cos(lam), np.zeros_like(lam)]).T
 
     def member_label(s):
         lam = start_angle + rate * s

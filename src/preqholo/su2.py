@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import HamiltonianLoop, TimeDepHamiltonian, linear_hamiltonian, over_times, scale_hamiltonian
+from .dynamics import ConstantAxis, HamiltonianLoop, TimeDepHamiltonian, linear_hamiltonian, scale_hamiltonian
 from .sphere import OrbitSphere, unit_vector
 
 _A_MAT = np.array([[0.0, 1.0j], [1.0j, 0.0]])
@@ -136,10 +136,8 @@ def closed_form_flow(direction: AlgebraDirection, t: float, p) -> np.ndarray:
 
 def invariant_hamiltonian(M: OrbitSphere, direction: AlgebraDirection) -> TimeDepHamiltonian:
     """Moment function h_dir(u) = k * w . u, a linear Hamiltonian with the constant axis k w."""
-    w = M.k * direction.axis()
-    return linear_hamiltonian(
-        lambda t: over_times(t, w), label=f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]"
-    )
+    label = f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]"
+    return linear_hamiltonian(ConstantAxis(M.k * direction.axis()), label=label)
 
 
 def invariant_loop(

@@ -1,6 +1,7 @@
 """The registries of config: an entry built from its required parameters only
 is the library builder called with the same parameters, so every default is
-the library's own."""
+the library's own, and an entry whose generator does not depend on t builds
+constant axes."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from preqholo import (
     subgroup_rotation_family,
 )
 from preqholo.config import FAMILY_NAMES, HAMILTONIAN_NAMES, Tolerances, build_family, build_loop
-from preqholo.dynamics import scale_hamiltonian, zero_hamiltonian
+from preqholo.dynamics import _constant, linear_axis, scale_hamiltonian, zero_hamiltonian
 
 M = OrbitSphere(2)
 TIMES = (0.0, 0.3, 0.75, np.array([0.1, 0.5, 0.9]))
@@ -72,3 +73,39 @@ def test_a_family_built_from_its_required_parameters_is_the_library_default(name
     for s in SVALS:
         assert_same_loop(got.loop_at(s), want.loop_at(s))
         assert_same_hamiltonian(got.s_deriv(s), want.s_deriv(s))
+
+
+# Registry specs, with whether the generators they build (and, for a family,
+# its members' s-derivatives) do not depend on t.  Every entry appears.
+CONSTANT_LOOPS = [
+    ({"name": "zero"}, True),
+    ({"name": "invariant", "a": 0.6, "b": 0.8}, True),
+    ({"name": "scaled", "base": {"name": "invariant"}, "factor": 2}, True),
+    ({"name": "scaled", "base": {"name": "zero"}, "factor": 3}, True),
+    ({"name": "mix", "amplitude": 1.3}, False),
+    ({"name": "mix", "amplitude": 2.0, "profile": "constant"}, False),
+    ({"name": "scaled", "base": {"name": "mix", "amplitude": 0.7}, "factor": 3}, False),
+]
+CONSTANT_FAMILIES = [
+    ({"name": "constant"}, True),
+    ({"name": "constant", "hamiltonian": {"name": "scaled", "base": {"name": "invariant"}, "factor": 2}}, True),
+    ({"name": "subgroup-rotation", "start_angle": 0.4, "turns": 2}, True),
+    ({"name": "constant", "hamiltonian": {"name": "mix", "amplitude": 1.1}}, False),
+    ({"name": "mixing", "amplitude": 0.8}, False),
+    ({"name": "mixing", "amplitude": 1.3, "profile": "constant"}, False),
+    ({"name": "closed-mixing", "amplitude": 0.9}, False),
+]
+
+
+def test_constant_generators_build_constant_axes():
+    # a batch of constant axes only forms its propagators' matrix once per
+    # chunk (dynamics._propagator_rhs); an axis of such an entry wrapped in
+    # a function would lose that, and fail here instead of only running slower
+    assert {spec["name"] for spec, _ in CONSTANT_LOOPS} == set(HAMILTONIAN_NAMES)
+    assert {spec["name"] for spec, _ in CONSTANT_FAMILIES} == set(FAMILY_NAMES)
+    for spec, constant in CONSTANT_LOOPS:
+        assert _constant(linear_axis(build_loop(M, spec, Tolerances()).hamiltonian)) is constant, spec
+    for spec, constant in CONSTANT_FAMILIES:
+        fam = build_family(M, spec, Tolerances())
+        hs = [h for s in SVALS for h in (fam.loop_at(s).hamiltonian, fam.s_deriv(s))]
+        assert all(_constant(linear_axis(h)) for h in hs) is constant, spec

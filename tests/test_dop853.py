@@ -37,6 +37,7 @@ from preqholo import (
     mixing_family,
     mixing_loop,
     product_loop,
+    scale_hamiltonian,
     subgroup_rotation_family,
     trajectories,
     transport_phases,
@@ -169,6 +170,22 @@ def test_field_rows_among_distinct_rows_match_scipy(monkeypatch):
     assert len(phases) == 4 and len(flows) == 6
     for fun, *rest in phases + flows:
         assert hasattr(fun, "prefetch")
+        _assert_same_solve(fun, *rest)
+    # an all-constant batch, the field rows of subgroup-rotation members with
+    # their Omega column among invariant, scaled and zero rows: its
+    # right-hand side forms L once and has no prefetch, so neither solver
+    # hands it any times, and both reach the same doubles
+    inv = invariant_loop(M, DIR_B)
+    sub = subgroup_rotation_family(M, start_angle=0.3)
+    loops = [inv, HamiltonianLoop(scale_hamiltonian(inv.hamiltonian, 2.0)), HamiltonianLoop(zero)]
+    loops += [sub.loop_at(s) for s in svals]
+    sdot = [zero] * 3 + [sub.s_deriv(s) for s in svals]
+    pts = fibonacci_sphere(len(loops), rng=np.random.default_rng(7))
+    phases = _captured_solves(monkeypatch, lambda: transport_phases(M, loops, pts, sdot=sdot))
+    flows = _captured_solves(monkeypatch, lambda: trajectories(M, [lp.hamiltonian for lp in loops], pts, times))
+    assert len(phases) == 1 and len(flows) == 5
+    for fun, *rest in phases + flows:
+        assert not hasattr(fun, "prefetch")
         _assert_same_solve(fun, *rest)
 
 

@@ -36,7 +36,7 @@ from preqholo import (
     zero_hamiltonian,
 )
 from preqholo.config import Tolerances, build_family, build_loop
-from preqholo.dynamics import HamiltonianLoop, MemberAxis, over_times
+from preqholo.dynamics import ConstantAxis, HamiltonianLoop, MemberAxis
 from preqholo.families import linear_family
 from preqholo.sphere import random_rotation_matrix, random_tangent
 
@@ -430,7 +430,7 @@ def test_omega_column_steers_the_step(n, j):
     # sdot's axis . u(t) and Omega is 0: an error shows whole
     M = OrbitSphere(n)
     k = M.k
-    f = linear_hamiltonian(lambda t: over_times(t, np.array([k * math.pi, 0.0, 0.0])))
+    f = linear_hamiltonian(ConstantAxis([k * math.pi, 0.0, 0.0]))
     sdot = linear_hamiltonian(lambda t: k * np.multiply.outer(np.sin(2.0 * math.pi * j * t), [0.0, 0.3, 0.9]))
     pts = fibonacci_sphere(4, rng=np.random.default_rng(12))
     states = transport_phases(M, HamiltonianLoop(f), pts, sdot=sdot)
@@ -666,3 +666,91 @@ def test_product_loop_axes_are_read_once_per_step_attempt(monkeypatch):
     assert len(solves) == 4
     for i, reads in counts.items():
         assert 0 < reads <= _reads_allowed(solves), i
+
+
+def test_a_constant_axis_does_not_write_through():
+    # a read of a constant axis, at a scalar time or at an array of times,
+    # is read-only, and so is the value it keeps: writing into one raises
+    # and leaves the Hamiltonian as it was
+    M = OrbitSphere(1)
+    f = invariant_hamiltonian(M, DIR_A)
+    u = np.array([1.0, 0.0, 0.0])
+    before = f.eval(0.7, u)
+    for read in (f.axis(0.0), f.axis(np.array([0.1, 0.2]))):
+        with pytest.raises(ValueError):
+            read[..., 0] = 99.0
+    assert f.eval(0.7, u) == before
+    w = np.array([1.0, 2.0, 3.0])
+    axis = ConstantAxis(w)
+    w[0] = 99.0
+    assert axis(0.5).tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValueError):
+        ConstantAxis(np.zeros((2, 3)))
+
+
+def _plain(fn):
+    """fn behind a plain function, which the transport cannot tell from a time-dependent one."""
+    return lambda *args: fn(*args)
+
+
+def _constant_rows(M, plain=False):
+    """(fs, sdots) of an all-constant batch, or of the same axes each behind ``_plain``.
+
+    invariant, scaled x2 and x3 of it and zero, with the zero s-derivative,
+    and three subgroup-rotation members with theirs.
+    """
+    inv, zero = invariant_hamiltonian(M, DIR_A), zero_hamiltonian()
+    fam = subgroup_rotation_family(M, start_angle=0.4, turns=2)
+    if plain:
+        inv, zero = (linear_hamiltonian(_plain(h.axis)) for h in (inv, zero))
+        fam = linear_family(*map(_plain, _fields(fam)), str, 1e-6, closed=True, label="plain")
+    svals = (0.1, 0.35, 0.8)
+    fs = [inv, scale_hamiltonian(inv, 2.0), scale_hamiltonian(inv, 3.0), zero]
+    fs += [fam.loop_at(s).hamiltonian for s in svals]
+    sdots = [zero] * 4 + [fam.s_deriv(s) for s in svals]
+    return fs, sdots
+
+
+def test_constant_axes_build_one_matrix_per_chunk(monkeypatch):
+    # an all-constant batch read at 21 times, as energy-conservation reads a
+    # flow: 20 segments of one chunk, whose right-hand side has no prefetch
+    # and forms L once, with one read of each axis reader.  The same rows
+    # with each axis (and each field) behind a plain function read their
+    # axes on every step attempt, to the same doubles
+    M = OrbitSphere(2)
+    u0 = fibonacci_sphere(7, rng=np.random.default_rng(21))
+    times = np.linspace(0.0, 1.0, 21)
+    chunks, reads, funs = [], [], []
+
+    def propagator_rhs(*args, _inner=dynamics._propagator_rhs):
+        chunks.append(len(args[2]))
+        return _inner(*args)
+
+    def row_axes(hs, slot, _inner=dynamics._row_axes):
+        read = _inner(hs, slot)
+
+        def counted(ts):
+            reads.append(len(ts))
+            return read(ts)
+
+        return counted
+
+    def solve(fun, t_span, y0, rtol, atol, _inner=dynamics.solve_ivp):
+        funs.append(fun)
+        return _inner(fun, t_span, y0, rtol=rtol, atol=atol)
+
+    monkeypatch.setattr(dynamics, "_propagator_rhs", propagator_rhs)
+    monkeypatch.setattr(dynamics, "_row_axes", row_axes)
+    monkeypatch.setattr(dynamics, "solve_ivp", solve)
+    fs, sdots = _constant_rows(M)
+    y = dynamics._transport(M, fs, u0, 1e-10, sdot=sdots, times=times)
+    assert len(chunks) == 1 and len(funs) == 20
+    assert not any(hasattr(fun, "prefetch") for fun in funs)
+    assert reads == [1, 1]
+
+    reads.clear(), funs.clear()
+    fs, sdots = _constant_rows(M, plain=True)
+    y_plain = dynamics._transport(M, fs, u0, 1e-10, sdot=sdots, times=times)
+    assert len(funs) == 20 and all(hasattr(fun, "prefetch") for fun in funs)
+    assert len(reads) > 2 * len(funs)
+    assert _same(y, y_plain)

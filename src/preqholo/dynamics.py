@@ -23,7 +23,10 @@ each trajectory, with the package's own 8th-order Dormand-Prince pair
 of the rows' Hamiltonians, of one propagator per distinct linear
 Hamiltonian, or of one spinor per row when any is not linear.  At the
 tight tolerances of this package that pair needs 2-4x fewer
-right-hand-side evaluations than a 5th-order one.  The holonomy transport
+right-hand-side evaluations than a 5th-order one.  When no axis of a
+batch depends on t, each propagator is a one-parameter subgroup, the
+exponential of a constant, and is written in closed form instead
+(``_closed_form``).  The holonomy transport
 reads its state at t = 1; ``trajectories`` and ``integrate_isotopy`` read
 it at requested times, each of which ends one more segment of the solve.
 The runtime needs numpy only.
@@ -98,9 +101,8 @@ class TimeDepHamiltonian:
     depend on t says so by its type, ``ConstantAxis`` or a ``MemberAxis``
     of a ``ConstantField``, as those of ``zero_hamiltonian``,
     ``su2.invariant_hamiltonian``, one-part compositions of them and the
-    subgroup-rotation members and s-derivatives do; a batch of them only
-    forms its matrix once per chunk, with no ``prefetch``
-    (``_propagator_rhs``).
+    subgroup-rotation members and s-derivatives do; a batch of them is
+    read in closed form, with no solve (``_closed_form``).
     ``parts``, when given, says that f is made of other Hamiltonians: a
     tuple of ``(end, inner, a, b, c)`` with rising ends, the last inf,
     meaning f_t = c inner_{a t + b} on the first part whose end lies above
@@ -168,11 +170,11 @@ def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ())
 
     ``axis`` follows the contract of ``TimeDepHamiltonian.axis``: (3,) at a
     scalar t, (T, 3) at an array of times.  Give an axis that does not
-    depend on t as ``ConstantAxis(w)``: any other callable is read on
-    every step attempt (``_propagator_rhs``).  Its surface gradient is the
-    tangent part axis(t) - (u . axis(t)) u.  It has zero mean on the
-    sphere.  Both functions carry the axis they come from as ``_axis``,
-    which ``functools.wraps`` copies to a wrapper.
+    depend on t as ``ConstantAxis(w)``: any other callable is solved for,
+    and read on every step attempt (``_propagator_rhs``).  Its surface
+    gradient is the tangent part axis(t) - (u . axis(t)) u.  It has zero
+    mean on the sphere.  Both functions carry the axis they come from as
+    ``_axis``, which ``functools.wraps`` copies to a wrapper.
     """
 
     def ev(t, u):
@@ -562,13 +564,12 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
     Propagator p carries the pair ``(fs[fslot[p]], sdots[sslot[p]])``
     (no ``sdot`` without ``sdots``).  Each evaluation is one product
     [x, x (x) x] @ L (``_propagator_basis``), one shared L when P is 1
-    and one per propagator otherwise.  L depends on t alone.  When every
-    axis of the chunk is constant (``_constant``), L is formed once and
-    holds on every segment, with no ``prefetch``.  Otherwise ``prefetch``
+    and one per propagator otherwise.  L depends on t alone: ``prefetch``
     (``solve_ivp``) reads every axis group (``_row_axes``) over all times
     of a step attempt in one call and holds each time's L, keyed by time,
     for the evaluations of that attempt.  A time not handed to
-    ``prefetch`` is read as an array of one time by the same readers.
+    ``prefetch`` is read as an array of one time by the same readers.  A
+    batch whose every axis is constant is never solved (``_closed_form``).
 
     The action vector h, the real parts of entries 2-4, is free in the
     solve (``free``, see ``solve_ivp``): it does not steer the step, and
@@ -584,6 +585,7 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
     basis = _propagator_basis(M.k)
     count = len(fslot)
     shape = (6,) if count == 1 else (count, 6)
+    held = {}
     z = np.empty((count, 20))
     squares = z[:, 4:].reshape(count, 4, 4)
 
@@ -596,7 +598,14 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
                 coef[..., cols] = w if w.ndim == coef.ndim else w[:, None]
         return (coef @ basis).reshape(*coef.shape[:-1], 20, 10)
 
-    def apply(L, yy, out):
+    def prefetch(times):
+        held.clear()
+        held.update(zip(times.tolist(), matrices(times)))
+
+    def rhs(t, yy, out):
+        L = held.get(t)
+        if L is None:
+            L = matrices(np.array([t]))[0]
         x = yy.reshape(count, 5)[:, :2].view(float)
         z[:, :4] = x
         np.multiply(x[:, :, None], x[:, None, :], out=squares)
@@ -606,25 +615,7 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
         else:
             np.matmul(z[:, None], L, out=o[:, None])
 
-    slots = [(fs, fslot), (sdots, sslot)] if sdots else [(fs, fslot)]
-    if all(_constant(linear_axis(hs[j])) for hs, slot in slots for j in set(slot.tolist())):
-        L = matrices(np.zeros(1))[0]
-
-        def rhs(t, yy, out):
-            apply(L, yy, out)
-
-    else:
-        held = {}
-
-        def prefetch(times):
-            held.clear()
-            held.update(zip(times.tolist(), matrices(times)))
-
-        def rhs(t, yy, out):
-            L = held.get(t)
-            apply(matrices(np.array([t]))[0] if L is None else L, yy, out)
-
-        rhs.prefetch = prefetch
+    rhs.prefetch = prefetch
     # h in the real view: components 4, 6 and 8 of each propagator's 10,
     # by arithmetic: numpy's set routines would page their sort kernels
     # into the peak memory of a short run (see ``_index``).
@@ -636,6 +627,40 @@ def _turned(v: np.ndarray, chi: np.ndarray) -> np.ndarray:
     """V chi, one row each, for propagator states v = (a, b, ...) with V = [[a, -b*], [b, a*]]."""
     a, b = v[..., 0], v[..., 1]
     return np.stack([a * chi[..., 0] - b.conj() * chi[..., 1], b * chi[..., 0] + a.conj() * chi[..., 1]], axis=-1)
+
+
+def _closed_form(k: float, w: np.ndarray, ws: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The states (T, P, 5) at ``times`` of P propagators whose axes w and w_s (P, 3) do not depend on t.
+
+    With omega = |w| / k and the unit axis e = w / |w| (0 at w = 0), the
+    propagator is V(t) = cos(omega t) I + i sin(omega t) (e . sigma), so
+    a = cos(omega t) + i sin(omega t) e_z and b = i sin(omega t) (e_x + i e_y).
+    R(V) turns by -2 omega t about e: it leaves w where it is, h = w t, and
+    h_s = (w_s . e) e t + sin(2 omega t) / (2 omega) w_s_perp
+    + sin(omega t)^2 / omega (e x w_s), w_s_perp the part of w_s across e;
+    at w = 0, V = I and h_s = w_s t.  An axis whose norm is not a finite
+    double raises IntegrationError, as the right-hand side of its solve
+    would turn non-finite at t = 0.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((w * w).sum(axis=1))
+    if not (np.isfinite(norm).all() and np.isfinite(ws).all()):
+        raise IntegrationError("transport integration failed: right-hand side is not finite", t=0.0)
+    e = w / np.where(norm > 0.0, norm, 1.0)[:, None]
+    omega = norm / k
+    t = times[:, None]
+    cos, sin = np.cos(omega * t), np.sin(omega * t)
+    # sin(omega t) / omega, and its limit t at omega = 0.
+    reach = np.divide(sin, omega, out=np.broadcast_to(t, sin.shape).copy(), where=omega > 0.0)
+    along = (ws * e).sum(axis=1)[:, None] * e
+    h_s = along * t[..., None] + (reach * cos)[..., None] * (ws - along)
+    cross = e.take(_NEXT, axis=1) * ws.take(_PREV, axis=1) - e.take(_PREV, axis=1) * ws.take(_NEXT, axis=1)
+    h_s += (reach * sin)[..., None] * cross
+    v = np.empty((len(times), len(w), 5), dtype=complex)
+    v[..., 0] = cos + 1j * sin * e[:, 2]
+    v[..., 1] = 1j * sin * (e[:, 0] + 1j * e[:, 1])
+    v[..., 2:] = w * t[..., None] + 1j * h_s
+    return v
 
 
 def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
@@ -657,17 +682,20 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     point u0 and spinor chi0 then turns by d chi/dt = (i/k)(w . sigma - f_t)
     chi, so chi(t) = V(t) chi0 exp(-i h(t) . u0 / k), the integral of f_t
     is h(t) . u0 and that of ``sdot`` is h_s(t) . u0, rebuilt at every
-    requested time at once.  Otherwise every row carries its own spinor:
-    the right-hand side forms the Bloch vectors and calls, for each row,
-    the eval and grad of the base generator its Hamiltonian resolves to on
-    the segment (``_resolve``, once per segment; ``_general_rhs``), and
-    only the eval of ``sdot``'s.
+    requested time at once.  When every one of those axes is constant
+    (``_constant``), the propagators' states at the requested times are
+    a closed form (``_closed_form``) and nothing is solved; a batch with
+    any time-dependent axis is solved whole.  Otherwise every row carries
+    its own spinor: the right-hand side forms the Bloch vectors and calls,
+    for each row, the eval and grad of the base generator its Hamiltonian
+    resolves to on the segment (``_resolve``, once per segment;
+    ``_general_rhs``), and only the eval of ``sdot``'s.
 
-    The union of the rows' breakpoints and the requested times splits
-    [0, 1] into segments, each one DOP853 solve (``solve_ivp``), and the
-    state at a requested time is the end state of the segment that ends
-    there.  DOP853 evaluates
-    the right-hand side at both ends of the time span it solves, so at an
+    A batch that is solved (``_solved``) splits [0, 1] at the union of the
+    rows' breakpoints and the requested times into segments, each one
+    DOP853 solve (``solve_ivp``), and the state at a requested time is the
+    end state of the segment that ends there.  DOP853 evaluates the
+    right-hand side at both ends of the time span it solves, so at an
     end that is a breakpoint the span stops one ulp inside the segment: a
     segment reads f_t and ``sdot`` only on its own piece, and its steps are
     not rejected over and over at a jump of the generator that belongs to
@@ -697,31 +725,55 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     n = len(u0)
     fs, fslot = _distinct(f, n)
     sdots, sslot = _distinct(sdot, n) if sdot is not None else ([], None)
+    chi0 = _spinors(u0)
+    axes = [linear_axis(h) for h in (*fs, *sdots)]
+    if None in axes:
+        states = np.zeros((n, 3), dtype=complex)
+        states[:, :2] = chi0
+        return _solved(M, (fs, fslot, sdots, sslot), states, times, rel_tol, linear=False)
+    # One propagator per distinct (f, sdot) pair; without sdot, the pairs
+    # are the distinct f in the order ``_distinct`` numbers them.
+    if sdots:
+        first, slot = _index(zip(fslot.tolist(), sslot.tolist()))
+        fslot, sslot = fslot[first], sslot[first]
+    else:
+        fslot, slot = np.arange(len(fs)), fslot
+    if all(map(_constant, axes)):
+        shape = (len(fslot), 3)
+        w = np.broadcast_to(_row_axes(fs, fslot)(np.zeros(1))[0], shape)
+        ws = np.broadcast_to(_row_axes(sdots, sslot)(np.zeros(1))[0], shape) if sdots else np.zeros(shape)
+        v = _closed_form(M.k, w, ws, times)
+    else:
+        states = np.zeros((len(fslot), 5), dtype=complex)
+        states[:, 0] = 1.0
+        v = _solved(M, (fs, fslot, sdots, sslot), states, times, rel_tol, linear=True)
+    v = v[:, slot]
+    y = np.empty((len(times), n, 3), dtype=complex)
+    y[..., 2] = (v[..., 2:] * u0).sum(axis=-1)
+    y[..., :2] = _turned(v, chi0) * np.exp(-1j * y[..., 2].real / M.k)[..., None]
+    return y
+
+
+def _solved(M, rows, start, times, rel_tol, linear):
+    """The states (T, P, width) at ``times`` of the rows (fs, fslot, sdots, sslot) from ``start`` (P, width).
+
+    Each row of ``start`` is a propagator when ``linear`` (``_propagator_rhs``)
+    and a base point's state otherwise (``_general_rhs``); see ``_transport``
+    for the segments, the chunks and the tolerances of the solves.
+    """
+    fs, fslot, sdots, sslot = rows
     breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
     stops = sorted({0.0, 1.0, *breaks, *times.tolist()})
-    chi0 = _spinors(u0)
-    linear = all(linear_axis(h) is not None for h in (*fs, *sdots))
     # states[i] is the state at stops[i], one row per propagator or base point.
-    if linear:
-        # One propagator per distinct (f, sdot) pair; without sdot, the
-        # pairs are the distinct f in the order ``_distinct`` numbers them.
-        if sdots:
-            first, slot = _index(zip(fslot.tolist(), sslot.tolist()))
-            fslot, sslot = fslot[first], sslot[first]
-        else:
-            fslot, slot = np.arange(len(fs)), fslot
-        states = np.zeros((len(stops), len(fslot), 5), dtype=complex)
-        states[0, :, 0] = 1.0
-    else:
-        states = np.zeros((len(stops), n, 3), dtype=complex)
-        states[0, :, :2] = chi0
-    width = states.shape[2]
+    states = np.empty((len(stops), *start.shape), dtype=complex)
+    states[0] = start
+    width = start.shape[1]
     size = _chunk_size(rel_tol)
-    for lo in range(0, states.shape[1], size):
+    for lo in range(0, len(start), size):
         yy = states[0, lo : lo + size].ravel()
         scale = 1.0 / math.sqrt(len(yy) // width)
-        rows = (fs, fslot[lo : lo + size], sdots, sslot[lo : lo + size] if sdots else None)
-        propagators = _propagator_rhs(M, *rows) if linear else None
+        chunk = (fs, fslot[lo : lo + size], sdots, sslot[lo : lo + size] if sdots else None)
+        propagators = _propagator_rhs(M, *chunk) if linear else None
         for i, (t0, t1) in enumerate(zip(stops[:-1], stops[1:]), start=1):
             # The solve starts and ends one ulp inside each breakpoint end,
             # so it reads f_t and sdot only on its own piece.  Breakpoints
@@ -729,20 +781,13 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
             t_lo = math.nextafter(t0, t1) if t0 in breaks else t0
             t_hi = math.nextafter(t1, t0) if t1 in breaks else t1
             if t_lo < t_hi:
-                rhs = propagators or _general_rhs(M, *rows, (t_lo, t_hi))
+                rhs = propagators or _general_rhs(M, *chunk, (t_lo, t_hi))
                 sol = solve_ivp(rhs, (t_lo, t_hi), yy, rtol=rel_tol * scale, atol=_ATOL * scale)
                 if not sol.success:
                     raise IntegrationError(f"transport integration failed: {sol.message}", t=float(sol.t))
                 yy = sol.y
             states[i, lo : lo + size] = yy.reshape(-1, width)
-    states = states[np.searchsorted(stops, times)]
-    if not linear:
-        return states
-    v = states[:, slot]
-    y = np.empty((len(times), n, 3), dtype=complex)
-    y[..., 2] = (v[..., 2:] * u0).sum(axis=-1)
-    y[..., :2] = _turned(v, chi0) * np.exp(-1j * y[..., 2].real / M.k)[..., None]
-    return y
+    return states[np.searchsorted(stops, times)]
 
 
 def _state_points(y: np.ndarray) -> np.ndarray:

@@ -13,8 +13,10 @@ import numpy as np
 
 from .config import Tolerances
 from .dynamics import (
+    ConstantAxis,
     HamiltonianLoop,
     TimeDepHamiltonian,
+    _constant,
     hamiltonian_vector_field,
     integrate_isotopy,
     linear_axis,
@@ -75,13 +77,16 @@ def _rotated(loop: HamiltonianLoop, R: np.ndarray) -> HamiltonianLoop:
     """The loop R psi_t R^-1, generated by f_t o R^-1 (rows u map to u @ R).
 
     A linear f_t(u) = w(t) . u becomes the linear f_t(u R) = (R w(t)) . u,
-    with R @ w taken at each time apart.
+    with R @ w taken at each time apart, or once for a constant w.
     """
     f = loop.hamiltonian
     label = f"R.{f.label}"
     axis = linear_axis(f)
     if axis is not None:
-        g = linear_hamiltonian(lambda t: (R @ axis(t)[..., None])[..., 0], label=label, breakpoints=f.breakpoints)
+        turned = lambda t: (R @ axis(t)[..., None])[..., 0]
+        if _constant(axis):
+            turned = ConstantAxis(turned(0.0))
+        g = linear_hamiltonian(turned, label=label, breakpoints=f.breakpoints)
     else:
         g = TimeDepHamiltonian(
             eval=lambda t, u: f.eval(t, np.asarray(u) @ R),

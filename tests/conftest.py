@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 from numpy.polynomial.legendre import leggauss
 
-from preqholo import OrbitSphere, TimeDepHamiltonian, potential_eval
+from preqholo import OrbitSphere, TimeDepHamiltonian, linear_axis, linear_hamiltonian, potential_eval
+from preqholo.families import linear_family
 
 settings.register_profile(
     "ci",
@@ -89,3 +91,30 @@ def quadratic_hamiltonian(c=1.0):
         return g - proj
 
     return TimeDepHamiltonian(eval=ev, grad=gr, label=f"{c}*xy", time_independent=True)
+
+
+def plain(fn):
+    """fn behind a plain function, which the transport cannot tell from a time-dependent one."""
+    return lambda *args: fn(*args)
+
+
+def plain_hamiltonian(f):
+    """A linear Hamiltonian with its axis behind ``plain``: the same axis, solved as if it depended on t."""
+    return linear_hamiltonian(plain(linear_axis(f)), label=f.label, breakpoints=f.breakpoints)
+
+
+def plain_loop(loop):
+    """A loop of a linear Hamiltonian with its axis behind ``plain`` (``plain_hamiltonian``)."""
+    return dataclasses.replace(loop, hamiltonian=plain_hamiltonian(loop.hamiltonian))
+
+
+def fields(fam):
+    """The fields of a family's members and of their s-derivatives, read through the member at s = 0."""
+    return fam.loop_at(0.0).hamiltonian.axis.field, fam.s_deriv(0.0).axis.field
+
+
+def plain_family(fam):
+    """A family of linear members (``linear_family``) with both its fields behind ``plain``."""
+    closure_tol = fam.loop_at(0.0).closure_tol
+    label = lambda s: fam.loop_at(s).label
+    return linear_family(*map(plain, fields(fam)), label, closure_tol, closed=fam.closed, label=fam.label)

@@ -27,6 +27,7 @@ from preqholo import (
     DIR_A,
     AlgebraDirection,
     OrbitSphere,
+    circle_distance,
     cli,
     dop853,
     dynamics,
@@ -36,6 +37,7 @@ from preqholo import (
     sphere_point,
 )
 from preqholo.families import omega_eval as family_omega
+from conftest import plain_family, plain_loop
 from test_families import drift_family
 
 
@@ -268,7 +270,10 @@ class TestRunTask:
     )
     def test_omega_task_takes_one_transport_solve_for_its_grid(self, tmp_path, monkeypatch, family):
         # every (s, point) row of the first grid rides one solve; neither
-        # family has breakpoints, so that solve is one solve_ivp call
+        # family has breakpoints, so that solve is one solve_ivp call.  The
+        # fields sit behind plain functions, so that the subgroup-rotation
+        # members are solved and not read in closed form
+        monkeypatch.setattr(cli, "build_family", lambda *args: plain_family(build_family(*args)))
         calls = count_solves(monkeypatch)
         out = tmp_path / "out"
         cfg = {"n": 2, "task": "omega", "family": family, "base_points": "auto:3", "s_samples": 4,
@@ -294,10 +299,14 @@ class TestRunTask:
     def test_omega_task_makes_one_solve_per_lift_level(self, tmp_path, monkeypatch, rate, levels):
         # the Omega solve is also the lift's first level; with the drift
         # family of Omega = 3, kappa(s) moves 3/8 revolutions per interval of
-        # the first grid, so the lift refines once
+        # the first grid, so the lift refines once.  Without it, the
+        # subgroup-rotation fields sit behind plain functions, so that the
+        # members are solved and not read in closed form
         if rate is not None:
             drift = lambda M, spec, tol: drift_family(invariant_loop(M, DIR_A), rate)
             monkeypatch.setattr(cli, "build_family", drift)
+        else:
+            monkeypatch.setattr(cli, "build_family", lambda *args: plain_family(build_family(*args)))
         evals = []
 
         def lift(eval_phases, s_samples, _inner=cli.lift_circle_samples):
@@ -405,6 +414,31 @@ class TestRunTask:
         assert "spacing between numbers" in error["message"]
         # the solve gets to within a few steps of 10 ulps of 0.4 first
         assert float(error["message"].rsplit("at t=", 1)[1].rstrip(")")) == pytest.approx(0.4, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_constant_axis_past_the_largest_double_is_a_numerical_error(self, tmp_path):
+        # the axis |w| of a constant loop is read in closed form, not solved;
+        # one whose norm overflows a double ends as the solve of it did, in
+        # an error record at t = 0, not in a traceback or a warning
+        out = tmp_path / "out"
+        hamiltonian = {"name": "scaled", "base": {"name": "invariant"}, "factor": 1e308}
+        cfg = write_config(tmp_path, kappa_config(out, hamiltonian=hamiltonian, base_points="auto:1"))
+        assert main(["run", cfg]) == 2
+        error = json.loads((out / "results.json").read_text())["error"]
+        assert error["kind"] == "numerical" and error["element"] == "flow"
+        assert error["message"].endswith("right-hand side is not finite (at t=0)")
+
+    def test_fast_constant_loop_has_its_closed_form_kappa(self, tmp_path):
+        # 10^6 + 1 turns of a one-parameter subgroup: the closed form reads
+        # its propagator with no solve, where a solve of it would pass its
+        # budget of right-hand-side evaluations; kappa = n (10^6 + 1) / 2 mod 1
+        out = tmp_path / "out"
+        hamiltonian = {"name": "scaled", "base": {"name": "invariant", "a": 0.6, "b": 0.8}, "factor": 1e6 + 1}
+        cfg = write_config(tmp_path, kappa_config(out, hamiltonian=hamiltonian, base_points="auto:3"))
+        assert main(["run", cfg]) == 0
+        record = json.loads((out / "results.json").read_text())
+        phase_tol = Tolerances().phase_tol
+        assert [circle_distance(p["phase_rev"], 0.5) < phase_tol for p in record["points"]] == [True] * 3
 
     def test_base_point_spread_past_phase_tol_is_a_numerical_error(self, tmp_path):
         # at 1e12 turns the Omega column's rounding error is of order 1: its
@@ -600,7 +634,10 @@ class TestVerifyAndDemo:
                 assert min(d, 1 - d) < 1e-6
 
     def test_su2_demo_makes_one_solve_per_axis(self, tmp_path, monkeypatch):
-        # each reference axis is one transport from all three reference points
+        # each reference axis is one transport from all three reference
+        # points; each axis sits behind a plain function, so that the loop is
+        # solved and not read in closed form
+        monkeypatch.setattr(cli, "invariant_loop", lambda *args, **kwargs: plain_loop(invariant_loop(*args, **kwargs)))
         calls = count_solves(monkeypatch)
         assert main(["su2-demo", "--n", "1", "--out", str(tmp_path / "demo")]) == 0
         assert len(calls) == 3

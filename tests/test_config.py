@@ -98,9 +98,9 @@ CONSTANT_FAMILIES = [
 
 
 def test_constant_generators_build_constant_axes():
-    # a batch of constant axes only forms its propagators' matrix once per
-    # chunk (dynamics._propagator_rhs); an axis of such an entry wrapped in
-    # a function would lose that, and fail here instead of only running slower
+    # a batch of constant axes is read in closed form, with no solve
+    # (dynamics._closed_form); an axis of such an entry wrapped in a
+    # function would lose that, and fail here instead of only running slower
     assert {spec["name"] for spec, _ in CONSTANT_LOOPS} == set(HAMILTONIAN_NAMES)
     assert {spec["name"] for spec, _ in CONSTANT_FAMILIES} == set(FAMILY_NAMES)
     for spec, constant in CONSTANT_LOOPS:

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import quadratic_hamiltonian
+from conftest import plain_family, plain_hamiltonian, plain_loop, quadratic_hamiltonian
 
 from preqholo import (
     DIR_A,
@@ -103,8 +103,10 @@ def _assert_same_solve(fun, t_span, y0, rtol, atol):
 
 
 def test_linear_rows_match_scipy(monkeypatch):
+    # the invariant loop's axis behind a plain function, so that it is
+    # solved and not read in closed form
     M = OrbitSphere(2)
-    loop = invariant_loop(M, AlgebraDirection(0.6, 0.8))
+    loop = plain_loop(invariant_loop(M, AlgebraDirection(0.6, 0.8)))
     for fun, *rest in _captured_solves(monkeypatch, lambda: transport_phases(M, loop, fibonacci_sphere(1))):
         _assert_same_solve(fun, *rest)
 
@@ -171,21 +173,21 @@ def test_field_rows_among_distinct_rows_match_scipy(monkeypatch):
     for fun, *rest in phases + flows:
         assert hasattr(fun, "prefetch")
         _assert_same_solve(fun, *rest)
-    # an all-constant batch, the field rows of subgroup-rotation members with
-    # their Omega column among invariant, scaled and zero rows: its
-    # right-hand side forms L once and has no prefetch, so neither solver
-    # hands it any times, and both reach the same doubles
+    # the rows of an all-constant batch, field rows of subgroup-rotation
+    # members with their Omega column among invariant, scaled and zero rows,
+    # each axis and field behind a plain function, so that they are solved
+    # and not read in closed form
     inv = invariant_loop(M, DIR_B)
-    sub = subgroup_rotation_family(M, start_angle=0.3)
+    sub = plain_family(subgroup_rotation_family(M, start_angle=0.3))
     loops = [inv, HamiltonianLoop(scale_hamiltonian(inv.hamiltonian, 2.0)), HamiltonianLoop(zero)]
-    loops += [sub.loop_at(s) for s in svals]
-    sdot = [zero] * 3 + [sub.s_deriv(s) for s in svals]
+    loops = [plain_loop(loop) for loop in loops] + [sub.loop_at(s) for s in svals]
+    sdot = [plain_hamiltonian(zero)] * 3 + [sub.s_deriv(s) for s in svals]
     pts = fibonacci_sphere(len(loops), rng=np.random.default_rng(7))
     phases = _captured_solves(monkeypatch, lambda: transport_phases(M, loops, pts, sdot=sdot))
     flows = _captured_solves(monkeypatch, lambda: trajectories(M, [lp.hamiltonian for lp in loops], pts, times))
     assert len(phases) == 1 and len(flows) == 5
     for fun, *rest in phases + flows:
-        assert not hasattr(fun, "prefetch")
+        assert hasattr(fun, "prefetch")
         _assert_same_solve(fun, *rest)
 
 
@@ -274,8 +276,10 @@ def test_action_column_cancels_from_every_phase(monkeypatch, kind, n):
     # solve, leaves every phase the same mod 1: the spinor carries
     # exp(-i h . u0 / k), the phase subtracts h . u0 again, and
     # n / (2 pi k) = 1.  Its unreduced value moves by whole multiples of n
+    # (the invariant loop's axis behind a plain function, so that it is
+    # solved and not read in closed form)
     M = OrbitSphere(n)
-    loop = mixing_loop(M, 0.9) if kind == "mix" else invariant_loop(M, AlgebraDirection(0.6, 0.8))
+    loop = mixing_loop(M, 0.9) if kind == "mix" else plain_loop(invariant_loop(M, AlgebraDirection(0.6, 0.8)))
     pts = fibonacci_sphere(8, rng=np.random.default_rng(7))
     plain = transport_phases(M, loop, pts)
 

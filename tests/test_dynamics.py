@@ -40,7 +40,7 @@ from preqholo.dynamics import ConstantAxis, HamiltonianLoop, MemberAxis
 from preqholo.families import linear_family
 from preqholo.sphere import random_rotation_matrix, random_tangent
 
-from conftest import constant_hamiltonian, quadratic_hamiltonian
+from conftest import constant_hamiltonian, fields, plain_family, plain_hamiltonian, quadratic_hamiltonian
 from oracles import chart_tangents, closure_defect, omega_area_triangle
 
 
@@ -480,11 +480,6 @@ def _family(M, spec):
     return build_family(M, spec, Tolerances())
 
 
-def _fields(fam):
-    """The fields of a family's members and of their s-derivatives, read through the member at s = 0."""
-    return fam.loop_at(0.0).hamiltonian.axis.field, fam.s_deriv(0.0).axis.field
-
-
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
 def test_family_axis_fields_match_their_members(spec):
     # a field family's members share its two fields, which, read at an
@@ -510,7 +505,7 @@ def test_family_axis_fields_match_their_members(spec):
             assert fam.loop_at(s) is loop
             assert _same(linear_axis(fam.s_deriv(s))(ts), np.zeros((len(ts), 3)))
         return
-    field, s_field = _fields(fam)
+    field, s_field = fields(fam)
     for s in svals:
         assert fam.loop_at(s).hamiltonian.axis.field is field and fam.s_deriv(s).axis.field is s_field
     for t in ts:
@@ -526,7 +521,7 @@ def test_family_axes_match_the_su2_loops(sphere2):
     svals = np.linspace(0.0, 1.0, 6)
     fam = closed_mixing_family(sphere2, 0.9, profile="cosine-ramp")
     sub = subgroup_rotation_family(sphere2, start_angle=0.4, turns=2.0)
-    mix_field, sub_field = _fields(fam)[0], _fields(sub)[0]
+    mix_field, sub_field = fields(fam)[0], fields(sub)[0]
     for t in (0.0, 0.3, 0.8):
         for s, w_mix, w_sub in zip(svals, mix_field(svals, t), sub_field(svals, t)):
             mix = mixing_loop(sphere2, 0.9 * math.sin(math.pi * s) ** 2).hamiltonian
@@ -631,7 +626,7 @@ def test_family_fields_are_read_once_per_step_attempt(monkeypatch):
     # propagator: a state of 6 x 5 numbers, where one member per row
     # would make 18 x 5
     M = OrbitSphere(2)
-    field, s_field = _fields(closed_mixing_family(M, 0.9))
+    field, s_field = fields(closed_mixing_family(M, 0.9))
     counts = {"axis": 0, "s_axis": 0}
     counted = linear_family(
         _counted(field, counts, "axis"),
@@ -688,69 +683,72 @@ def test_a_constant_axis_does_not_write_through():
         ConstantAxis(np.zeros((2, 3)))
 
 
-def _plain(fn):
-    """fn behind a plain function, which the transport cannot tell from a time-dependent one."""
-    return lambda *args: fn(*args)
-
-
 def _constant_rows(M, plain=False):
-    """(fs, sdots) of an all-constant batch, or of the same axes each behind ``_plain``.
+    """(fs, sdots) of an all-constant batch, or of the same axes each behind a plain function.
 
-    invariant, scaled x2 and x3 of it and zero, with the zero s-derivative,
-    and three subgroup-rotation members with theirs.
+    invariant, scaled x2 and x3 of it and zero, with the zero s-derivative;
+    zero with a nonzero s-derivative, and invariant with one that is
+    neither along nor across its axis; and three subgroup-rotation members
+    with theirs.
     """
     inv, zero = invariant_hamiltonian(M, DIR_A), zero_hamiltonian()
+    tilted = invariant_hamiltonian(M, AlgebraDirection(0.6, 0.0, 0.8))
     fam = subgroup_rotation_family(M, start_angle=0.4, turns=2)
     if plain:
-        inv, zero = (linear_hamiltonian(_plain(h.axis)) for h in (inv, zero))
-        fam = linear_family(*map(_plain, _fields(fam)), str, 1e-6, closed=True, label="plain")
+        inv, zero, tilted = map(plain_hamiltonian, (inv, zero, tilted))
+        fam = plain_family(fam)
     svals = (0.1, 0.35, 0.8)
-    fs = [inv, scale_hamiltonian(inv, 2.0), scale_hamiltonian(inv, 3.0), zero]
+    fs = [inv, scale_hamiltonian(inv, 2.0), scale_hamiltonian(inv, 3.0), zero, zero, inv]
     fs += [fam.loop_at(s).hamiltonian for s in svals]
-    sdots = [zero] * 4 + [fam.s_deriv(s) for s in svals]
+    sdots = [zero] * 4 + [inv, tilted] + [fam.s_deriv(s) for s in svals]
     return fs, sdots
 
 
-def test_constant_axes_build_one_matrix_per_chunk(monkeypatch):
+def test_an_all_constant_batch_makes_no_solve(monkeypatch):
     # an all-constant batch read at 21 times, as energy-conservation reads a
-    # flow: 20 segments of one chunk, whose right-hand side has no prefetch
-    # and forms L once, with one read of each axis reader.  The same rows
-    # with each axis (and each field) behind a plain function read their
-    # axes on every step attempt, to the same doubles
+    # flow: its states are a closed form, with one read of each axis reader
+    # and no solve
     M = OrbitSphere(2)
-    u0 = fibonacci_sphere(7, rng=np.random.default_rng(21))
-    times = np.linspace(0.0, 1.0, 21)
-    chunks, reads, funs = [], [], []
-
-    def propagator_rhs(*args, _inner=dynamics._propagator_rhs):
-        chunks.append(len(args[2]))
-        return _inner(*args)
+    u0 = fibonacci_sphere(9, rng=np.random.default_rng(21))
+    reads, solves = [], []
 
     def row_axes(hs, slot, _inner=dynamics._row_axes):
         read = _inner(hs, slot)
+        return lambda ts: reads.append(len(ts)) or read(ts)
 
-        def counted(ts):
-            reads.append(len(ts))
-            return read(ts)
-
-        return counted
-
-    def solve(fun, t_span, y0, rtol, atol, _inner=dynamics.solve_ivp):
-        funs.append(fun)
-        return _inner(fun, t_span, y0, rtol=rtol, atol=atol)
-
-    monkeypatch.setattr(dynamics, "_propagator_rhs", propagator_rhs)
     monkeypatch.setattr(dynamics, "_row_axes", row_axes)
-    monkeypatch.setattr(dynamics, "solve_ivp", solve)
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *args, **kwargs: solves.append(1))
+    fs, sdots = _constant_rows(M)
+    y = dynamics._transport(M, fs, u0, 1e-10, sdot=sdots, times=np.linspace(0.0, 1.0, 21))
+    assert solves == [] and reads == [1, 1]
+    assert y.shape == (21, 9, 3) and np.isfinite(y).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_closed_form_matches_a_solve_of_the_same_axes(n):
+    # the closed form of an all-constant batch against DOP853 solves of the
+    # same rows with each axis and field behind a plain function, in every
+    # component of every state (spinor, action and Omega integral) at 21
+    # times
+    M = OrbitSphere(n)
+    u0 = fibonacci_sphere(9, rng=np.random.default_rng(21))
+    times = np.linspace(0.0, 1.0, 21)
     fs, sdots = _constant_rows(M)
     y = dynamics._transport(M, fs, u0, 1e-10, sdot=sdots, times=times)
-    assert len(chunks) == 1 and len(funs) == 20
-    assert not any(hasattr(fun, "prefetch") for fun in funs)
-    assert reads == [1, 1]
-
-    reads.clear(), funs.clear()
     fs, sdots = _constant_rows(M, plain=True)
     y_plain = dynamics._transport(M, fs, u0, 1e-10, sdot=sdots, times=times)
-    assert len(funs) == 20 and all(hasattr(fun, "prefetch") for fun in funs)
-    assert len(reads) > 2 * len(funs)
-    assert _same(y, y_plain)
+    assert np.abs(y.imag).max() > 0.1
+    assert np.abs(y - y_plain).max() < 1e-10
+
+
+def test_a_rotated_constant_loop_stays_constant():
+    # verify's rotated copy of a one-parameter subgroup is one too, with the
+    # axis R w of the per-time read; a rotated time-dependent loop is not
+    M = OrbitSphere(2)
+    R = random_rotation_matrix(np.random.default_rng(4))
+    loop = invariant_loop(M, DIR_A)
+    axis = linear_axis(verify._rotated(loop, R).hamiltonian)
+    assert dynamics._constant(axis)
+    w = linear_axis(loop.hamiltonian)(0.0)
+    assert _same(axis(0.4), (R @ w[..., None])[..., 0])
+    assert not dynamics._constant(linear_axis(verify._rotated(mixing_loop(M, 0.9), R).hamiltonian))

@@ -16,15 +16,19 @@ from .dynamics import (
     HamiltonianLoop,
     IntegrationError,
     LoopClosureError,
+    SubgroupWord,
     TimeDepHamiltonian,
     Trajectory,
+    WordField,
     compose_hamiltonian,
     hamiltonian_vector_field,
     integrate_isotopy,
     linear_axis,
     linear_hamiltonian,
     scale_hamiltonian,
+    steady_angle,
     trajectories,
+    unit_rate,
     zero_hamiltonian,
 )
 from .families import (

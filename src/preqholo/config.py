@@ -27,8 +27,8 @@ ROOT_KEYS = (
 )
 OUTPUT_FORMATS = ("json", "csv")
 # Most base points a list or an 'auto:<count>' spec may give; a `preqholo run`
-# of kappa on mix (amplitude 2.0, n = 3) at 'auto:16384' takes 0.8-0.9 s and
-# 70 MB peak RSS on a 2-core Xeon with numpy 2.4.
+# of kappa on mix (amplitude 2.0, n = 3) at 'auto:16384' takes 0.5-0.6 s and
+# 66 MB peak RSS on a 2-core Xeon with numpy 2.4.
 MAX_BASE_POINTS = 2**14
 # Deepest nesting of objects and lists in a config section; building a loop and
 # echoing the config recurse per level, and a `scaled` chain 500 deep overflows.

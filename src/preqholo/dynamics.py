@@ -23,13 +23,19 @@ each trajectory, with the package's own 8th-order Dormand-Prince pair
 of the rows' Hamiltonians, of one propagator per distinct linear
 Hamiltonian, or of one spinor per row when any is not linear.  At the
 tight tolerances of this package that pair needs 2-4x fewer
-right-hand-side evaluations than a 5th-order one.  When no axis of a
-batch depends on t, each propagator is a one-parameter subgroup, the
-exponential of a constant, and is written in closed form instead
-(``_closed_form``).  The holonomy transport
-reads its state at t = 1; ``trajectories`` and ``integrate_isotopy`` read
-it at requested times, each of which ends one more segment of the solve.
-The runtime needs numpy only.
+right-hand-side evaluations than a 5th-order one.  Most loops of the
+package are solved by none of that.  A propagator that is a word in
+one-parameter subgroups, V(t) = exp(i phi_1(t) X_1) ... exp(i phi_m(t) X_m)
+(``SubgroupWord``), is that product at every time, and h and h_s are then
+integrals of known smooth functions of t, taken by Gauss-Legendre panels
+(``_word_states``).  ``ConstantAxis``, the mix loop and the closed-mixing
+members, and products and reparametrizations of words are words; when no
+axis of a batch depends on t, h and h_s are closed forms too
+(``_closed_form``).  Only a batch with an axis that is no word, or a
+non-linear row, is solved.  The holonomy transport reads its state at
+t = 1; ``trajectories`` and ``integrate_isotopy`` read it at requested
+times, each of which ends one more segment of the solve or of the
+quadrature.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dop853 import RTOL_FLOOR, solve_ivp
+from .dop853 import MAX_RHS_EVALS, RTOL_FLOOR, solve_ivp
 from .sphere import OrbitSphere, unit_vector
 
 REL_TOL_RANGE = (1e-13, 1e-3)
@@ -97,12 +103,19 @@ class TimeDepHamiltonian:
     says whether it may stand in for ``eval`` and ``grad``.  An axis reads
     a scalar t as (3,) and a 1-D array of times as (T, 3), one row per
     time, each the same doubles as the scalar read: the transport reads
-    it over all stage times of a step at once.  An axis that does not
-    depend on t says so by its type, ``ConstantAxis`` or a ``MemberAxis``
-    of a ``ConstantField``, as those of ``zero_hamiltonian``,
+    it over all stage times of a step at once.  An axis whose propagator
+    is a word in one-parameter subgroups says so by its type,
+    ``SubgroupWord`` or a ``MemberAxis`` of a ``WordField``, as those of
+    ``su2.mixing_loop``, the mixing families' members, path products and
+    one-letter scalings of words and verify's rotated copies do.  An axis
+    that does not depend on t is the one-letter word with phi = t, and says
+    so by its type too, ``ConstantAxis`` or a ``MemberAxis`` of a
+    ``ConstantField``, as those of ``zero_hamiltonian``,
     ``su2.invariant_hamiltonian``, one-part compositions of them and the
-    subgroup-rotation members and s-derivatives do; a batch of them is
-    read in closed form, with no solve (``_closed_form``).
+    subgroup-rotation members and s-derivatives do.  A batch of words is
+    read in closed form, with no solve (``_word_states``, and
+    ``_closed_form`` when every axis is constant); a batch with any other
+    axis is solved.
     ``parts``, when given, says that f is made of other Hamiltonians: a
     tuple of ``(end, inner, a, b, c)`` with rising ends, the last inf,
     meaning f_t = c inner_{a t + b} on the first part whose end lies above
@@ -160,6 +173,76 @@ class ConstantField:
         return _over_times(t, self.value(svals))
 
 
+def steady_angle(t):
+    """The angle phi = t of a letter that turns at a constant rate: ``ConstantAxis`` is that one-letter word."""
+    return t
+
+
+def unit_rate(t):
+    """d phi / dt = 1, the rate of ``steady_angle``, at a scalar t or at each of an array of times."""
+    return np.ones_like(t, dtype=float)
+
+
+@dataclass(frozen=True, eq=False)
+class SubgroupWord:
+    """The axis of a word in one-parameter subgroups, V(t) = L_1(t) ... L_m(t), L_j = exp(i phi_j(t) (x_j . sigma) / k).
+
+    ``letters`` is a tuple of (x_j, phi_j, dphi_j): a 3-vector x_j, kept
+    as a read-only copy, its angle phi_j with phi_j(0) = 0, and the
+    derivative of that angle; phi_j and dphi_j read a scalar t or an array
+    of times elementwise.  The axis is derived from the letters,
+
+        w(t) = sum_j dphi_j(t) R(L_1 ... L_{j-1}) x_j,
+
+    R(U) the rotation that U acts as, so that V' = (i/k) (w . sigma) V and
+    a word and its axis cannot disagree.  ``k`` is the k of the sphere
+    whose exponentials the letters are.  None says that each letter turns
+    only while the letters before it stand at phi = 0, as in a composition
+    of one-letter parts (``compose_hamiltonian``): the axis is then
+    sum_j dphi_j x_j, and the word is one at every k.  It reads times as
+    ``TimeDepHamiltonian.axis`` does, a scalar t as the array of that one
+    time.  ``_transport`` reads a batch of words in closed form.
+    """
+
+    letters: tuple
+    k: float | None = None
+
+    def __post_init__(self):
+        if not self.letters:
+            raise ValueError("a word has at least one letter")
+        letters = []
+        for x, phi, dphi in self.letters:
+            x = np.array(x, dtype=float)
+            if x.shape != (3,):
+                raise ValueError(f"a letter's axis is one 3-vector, got shape {x.shape}")
+            x.flags.writeable = False
+            letters.append((x, phi, dphi))
+        object.__setattr__(self, "letters", tuple(letters))
+
+    def __call__(self, t) -> np.ndarray:
+        w = _word_axis(self.k, [x[None] for x, *_ in self.letters], self.letters, np.atleast_1d(np.asarray(t, float)))
+        return w[:, 0] if np.ndim(t) else w[0, 0]
+
+
+@dataclass(frozen=True, eq=False)
+class WordField:
+    """A family's field (``MemberAxis``) whose member at s is the word of the letters (x_j(s), phi_j, dphi_j).
+
+    ``letters`` holds each x_j as a reader of an array of s, (S, 3), and
+    phi_j and dphi_j of t alone, as ``SubgroupWord`` does; ``k`` likewise.
+    ``field(svals, t)`` is the words' axes, one row per s, so that
+    ``_transport`` reads the letters of a batch of members in one call.
+    """
+
+    letters: tuple
+    k: float | None = None
+
+    def __call__(self, svals, t) -> np.ndarray:
+        xs = [x(np.asarray(svals, dtype=float)) for x, *_ in self.letters]
+        w = _word_axis(self.k, xs, self.letters, np.atleast_1d(np.asarray(t, float)))
+        return w if np.ndim(t) else w[0]
+
+
 def zero_hamiltonian() -> TimeDepHamiltonian:
     """f_t = 0, the linear Hamiltonian with the zero axis."""
     return linear_hamiltonian(ConstantAxis(np.zeros(3)), label="zero")
@@ -170,8 +253,10 @@ def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ())
 
     ``axis`` follows the contract of ``TimeDepHamiltonian.axis``: (3,) at a
     scalar t, (T, 3) at an array of times.  Give an axis that does not
-    depend on t as ``ConstantAxis(w)``: any other callable is solved for,
-    and read on every step attempt (``_propagator_rhs``).  Its surface
+    depend on t as ``ConstantAxis(w)``, and one whose propagator is a
+    product of one-parameter subgroups as a ``SubgroupWord``: any other
+    callable is solved for, and read on every step attempt
+    (``_propagator_rhs``).  Its surface
     gradient is the tangent part axis(t) - (u . axis(t)) u.  It has zero
     mean on the sphere.  Both functions carry the axis they come from as
     ``_axis``, which ``functools.wraps`` copies to a wrapper.
@@ -209,6 +294,73 @@ class MemberAxis:
 def _constant(axis) -> bool:
     """Whether a linear axis is a ``ConstantAxis`` or a member of a ``ConstantField``."""
     return isinstance(axis, ConstantAxis) or isinstance(axis, MemberAxis) and isinstance(axis.field, ConstantField)
+
+
+def _letters_of(axis, k=None):
+    """(letters, k) of an axis that is a word at k (any k if None), or None.
+
+    A ``ConstantAxis`` is the one-letter word of its value with phi = t; a
+    ``SubgroupWord`` is one at its own k.  A member of a ``ConstantField``
+    or a ``WordField`` gives its letters with each x_j still a reader of s.
+    """
+    source = axis.field if isinstance(axis, MemberAxis) else axis
+    if isinstance(source, (ConstantAxis, ConstantField)):
+        return ((source.value, steady_angle, unit_rate),), None
+    if isinstance(source, (SubgroupWord, WordField)) and (k is None or source.k in (None, k)):
+        return source.letters, source.k
+    return None
+
+
+def _part_letter(letter, lo: float, hi: float, start: float, a: float, b: float, c: float):
+    """The letter of c inner_{a t + b} on the part [lo, hi] made of an inner letter (x, phi, dphi).
+
+    Its angle is phi(a t + b) - phi(a start + b) with t held in [lo, hi],
+    so that it stands at 0 before the part and at its end value after it;
+    its axis is x c / a.
+    """
+    x, phi, dphi = letter
+    origin = phi(a * start + b)
+
+    def angle(t):
+        return phi(a * np.clip(t, lo, hi) + b) - origin
+
+    def rate(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((lo <= t) & (t < hi), a * dphi(a * np.clip(t, lo, hi) + b), 0.0)
+
+    return (c / a) * x, angle, rate
+
+
+def _composed_word(parts, axes) -> SubgroupWord | None:
+    """The word of f_t = c inner_{a t + b} part by part, or None where the algebra does not give one.
+
+    Each part that holds somewhere in [0, 1] gives its inner's letters
+    (``_part_letter``), the parts' in reverse order: V(t) is the word of
+    t's part times the words of the parts before it at their ends.  A
+    one-letter inner gives one in any part with a != 0.  A longer word
+    gives one only where the part is a reparametrization of it that starts
+    at its own start, c = a and a t + b = 0 at the part's start, as
+    ``holonomy.product_loop`` builds; and only if every such inner is a
+    word at one k.
+    """
+    letters, ks, lo = [], set(), -math.inf
+    for (end, _, a, b, c), axis in zip(parts, axes):
+        if end > 0.0 and lo < 1.0:
+            inner = _letters_of(axis)
+            if inner is None or isinstance(axis, MemberAxis) or a == 0.0:
+                return None
+            inner_letters, k = inner
+            start = max(lo, 0.0)
+            if len(inner_letters) > 1:
+                if c != a or a * start + b != 0.0:
+                    return None
+                ks.add(k)
+            letters[:0] = [_part_letter(letter, lo, end, start, a, b, c) for letter in inner_letters]
+        lo = end
+    ks.discard(None)
+    if len(ks) > 1:
+        return None
+    return SubgroupWord(tuple(letters), k=ks.pop() if ks else None)
 
 
 def linear_axis(f: TimeDepHamiltonian) -> Callable | None:
@@ -251,9 +403,11 @@ def compose_hamiltonian(parts, label: str = "") -> TimeDepHamiltonian:
     rise and the last is inf.  The breakpoints are the part ends inside
     (0, 1) and each inner's breakpoints mapped into its part's times.  When
     every inner is linear (``linear_axis``), so is f, with the axis
-    c inner_axis(a t + b) read part by part (one part of a constant inner
-    is a ``ConstantAxis``); otherwise eval and grad read the inner's own
-    (``_PartRead``).  Either way f carries ``parts``, and the doubles are
+    c inner_axis(a t + b) read part by part: one part of a constant inner
+    is a ``ConstantAxis``, parts of words are a word where the algebra
+    gives one (``_composed_word``), and any other axis is read through its
+    parts.  Otherwise eval and grad read the inner's own (``_PartRead``).
+    Either way f carries ``parts``, and the doubles are
     those of closures that apply each part's factor to its inner's value
     (or axis) in turn.
     """
@@ -282,6 +436,8 @@ def compose_hamiltonian(parts, label: str = "") -> TimeDepHamiltonian:
 
     if len(parts) == 1 and _constant(axes[0]):
         axis = ConstantAxis(parts[0][4] * axes[0](0.0))
+    elif (word := _composed_word(parts, axes)) is not None:
+        axis = word
     elif len(parts) == 1:
         axis = part_axis(parts[0], axes[0])
     else:
@@ -436,34 +592,49 @@ def _hamiltonian_terms(fs, slot, span, grad=True):
     call, by an index array.  When one covers every row, ``terms(t, u)``
     returns its values (f_t(u), grad f_t(u)) / c, with no scatter, and c
     is left for the caller to apply once; otherwise ``terms`` applies
-    each row's own c and the common factor is 1.
+    each row's own c and the common factor is 1.  A linear base
+    (``linear_axis``) is read once per call for both, with the arithmetic
+    of the eval and grad ``linear_hamiltonian`` derives.
     """
     reads = [_resolve(f, *span) for f in fs]
     first, at = _index((id(base), a, b, c) for base, a, b, c in reads)
     rows = at[slot]
-    groups = [(reads[i], np.flatnonzero(rows == j)) for j, i in enumerate(first)]
-    groups = [(read, idx) for read, idx in groups if idx.size]
+    groups = []
+    for j, i in enumerate(first):
+        base, a, b, c = reads[i]
+        idx = np.flatnonzero(rows == j)
+        if idx.size:
+            groups.append((_values(base, grad), a, b, c, idx))
 
     if len(groups) == 1:
-        (base, a, b, c), _ = groups[0]
-
-        def terms(t, u):
-            tau = a * t + b
-            return base.eval(tau, u), base.grad(tau, u) if grad else None
-
-        return terms, c
+        values, a, b, c, _ = groups[0]
+        return (lambda t, u: values(a * t + b, u)), c
 
     def terms(t, u):
         e = np.empty(len(u))
         g = np.empty((len(u), 3)) if grad else None
-        for (base, a, b, c), idx in groups:
-            tau = a * t + b
-            e[idx] = c * base.eval(tau, u[idx])
+        for values, a, b, c, idx in groups:
+            e_j, g_j = values(a * t + b, u[idx])
+            e[idx] = c * e_j
             if grad:
-                g[idx] = c * np.asarray(base.grad(tau, u[idx]), dtype=float)
+                g[idx] = c * np.asarray(g_j, dtype=float)
         return e, g
 
     return terms, 1.0
+
+
+def _values(f: TimeDepHamiltonian, grad: bool):
+    """(tau, u) -> (f(tau, u), grad f(tau, u), or None without ``grad``); a linear f's axis is read once."""
+    axis = linear_axis(f)
+    if axis is None:
+        return lambda tau, u: (f.eval(tau, u), f.grad(tau, u) if grad else None)
+
+    def values(tau, u):
+        w = axis(tau)
+        e = u @ w
+        return e, w - e[..., None] * u if grad else None
+
+    return values
 
 
 def _general_rhs(M, fs, fslot, sdots, sslot, span=(0.0, 1.0)):
@@ -569,7 +740,7 @@ def _propagator_rhs(M, fs, fslot, sdots, sslot):
     of a step attempt in one call and holds each time's L, keyed by time,
     for the evaluations of that attempt.  A time not handed to
     ``prefetch`` is read as an array of one time by the same readers.  A
-    batch whose every axis is constant is never solved (``_closed_form``).
+    batch whose every f is a word is never solved (``_word_states``).
 
     The action vector h, the real parts of entries 2-4, is free in the
     solve (``free``, see ``solve_ivp``): it does not steer the step, and
@@ -629,27 +800,106 @@ def _turned(v: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return np.stack([a * chi[..., 0] - b.conj() * chi[..., 1], b * chi[..., 0] + a.conj() * chi[..., 1]], axis=-1)
 
 
+def _turning(k: float, x: np.ndarray, angle: np.ndarray):
+    """(cos, sin) of the turn omega phi of letters exp(i phi (x . sigma) / k), their unit axes e and rates omega.
+
+    x is (P, 3) and the angles phi (T, 1) or (T, P); cos and sin are (T, P),
+    e = x / |x| (0 at x = 0) and omega = |x| / k.  An axis whose norm is not
+    a finite double raises IntegrationError, as the right-hand side of its
+    solve would turn non-finite at t = 0.
+    """
+    with np.errstate(over="ignore"):
+        norm = np.sqrt((x * x).sum(axis=-1))
+    if not np.isfinite(norm).all():
+        raise IntegrationError("transport integration failed: right-hand side is not finite", t=0.0)
+    e = x / np.where(norm > 0.0, norm, 1.0)[:, None]
+    omega = norm / k
+    return np.cos(omega * angle), np.sin(omega * angle), e, omega
+
+
+# An element of SU(2) is written V = q0 I + i (q . sigma) with real q0 and
+# q (..., 3), q0^2 + |q|^2 = 1: its first column is (a, b) = (q0 + i q_z,
+# -q_y + i q_x).  Its products and rotations below are real arithmetic only,
+# each operation rounded once whatever the shapes: numpy's complex products
+# round a broadcast operand apart from a contiguous one.
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u.take(_NEXT, axis=-1) * v.take(_PREV, axis=-1) - u.take(_PREV, axis=-1) * v.take(_NEXT, axis=-1)
+
+
+def _letter(k: float, x: np.ndarray, angle: np.ndarray):
+    """(q0, q) of exp(i phi (x . sigma) / k) = cos(omega phi) I + i sin(omega phi) (e . sigma) (``_turning``)."""
+    cos, sin, e, _ = _turning(k, x, angle)
+    return cos, sin[..., None] * e
+
+
+def _times(p, r):
+    """(q0, q) of the product V W of V = (p0, p) and W = (r0, r): (p0 r0 - p . r, p0 r + r0 p - p x r)."""
+    (p0, p), (r0, r) = p, r
+    return p0 * r0 - _dot(p, r), p0[..., None] * r + r0[..., None] * p - _cross(p, r)
+
+
+def _rotated_back(v, x: np.ndarray) -> np.ndarray:
+    """R(V)^T x = x + 2 q0 (q x x) + 2 q x (q x x) for V = (q0, q), R(V) the rotation V acts as.
+
+    x (..., 3) broadcasts against q; R(V) x is R(V^-1)^T x, V^-1 = (q0, -q).
+    """
+    q0, q = v
+    qx = _cross(q, x)
+    return x + 2.0 * (q0[..., None] * qx + _cross(q, qx))
+
+
+def _column(v) -> tuple:
+    """The first column (a, b) of V = (q0, q)."""
+    q0, q = v
+    return q0 + 1j * q[..., 2], -q[..., 1] + 1j * q[..., 0]
+
+
+def _word_v(k: float, xs, angles):
+    """(q0, q) (T, P) of the words V = L_1 ... L_m of letters with axes xs[j] (P, 3) at angles[j] (T, 1) or (T, P)."""
+    v = None
+    for x, angle in zip(xs, angles):
+        letter = _letter(k, x, angle)
+        v = letter if v is None else _times(v, letter)
+    return v
+
+
+def _word_axis(k, xs, letters, ts: np.ndarray) -> np.ndarray:
+    """The axes w(t) = sum_j dphi_j R(L_1 ... L_{j-1}) x_j (T, P, 3) of words at the times ts (``SubgroupWord``).
+
+    xs[j] (P, 3) are the axes of the letters, and ``letters`` their angles
+    and rates.  Without k, every R(L_1 ... L_{j-1}) is the identity.
+    """
+    w = np.zeros((len(ts), *np.shape(xs[0])))
+    prefix = None
+    for j, (x, (_, phi, dphi)) in enumerate(zip(xs, letters)):
+        # R(P) x = R(P^-1)^T x, and P^-1 = (q0, -q).
+        turned = x if prefix is None else _rotated_back((prefix[0], -prefix[1]), x)
+        w += np.asarray(dphi(ts), dtype=float)[:, None, None] * turned
+        if k is not None and j < len(xs) - 1:
+            letter = _letter(k, x, np.asarray(phi(ts), dtype=float)[:, None])
+            prefix = letter if prefix is None else _times(prefix, letter)
+    return w
+
+
 def _closed_form(k: float, w: np.ndarray, ws: np.ndarray, times: np.ndarray) -> np.ndarray:
     """The states (T, P, 5) at ``times`` of P propagators whose axes w and w_s (P, 3) do not depend on t.
 
-    With omega = |w| / k and the unit axis e = w / |w| (0 at w = 0), the
-    propagator is V(t) = cos(omega t) I + i sin(omega t) (e . sigma), so
-    a = cos(omega t) + i sin(omega t) e_z and b = i sin(omega t) (e_x + i e_y).
-    R(V) turns by -2 omega t about e: it leaves w where it is, h = w t, and
-    h_s = (w_s . e) e t + sin(2 omega t) / (2 omega) w_s_perp
+    The propagator is the one-letter word V(t) = exp(i t (w . sigma) / k)
+    (``_word_v``).  With omega = |w| / k and the unit axis e = w / |w| (0
+    at w = 0), R(V) turns by -2 omega t about e: it leaves w where it is,
+    h = w t, and h_s = (w_s . e) e t + sin(2 omega t) / (2 omega) w_s_perp
     + sin(omega t)^2 / omega (e x w_s), w_s_perp the part of w_s across e;
     at w = 0, V = I and h_s = w_s t.  An axis whose norm is not a finite
-    double raises IntegrationError, as the right-hand side of its solve
-    would turn non-finite at t = 0.
+    double raises IntegrationError (``_turning``).
     """
-    with np.errstate(over="ignore"):
-        norm = np.sqrt((w * w).sum(axis=1))
-    if not (np.isfinite(norm).all() and np.isfinite(ws).all()):
-        raise IntegrationError("transport integration failed: right-hand side is not finite", t=0.0)
-    e = w / np.where(norm > 0.0, norm, 1.0)[:, None]
-    omega = norm / k
     t = times[:, None]
-    cos, sin = np.cos(omega * t), np.sin(omega * t)
+    cos, sin, e, omega = _turning(k, w, t)
+    if not np.isfinite(ws).all():
+        raise IntegrationError("transport integration failed: right-hand side is not finite", t=0.0)
     # sin(omega t) / omega, and its limit t at omega = 0.
     reach = np.divide(sin, omega, out=np.broadcast_to(t, sin.shape).copy(), where=omega > 0.0)
     along = (ws * e).sum(axis=1)[:, None] * e
@@ -657,9 +907,184 @@ def _closed_form(k: float, w: np.ndarray, ws: np.ndarray, times: np.ndarray) -> 
     cross = e.take(_NEXT, axis=1) * ws.take(_PREV, axis=1) - e.take(_PREV, axis=1) * ws.take(_NEXT, axis=1)
     h_s += (reach * sin)[..., None] * cross
     v = np.empty((len(times), len(w), 5), dtype=complex)
-    v[..., 0] = cos + 1j * sin * e[:, 2]
-    v[..., 1] = 1j * sin * (e[:, 0] + 1j * e[:, 1])
+    v[..., 0], v[..., 1] = _column(_word_v(k, [w], [t]))
     v[..., 2:] = w * t[..., None] + 1j * h_s
+    return v
+
+
+def _word_groups(k: float, fs, fslot):
+    """The propagators' words, grouped by their letters' angles: [(rows, letters, xs)], or None.
+
+    Propagator p is the word of ``fs[fslot[p]]``; None unless every one is
+    a word at k (``_letters_of``).  The words of one group share their
+    angles and rates (``letters``), and ``xs[j]`` (G, 3) holds the axes of
+    letter j, one row per propagator in ``rows``.  The members of one field
+    are one group, whose letter axes are read in one call per letter.
+    """
+    words = {}
+    for j in set(fslot.tolist()):
+        axis = linear_axis(fs[j])
+        found = _letters_of(axis, k)
+        if found is None:
+            return None
+        letters = found[0]
+        if isinstance(axis, MemberAxis):
+            key, source = ("field", id(axis.field)), axis.s
+        else:
+            key, source = ("word", *(id(fn) for _, *fns in letters for fn in fns)), letters
+        words[j] = key, letters, source
+    groups = {}
+    for p, j in enumerate(fslot.tolist()):
+        key, letters, source = words[j]
+        group = groups.setdefault(key, (letters, [], []))
+        group[1].append(p)
+        group[2].append(source)
+    out = []
+    for (kind, *_), (letters, rows, sources) in groups.items():
+        if kind == "field":
+            svals = np.array(sources, dtype=float)
+            xs = [np.broadcast_to(x(svals), (len(svals), 3)) for x, *_ in letters]
+        else:
+            xs = [np.array([source[j][0] for source in sources]) for j in range(len(letters))]
+        out.append((np.array(rows), letters, xs))
+    return out
+
+
+def _word_integrand(k: float, letters, xs, ws_at):
+    """ts -> the integrands (R(V)^T w, R(V)^T w_s) (T, P, 6) of h and h_s for words V with letter axes xs.
+
+    w is the words' axis (``_word_axis``) and ``ws_at`` the reader of the
+    ``sdot`` axes (``_row_axes``, None without them).  R(V)^T w is
+    sum_j dphi_j R(L_{j+1} ... L_m)^T x_j, as R(L_j) leaves x_j where it
+    is, so the suffixes of each word are built from its end.
+    """
+
+    def integrand(ts):
+        g = np.zeros((len(ts), len(xs[0]), 6))
+        suffix = None
+        for x, (_, phi, dphi) in zip(reversed(xs), reversed(letters)):
+            rate = np.asarray(dphi(ts), dtype=float)[:, None, None]
+            g[..., :3] += rate * (x if suffix is None else _rotated_back(suffix, x))
+            letter = _letter(k, x, np.asarray(phi(ts), dtype=float)[:, None])
+            suffix = letter if suffix is None else _times(letter, suffix)
+        if ws_at is not None:
+            ws = ws_at(ts)
+            g[..., 3:] = _rotated_back(suffix, ws if ws.ndim == 3 else ws[:, None])
+        return g
+
+    return integrand
+
+
+def _gauss_legendre(n: int):
+    """The nodes and weights of the n-point Gauss-Legendre rule on [0, 1].
+
+    Newton's method on the Legendre polynomial P_n from Chebyshev-like
+    guesses, by its three-term recurrence: numpy's ``leggauss`` solves an
+    eigenproblem, which would page LAPACK into the peak memory of a run.
+    """
+
+    def legendre(x):
+        """P_n(x) and P_n'(x)."""
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(100):
+        p, slope = legendre(x)
+        x = x - p / slope
+        if np.abs(p / slope).max() < 1e-15:
+            break
+    slope = legendre(x)[1]
+    return 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)
+
+
+# One panel of the quadrature: 16 Gauss-Legendre nodes and weights on [0, 1].
+_GL_X, _GL_W = _gauss_legendre(16)
+# Most values of one component an integrand is read for at once, and most
+# propagators of one group read together: bounds the memory of a level.
+_NODE_BLOCK = 2**16
+_WORD_CHUNK = 2**10
+
+
+def _panel_sums(integrand, spans: np.ndarray, panels: int, count: int):
+    """The Gauss-Legendre sums (A, count, 6) of ``integrand`` over ``panels`` equal panels of each span (A, 2).
+
+    Also returns the sums of its absolute value.  ``integrand(ts)`` is
+    (len(ts), count, 6); it is read at most ``_NODE_BLOCK`` values per
+    component at a time.
+    """
+    width = np.repeat((spans[:, 1] - spans[:, 0]) / panels, panels)
+    starts = np.repeat(spans[:, 0], panels) + width * np.tile(np.arange(panels), len(spans))
+    span_of = np.repeat(np.arange(len(spans)), panels)
+    sums, sizes = np.zeros((2, len(spans), count, 6))
+    block = max(1, _NODE_BLOCK // (_GL_X.size * count))
+    for lo in range(0, len(starts), block):
+        part = slice(lo, lo + block)
+        ts = (starts[part, None] + width[part, None] * _GL_X).ravel()
+        g = integrand(ts).reshape(-1, _GL_X.size, count, 6) * (width[part, None] * _GL_W)[..., None, None]
+        np.add.at(sums, span_of[part], g.sum(axis=1))
+        np.add.at(sizes, span_of[part], np.abs(g).sum(axis=1))
+    return sums, sizes
+
+
+def _span_integrals(integrand, spans: np.ndarray, count: int, rel_tol: float) -> np.ndarray:
+    """The integrals (A, count, 6) of ``integrand`` over each span [t0, t1] (A, 2).
+
+    The panels of a span are doubled, from one, until two levels agree
+    within atol + rel_tol times the integral of |integrand| in every
+    component, and the finer level is kept.  Past ``MAX_RHS_EVALS`` nodes
+    on one span, or at a value that is not finite, IntegrationError names
+    the start of the span.
+    """
+    out = np.empty((len(spans), count, 6))
+    active = np.arange(len(spans))
+    coarse, _ = _panel_sums(integrand, spans, 1, count)
+    panels = nodes = 1
+    while active.size:
+        panels *= 2
+        nodes += panels
+        if nodes * _GL_X.size > MAX_RHS_EVALS:
+            budget = f"quadrature passed its budget of {MAX_RHS_EVALS} right-hand-side evaluations"
+            raise IntegrationError(f"transport integration failed: {budget}", t=float(spans[active[0], 0]))
+        fine, size = _panel_sums(integrand, spans[active], panels, count)
+        finite = np.isfinite(fine).all(axis=(1, 2))
+        if not finite.all():
+            t = float(spans[active[~finite][0], 0])
+            raise IntegrationError("transport integration failed: right-hand side is not finite", t=t)
+        done = (np.abs(fine - coarse) <= _ATOL + rel_tol * size).all(axis=(1, 2))
+        out[active[done]] = fine[done]
+        active, coarse = active[~done], fine[~done]
+    return out
+
+
+def _word_states(M, rows, groups, times: np.ndarray, rel_tol: float) -> np.ndarray:
+    """The states (T, P, 5) at ``times`` of propagators that are words (``_word_groups``), with no solve.
+
+    V is the product of the letters at each requested time.  h and h_s
+    are integrals of known smooth functions of t (``_word_integrand``),
+    taken by Gauss-Legendre panels on each segment between the rows'
+    breakpoints and the requested times (``_span_integrals``) and summed
+    up to each time.  The propagators of a group are read together, in
+    chunks of ``_WORD_CHUNK``.
+    """
+    fs, _, sdots, sslot = rows
+    breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
+    stops = np.array(sorted({0.0, 1.0, *breaks, *times.tolist()}))
+    spans = np.stack([stops[:-1], stops[1:]], axis=1)
+    at = np.searchsorted(stops, times)
+    v = np.empty((len(times), len(rows[1]), 5), dtype=complex)
+    for group_rows, letters, group_xs in groups:
+        for lo in range(0, len(group_rows), _WORD_CHUNK):
+            chunk = group_rows[lo : lo + _WORD_CHUNK]
+            xs = [x[lo : lo + _WORD_CHUNK] for x in group_xs]
+            integrand = _word_integrand(M.k, letters, xs, _row_axes(sdots, sslot[chunk]) if sdots else None)
+            h = np.zeros((len(stops), len(chunk), 6))
+            np.cumsum(_span_integrals(integrand, spans, len(chunk), rel_tol), axis=0, out=h[1:])
+            angles = [np.asarray(phi(times), dtype=float)[:, None] for _, phi, _ in letters]
+            v[:, chunk, 0], v[:, chunk, 1] = _column(_word_v(M.k, xs, angles))
+            v[:, chunk, 2:] = h[at, :, :3] + 1j * h[at, :, 3:]
     return v
 
 
@@ -684,8 +1109,11 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     is h(t) . u0 and that of ``sdot`` is h_s(t) . u0, rebuilt at every
     requested time at once.  When every one of those axes is constant
     (``_constant``), the propagators' states at the requested times are
-    a closed form (``_closed_form``) and nothing is solved; a batch with
-    any time-dependent axis is solved whole.  Otherwise every row carries
+    a closed form (``_closed_form``).  When every f is a word
+    (``SubgroupWord``, ``_word_groups``), whatever its ``sdot``, V is the
+    product of its letters and h and h_s are taken by quadrature
+    (``_word_states``).  Either way nothing is solved; any other linear
+    batch is solved whole.  Otherwise every row carries
     its own spinor: the right-hand side forms the Bloch vectors and calls,
     for each row, the eval and grad of the base generator its Hamiltonian
     resolves to on the segment (``_resolve``, once per segment;
@@ -743,6 +1171,8 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
         w = np.broadcast_to(_row_axes(fs, fslot)(np.zeros(1))[0], shape)
         ws = np.broadcast_to(_row_axes(sdots, sslot)(np.zeros(1))[0], shape) if sdots else np.zeros(shape)
         v = _closed_form(M.k, w, ws, times)
+    elif (groups := _word_groups(M.k, fs, fslot)) is not None:
+        v = _word_states(M, (fs, fslot, sdots, sslot), groups, times, rel_tol)
     else:
         states = np.zeros((len(fslot), 5), dtype=complex)
         states[:, 0] = 1.0

@@ -31,7 +31,10 @@ from .dynamics import (
     MemberAxis,
     TimeDepHamiltonian,
     linear_hamiltonian,
+    WordField,
     scale_hamiltonian,
+    steady_angle,
+    unit_rate,
     zero_hamiltonian,
 )
 from .holonomy import PhaseState, UnitPhase, transport_phases
@@ -42,7 +45,7 @@ from .su2 import profile_functions
 # Finest grid of the phase lift, in s-intervals.  A starting grid finer than
 # this could never be evaluated, so config rejects a larger s_samples.  A
 # `preqholo run` of omega on closed-mixing from 'auto:3' at s_samples 2^14
-# takes 8.7-10.4 s and 450 MB peak RSS on a 2-core Xeon with numpy 2.4.
+# takes 1.7-1.9 s and 112 MB peak RSS on a 2-core Xeon with numpy 2.4.
 MAX_LIFT_SAMPLES = 2**14
 
 
@@ -365,17 +368,17 @@ def _mixing_family(M, amp_fn, amp_dot_fn, profile, closure_tol, closed, label):
     """The ``mixing_loop`` of amplitude a(s) = amp_fn(s) at every s; amp_fn and amp_dot_fn take arrays."""
     g_fn, gd_fn = profile_functions(profile)
     k = M.k
+    # the letters of mixing_loop, (-k a e_z, g) and (k pi e_x, t), with a = a(s)
+    axis = WordField(
+        (
+            (lambda svals: np.stack([0.0 * svals, 0.0 * svals, -k * amp_fn(svals)], axis=-1), g_fn, gd_fn),
+            (lambda svals: np.broadcast_to([k * math.pi, 0.0, 0.0], (len(svals), 3)), steady_angle, unit_rate),
+        ),
+        k=k,
+    )
 
     # g(t) and g'(t) as a column (T, 1) at an array of times, so that they
     # broadcast against a(s) (S,).
-    def axis(svals, t):
-        # the axis k (pi cos(2 a g), pi sin(2 a g), -a g'(t)) of mixing_loop
-        a = amp_fn(svals)
-        th = 2.0 * a * np.expand_dims(g_fn(t), -1)
-        return np.stack(
-            [k * math.pi * np.cos(th), k * math.pi * np.sin(th), -k * a * np.expand_dims(gd_fn(t), -1)], axis=-1
-        )
-
     def s_axis(svals, t):
         a, c = amp_fn(svals), k * amp_dot_fn(svals)
         g = np.expand_dims(g_fn(t), -1)

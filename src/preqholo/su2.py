@@ -24,7 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ConstantAxis, HamiltonianLoop, TimeDepHamiltonian, linear_hamiltonian, scale_hamiltonian
+from .dynamics import (
+    ConstantAxis,
+    HamiltonianLoop,
+    SubgroupWord,
+    TimeDepHamiltonian,
+    linear_hamiltonian,
+    scale_hamiltonian,
+    steady_angle,
+    unit_rate,
+)
 from .sphere import OrbitSphere, unit_vector
 
 _A_MAT = np.array([[0.0, 1.0j], [1.0j, 0.0]])
@@ -163,7 +172,7 @@ def profile_functions(name: str):
     Both read a scalar t or an array of times elementwise.
     """
     if name == "constant":
-        return (lambda t: t), (lambda t: np.ones_like(t, dtype=float))
+        return steady_angle, unit_rate
     if name == "cosine-ramp":
         return (
             lambda t: 0.5 * (1.0 - np.cos(2.0 * np.pi * t)),
@@ -185,15 +194,17 @@ def mixing_loop(
     residual z-rotation is a multiple of pi ('constant' drift with amplitude
     in pi * Z).  The generating Hamiltonian is linear in u, hence zero mean:
 
-        f_t(u) = k [ pi cos(2 A g) u_x + pi sin(2 A g) u_y - A g'(t) u_z ].
+        f_t(u) = k [ pi cos(2 A g) u_x + pi sin(2 A g) u_y - A g'(t) u_z ],
+
+    the axis of the word exp(-i A g(t) sigma_z) exp(i pi t sigma_x)
+    (``SubgroupWord``), whose transport is read in closed form.
     """
     g_fn, gd_fn = profile_functions(profile)
     amp = float(amplitude)
     k = M.k
-
-    def axis(t):
-        th = 2.0 * amp * g_fn(t)
-        return np.stack([k * math.pi * np.cos(th), k * math.pi * np.sin(th), -k * amp * gd_fn(t)], axis=-1)
-
+    # exp(-i a g(t) sigma_z) exp(i pi t sigma_x): the letters (-k a e_z, g) and (k pi e_x, t)
+    drift, turn = np.array([0.0, 0.0, -k * amp]), np.array([k * math.pi, 0.0, 0.0])
+    letters = ((drift, g_fn, gd_fn), (turn, steady_angle, unit_rate))
     label = f"mix[amp={amp:g},{profile}]"
-    return HamiltonianLoop(linear_hamiltonian(axis, label=label), closure_tol=closure_tol, label=label)
+    f = linear_hamiltonian(SubgroupWord(letters, k=k), label=label)
+    return HamiltonianLoop(f, closure_tol=closure_tol, label=label)

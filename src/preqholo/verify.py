@@ -15,6 +15,7 @@ from .config import Tolerances
 from .dynamics import (
     ConstantAxis,
     HamiltonianLoop,
+    SubgroupWord,
     TimeDepHamiltonian,
     _constant,
     hamiltonian_vector_field,
@@ -77,7 +78,8 @@ def _rotated(loop: HamiltonianLoop, R: np.ndarray) -> HamiltonianLoop:
     """The loop R psi_t R^-1, generated by f_t o R^-1 (rows u map to u @ R).
 
     A linear f_t(u) = w(t) . u becomes the linear f_t(u R) = (R w(t)) . u,
-    with R @ w taken at each time apart, or once for a constant w.
+    with R @ w taken at each time apart, or once for a constant w.  A word
+    (``SubgroupWord``) becomes the word of its letters with the axes R x_j.
     """
     f = loop.hamiltonian
     label = f"R.{f.label}"
@@ -86,6 +88,8 @@ def _rotated(loop: HamiltonianLoop, R: np.ndarray) -> HamiltonianLoop:
         turned = lambda t: (R @ axis(t)[..., None])[..., 0]
         if _constant(axis):
             turned = ConstantAxis(turned(0.0))
+        elif isinstance(axis, SubgroupWord):
+            turned = SubgroupWord(tuple((R @ x, phi, dphi) for x, phi, dphi in axis.letters), k=axis.k)
         g = linear_hamiltonian(turned, label=label, breakpoints=f.breakpoints)
     else:
         g = TimeDepHamiltonian(
@@ -134,6 +138,17 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     res = max(circle_distance(v, parity) for v in vals)
     checks.append(_check("base-point-oracle", res, tol.phase_tol, "40 points, mixing loop"))
 
+    # The one DOP853 solve of the suite, against the same closed form: the
+    # mixing loop with its axis behind a plain function, which the transport
+    # cannot read as a word, so it solves it.
+    axis = linear_axis(mix.hamiltonian)
+    solved = HamiltonianLoop(linear_hamiltonian(lambda t: axis(t), label="solved mix"), closure_tol=tol.closure_tol)
+    vals = kappas(M, solved, fibonacci_sphere(8), rel_tol=rel)
+    res, spread = max(circle_distance(v, parity) for v in vals), phase_spread(vals)
+    check = _check("solver-oracle", res, tol.phase_tol, f"8 points, mixing loop solved, spread {spread:.3e} <= 1e-05")
+    check["passed"] = check["passed"] and spread <= 1e-5
+    checks.append(check)
+
     # Holonomy is additive under the path product: rows (xi.psi, xi, psi) at q.
     loops, qs = [], []
     for _ in range(5):
@@ -173,8 +188,8 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
 
     # Rotations preserve the area form, so conjugating a loop by one and
     # moving the base point with it leaves the holonomy unchanged.  The two
-    # sides are separate solves: rows of one solve share its steps, which
-    # would hide the integration error this check measures.
+    # sides are separate batches: rows of one batch share its steps or
+    # quadrature nodes, which would hide the error this check measures.
     qs, rotated, rotated_qs = [], [], []
     for test_loop in (loop_a, mix):
         q = fibonacci_sphere(1, rng=rng)[0]
@@ -218,7 +233,8 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     val = double_integral_check(M, rotation, q, s_nodes=8, rel_tol=rel)
     checks.append(_check("double-integral-vanishing", abs(val), 1e-4))
 
-    # Flow integrator against the exact group flows, all ten in one solve.
+    # Transported flows of invariant loops (closed forms, ``_closed_form``)
+    # against the exact group flows, all ten in one batch.
     directions, qs = [], []
     for _ in range(10):
         directions.append(_random_axis(rng))
@@ -242,17 +258,22 @@ def verify_level(n: int, seed: int = 0, tol: Tolerances | None = None) -> list[d
     res = max(abs(float(f.eval(0.0, traj.at(t))) - f0) for t in times)
     checks.append(_check("energy-conservation", res, 1e-7))
 
-    # Defining identity of the Hamiltonian field against the area form.
-    res = 0.0
+    # Defining identity of the Hamiltonian field against the area form, at
+    # 200 points each at its own time: one read of the axis over all times
+    # gives the gradients w - (u . w) u, as linear_hamiltonian derives them.
     pts = fibonacci_sphere(200, rng=rng)
+    ts, tangents = [], []
     for q in pts:
-        t = rng.uniform()
-        x_vec = hamiltonian_vector_field(M, mix.hamiltonian, t, q)
-        v = random_tangent(rng, q)
-        lhs = 0.5 * M.k * float(np.dot(q, np.cross(x_vec, v)))
-        rhs = float(np.asarray(mix.hamiltonian.grad(t, q)) @ v)
-        res = max(res, abs(lhs + rhs))
-    checks.append(_check("field-identity", res, 1e-8))
+        ts.append(rng.uniform())
+        tangents.append(random_tangent(rng, q))
+    w = linear_axis(mix.hamiltonian)(np.array(ts))
+    grads = w - (pts * w).sum(axis=1, keepdims=True) * pts
+    at_own_times = TimeDepHamiltonian(eval=mix.hamiltonian.eval, grad=lambda t, u: grads)
+    x_vec = hamiltonian_vector_field(M, at_own_times, 0.0, pts)
+    v = np.array(tangents)
+    lhs = 0.5 * M.k * (pts * np.cross(x_vec, v)).sum(axis=1)
+    rhs = (grads * v).sum(axis=1)
+    checks.append(_check("field-identity", float(np.max(np.abs(lhs + rhs))), 1e-8))
 
     return checks
 

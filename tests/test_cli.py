@@ -380,12 +380,12 @@ class TestRunTask:
     def test_runaway_solve_stops_at_its_budget(self, tmp_path):
         # a fast enough loop needs millions of steps; the solve stops at
         # MAX_RHS_EVALS with a numerical error record instead of running for
-        # hours, so the run is a subprocess and a hang fails the test
+        # hours, so the run is a subprocess and a hang fails the test.  A
+        # scaled mix loop is no word (only its reparametrizations are), so
+        # it is solved
         out = tmp_path / "out"
-        cfg = write_config(
-            tmp_path,
-            {"task": "kappa", "hamiltonian": {"name": "mix", "amplitude": 1e5}, "base_points": "auto:1"},
-        )
+        fast = {"name": "scaled", "base": {"name": "mix", "amplitude": 1e5}, "factor": 2}
+        cfg = write_config(tmp_path, {"task": "kappa", "hamiltonian": fast, "base_points": "auto:1"})
         proc = subprocess.run(
             [sys.executable, "-m", "preqholo.cli", "run", cfg, "--out", str(out)],
             env=_subprocess_env(), capture_output=True, text=True, timeout=120,
@@ -435,6 +435,19 @@ class TestRunTask:
         out = tmp_path / "out"
         hamiltonian = {"name": "scaled", "base": {"name": "invariant", "a": 0.6, "b": 0.8}, "factor": 1e6 + 1}
         cfg = write_config(tmp_path, kappa_config(out, hamiltonian=hamiltonian, base_points="auto:3"))
+        assert main(["run", cfg]) == 0
+        record = json.loads((out / "results.json").read_text())
+        phase_tol = Tolerances().phase_tol
+        assert [circle_distance(p["phase_rev"], 0.5) < phase_tol for p in record["points"]] == [True] * 3
+
+    def test_fast_mix_loop_has_its_closed_form_kappa(self, tmp_path):
+        # the mix loop at amplitude 1e5 is a word: its propagator is exact
+        # and the integrands of its action are smooth, so it answers with
+        # no solve, where test_runaway_solve_stops_at_its_budget's scaled
+        # copy passes the solve's budget; kappa = n/2 mod 1
+        out = tmp_path / "out"
+        fast = {"name": "mix", "amplitude": 1e5}
+        cfg = write_config(tmp_path, kappa_config(out, hamiltonian=fast, base_points="auto:3"))
         assert main(["run", cfg]) == 0
         record = json.loads((out / "results.json").read_text())
         phase_tol = Tolerances().phase_tol

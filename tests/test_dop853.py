@@ -123,8 +123,10 @@ def test_generic_rows_match_scipy(monkeypatch):
 
 def test_piecewise_segments_match_scipy(monkeypatch):
     # a product loop is solved as two segments, each ending one ulp inside 1/2
+    # (its axis behind a plain function, so that it is solved and not read as
+    # a word)
     M = OrbitSphere(1)
-    loop = product_loop(mixing_loop(M, 0.9), invariant_loop(M, DIR_A))
+    loop = plain_loop(product_loop(mixing_loop(M, 0.9), invariant_loop(M, DIR_A)))
     calls = _captured_solves(monkeypatch, lambda: transport_phases(M, loop, fibonacci_sphere(3)))
     assert [c[1] for c in calls] == [(0.0, math.nextafter(0.5, 0.0)), (math.nextafter(0.5, 1.0), 1.0)]
     for fun, *rest in calls:
@@ -133,9 +135,11 @@ def test_piecewise_segments_match_scipy(monkeypatch):
 
 def test_batch_of_distinct_rows_with_omega_column_matches_scipy(monkeypatch):
     # rows of distinct loops of a family with its s-derivative column, one
-    # s-derivative per member, as member_states builds them
+    # s-derivative per member, as member_states builds them (both fields
+    # behind plain functions, so that the members are solved and not read
+    # as words)
     M = OrbitSphere(3)
-    fam = mixing_family(M, amplitude=1.1)
+    fam = plain_family(mixing_family(M, amplitude=1.1))
     svals = [0.0, 0.3, 0.7]
     pts = fibonacci_sphere(2, rng=np.random.default_rng(5))
     loops = [fam.loop_at(s) for s in svals for _ in pts]
@@ -154,11 +158,13 @@ def test_field_rows_among_distinct_rows_match_scipy(monkeypatch):
     # reads every axis group over them at once; scipy hands over none, so
     # each of its calls reads its own time.  Rows: nested products of
     # invariant loops, a rotated mix loop and the members of a
-    # concatenation, with its Omega column and the zero sdot elsewhere
+    # concatenation, with its Omega column and the zero sdot elsewhere.  The
+    # first two are behind plain functions: a batch with a row that is no
+    # word is solved whole, so the members' word fields are read by the solve
     M = OrbitSphere(2)
     inv = [invariant_loop(M, d) for d in (DIR_A, DIR_B, DIR_Z, AlgebraDirection(0.6, 0.8))]
-    nested = product_loop(product_loop(inv[0], inv[1]), product_loop(inv[2], inv[3]))
-    rotated = verify._rotated(mixing_loop(M, 0.9), random_rotation_matrix(np.random.default_rng(2)))
+    nested = plain_loop(product_loop(product_loop(inv[0], inv[1]), product_loop(inv[2], inv[3])))
+    rotated = plain_loop(verify._rotated(mixing_loop(M, 0.9), random_rotation_matrix(np.random.default_rng(2))))
     fam = concatenate(closed_mixing_family(M, 0.8), subgroup_rotation_family(M))
     svals = [0.2, 0.5, 0.85]
     loops = [nested, rotated, *(fam.loop_at(s) for s in svals)]
@@ -276,10 +282,10 @@ def test_action_column_cancels_from_every_phase(monkeypatch, kind, n):
     # solve, leaves every phase the same mod 1: the spinor carries
     # exp(-i h . u0 / k), the phase subtracts h . u0 again, and
     # n / (2 pi k) = 1.  Its unreduced value moves by whole multiples of n
-    # (the invariant loop's axis behind a plain function, so that it is
-    # solved and not read in closed form)
+    # (each loop's axis behind a plain function, so that it is solved and
+    # not read in closed form)
     M = OrbitSphere(n)
-    loop = mixing_loop(M, 0.9) if kind == "mix" else plain_loop(invariant_loop(M, AlgebraDirection(0.6, 0.8)))
+    loop = plain_loop(mixing_loop(M, 0.9) if kind == "mix" else invariant_loop(M, AlgebraDirection(0.6, 0.8)))
     pts = fibonacci_sphere(8, rng=np.random.default_rng(7))
     plain = transport_phases(M, loop, pts)
 

@@ -10,6 +10,7 @@ from preqholo import (
     AlgebraDirection,
     OrbitSphere,
     TimeDepHamiltonian,
+    circle_distance,
     closed_form_flow,
     closed_mixing_family,
     concatenate,
@@ -40,7 +41,15 @@ from preqholo.dynamics import ConstantAxis, HamiltonianLoop, MemberAxis
 from preqholo.families import linear_family
 from preqholo.sphere import random_rotation_matrix, random_tangent
 
-from conftest import constant_hamiltonian, fields, plain_family, plain_hamiltonian, quadratic_hamiltonian
+from conftest import (
+    constant_hamiltonian,
+    fields,
+    plain,
+    plain_family,
+    plain_hamiltonian,
+    plain_loop,
+    quadratic_hamiltonian,
+)
 from oracles import chart_tangents, closure_defect, omega_area_triangle
 
 
@@ -147,8 +156,10 @@ def test_trajectory_reads_only_requested_times(sphere1):
 
 def test_product_loop_is_read_at_its_breakpoint(sphere1):
     # the A loop runs on [0, 1/2] and closes there; 1/2 is the breakpoint,
-    # read one ulp before it, as is the stop one ulp inside
-    loop = product_loop(invariant_loop(sphere1, DIR_B), invariant_loop(sphere1, DIR_A))
+    # read one ulp before it, as is the stop one ulp inside (the solve's
+    # convention: the axis is behind a plain function, so that the product
+    # is solved and not read as a word)
+    loop = plain_loop(product_loop(invariant_loop(sphere1, DIR_B), invariant_loop(sphere1, DIR_A)))
     assert loop.hamiltonian.breakpoints == (0.5,)
     times = (0.25, math.nextafter(0.5, 0.0), 0.5, 1.0)
     for q in fibonacci_sphere(4, rng=np.random.default_rng(1)):
@@ -239,12 +250,14 @@ def test_flow_is_the_transport_solve(sphere1, monkeypatch):
     # read at t = 1, integrate_isotopy is the one-point transport's own
     # solve, so both end at the same point, breakpoints included; a linear
     # loop's flow reads V(t) off its one propagator, 5 numbers per solve
+    # (each axis behind a plain function, so that it is solved)
     loops = [
         invariant_loop(sphere1, DIR_A),
         mixing_loop(sphere1, 0.8),
         mixing_loop(sphere1, 2.0 * math.pi, profile="constant"),
         product_loop(invariant_loop(sphere1, DIR_B), mixing_loop(sphere1, 0.8)),
     ]
+    loops = [plain_loop(loop) for loop in loops]
     sizes = _state_sizes(monkeypatch)
     for loop in loops:
         for q in fibonacci_sphere(8):
@@ -344,8 +357,10 @@ def test_linear_rhs_matches_general_rhs(case):
 def test_a_non_linear_row_or_sdot_takes_the_general_rhs(monkeypatch):
     # any non-linear f or sdot puts every row on its own 3-number spinor
     # state; an all-linear batch is one 5-number propagator per (f, sdot)
+    # (mix behind a plain function, so that it is solved and not read as a
+    # word)
     M = OrbitSphere(1)
-    mix, quad = mixing_loop(M, 0.7).hamiltonian, quadratic_hamiltonian(1.5)
+    mix, quad = plain_hamiltonian(mixing_loop(M, 0.7).hamiltonian), quadratic_hamiltonian(1.5)
     zero = zero_hamiltonian()
     sizes = _state_sizes(monkeypatch)
     dynamics._transport(M, [mix, quad, mix], fibonacci_sphere(3), 1e-10)
@@ -427,10 +442,12 @@ def test_omega_column_steers_the_step(n, j):
     # faster than the flow, with the spinor on a constant axis, must still
     # be resolved.  The reference is the general path at rel_tol 1e-12.
     # The flow turns u once about e_x, so sin(2 pi j t) is orthogonal to
-    # sdot's axis . u(t) and Omega is 0: an error shows whole
+    # sdot's axis . u(t) and Omega is 0: an error shows whole.  The constant
+    # axis is behind a plain function, so that the batch is solved and not
+    # read as a word (``test_a_fast_sdot_is_resolved_by_the_quadrature``)
     M = OrbitSphere(n)
     k = M.k
-    f = linear_hamiltonian(ConstantAxis([k * math.pi, 0.0, 0.0]))
+    f = linear_hamiltonian(plain(ConstantAxis([k * math.pi, 0.0, 0.0])))
     sdot = linear_hamiltonian(lambda t: k * np.multiply.outer(np.sin(2.0 * math.pi * j * t), [0.0, 0.3, 0.9]))
     pts = fibonacci_sphere(4, rng=np.random.default_rng(12))
     states = transport_phases(M, HamiltonianLoop(f), pts, sdot=sdot)
@@ -752,3 +769,159 @@ def test_a_rotated_constant_loop_stays_constant():
     w = linear_axis(loop.hamiltonian)(0.0)
     assert _same(axis(0.4), (R @ w[..., None])[..., 0])
     assert not dynamics._constant(linear_axis(verify._rotated(mixing_loop(M, 0.9), R).hamiltonian))
+
+
+def test_a_rotated_word_is_the_word_of_its_rotated_letters():
+    # verify's rotated copy of a word is a word, whose axis is R w(t) of the
+    # original's at every time: rotation-covariance cannot tell, since a
+    # loop's holonomy is the same from every base point
+    M = OrbitSphere(2)
+    R = random_rotation_matrix(np.random.default_rng(4))
+    loop = product_loop(mixing_loop(M, 0.9), invariant_loop(M, DIR_B))
+    axis = linear_axis(verify._rotated(loop, R).hamiltonian)
+    assert isinstance(axis, dynamics.SubgroupWord) and axis.k == M.k
+    ts = _times(loop.hamiltonian.breakpoints)
+    assert np.abs(axis(ts) - linear_axis(loop.hamiltonian)(ts) @ R.T).max() < 1e-13
+
+
+def _word_rows(M, case):
+    """(fs, sdots) of a batch of words, and of the same axes each behind a plain function.
+
+    "mix": the mix loop with both profiles at a in {0.8, 1.7, pi};
+    "closed-mixing": its members at 9 values of s with their s-derivatives;
+    "product": the path product of two invariant loops; "rotated": verify's
+    rotated copy of a mix loop.
+    """
+    zero = zero_hamiltonian()
+    if case == "closed-mixing":
+        fam = closed_mixing_family(M, 0.9)
+        svals = np.linspace(0.05, 0.95, 9)
+        words = ([fam.loop_at(s).hamiltonian for s in svals], [fam.s_deriv(s) for s in svals])
+        fam = plain_family(fam)
+        return words, ([fam.loop_at(s).hamiltonian for s in svals], [fam.s_deriv(s) for s in svals])
+    if case == "mix":
+        profiles = ("cosine-ramp", "constant")
+        fs = [mixing_loop(M, a, profile=p).hamiltonian for a in (0.8, 1.7, math.pi) for p in profiles]
+    elif case == "product":
+        fs = [product_loop(invariant_loop(M, DIR_A), invariant_loop(M, AlgebraDirection(0.6, 0.8))).hamiltonian]
+    else:
+        assert case == "rotated"
+        fs = [verify._rotated(mixing_loop(M, 0.8), random_rotation_matrix(np.random.default_rng(4))).hamiltonian]
+    tilted = invariant_hamiltonian(M, AlgebraDirection(0.6, 0.0, 0.8))
+    sdots = [zero if i % 2 else tilted for i in range(len(fs))]
+    return (fs, sdots), ([plain_hamiltonian(f) for f in fs], [plain_hamiltonian(h) for h in sdots])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("case", ["mix", "closed-mixing", "product", "rotated"])
+def test_word_matches_a_solve_of_the_same_axes(case, n):
+    # a batch of words is read in closed form: V from its letters, h and
+    # h_s by Gauss-Legendre panels.  Against DOP853 solves of the same rows
+    # with every axis and field behind a plain function, at a tighter
+    # rel_tol than the word's, in every component of every state (spinor,
+    # action and Omega integral) at 21 times: the spinors carry V, and
+    # the integrals h . u0 and h_s . u0 from 9 base points carry h and h_s
+    M = OrbitSphere(n)
+    times = np.linspace(0.0, 1.0, 21)
+    (fs, sdots), (plain_fs, plain_sdots) = _word_rows(M, case)
+    assert all(isinstance(linear_axis(f), (dynamics.SubgroupWord, MemberAxis)) for f in fs)
+    u0 = fibonacci_sphere(9, rng=np.random.default_rng(21))
+    rows = [i % len(fs) for i in range(9)]
+    y = dynamics._transport(M, [fs[i] for i in rows], u0, 1e-10, sdot=[sdots[i] for i in rows], times=times)
+    ref = dynamics._transport(
+        M, [plain_fs[i] for i in rows], u0, 1e-12, sdot=[plain_sdots[i] for i in rows], times=times
+    )
+    assert np.abs(y.imag[..., 2]).max() > 0.01
+    assert np.abs(y - ref).max() < 1e-10
+
+
+def test_an_all_word_batch_makes_no_solve(monkeypatch):
+    # mix loops, closed-mixing members with their Omega column, a product of
+    # a mix loop and an invariant one and a rotated mix loop, read at 21
+    # times: all words, so nothing is solved
+    M = OrbitSphere(2)
+    solves = []
+    monkeypatch.setattr(dynamics, "solve_ivp", lambda *args, **kwargs: solves.append(1))
+    fs, sdots = [], []
+    for case in ("mix", "closed-mixing", "rotated"):
+        (f, sdot), _ = _word_rows(M, case)
+        fs += f
+        sdots += sdot
+    fs.append(product_loop(mixing_loop(M, 0.8), invariant_loop(M, DIR_B)).hamiltonian)
+    sdots.append(zero_hamiltonian())
+    u0 = fibonacci_sphere(len(fs), rng=np.random.default_rng(3))
+    y = dynamics._transport(M, fs, u0, 1e-10, sdot=sdots, times=np.linspace(0.0, 1.0, 21))
+    assert solves == []
+    assert y.shape == (21, len(fs), 3) and np.isfinite(y).all()
+
+
+def test_a_word_past_its_node_budget_raises():
+    # a letter turning 1e9 times faster than the loop's own turn: V is still
+    # its closed form, but R(V)^T w_s of a constant sdot across it oscillates
+    # as fast, and no panel count within MAX_RHS_EVALS nodes resolves it
+    M = OrbitSphere(1)
+    word = dynamics.SubgroupWord(((np.array([0.0, 0.0, 1e9]), dynamics.steady_angle, dynamics.unit_rate),))
+    f, sdot = linear_hamiltonian(word), invariant_hamiltonian(M, DIR_A)
+    with pytest.raises(dynamics.IntegrationError, match=f"quadrature passed its budget of {dynamics.MAX_RHS_EVALS}"):
+        dynamics._transport(M, f, fibonacci_sphere(2), 1e-10, sdot=sdot)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_fast_sdot_is_resolved_by_the_quadrature(n):
+    # test_omega_column_steers_the_step on the word path: a constant f is a
+    # word, so a fast s-derivative behind a plain function is integrated by
+    # panels, which double until it is resolved.  The reference is the
+    # general path at rel_tol 1e-12
+    M = OrbitSphere(n)
+    k = M.k
+    f = linear_hamiltonian(ConstantAxis([k * math.pi, 0.0, 0.0]))
+    sdot = linear_hamiltonian(lambda t: k * np.multiply.outer(np.sin(2.0 * math.pi * 40 * t), [0.0, 0.3, 0.9]))
+    pts = fibonacci_sphere(4, rng=np.random.default_rng(12))
+    states = transport_phases(M, HamiltonianLoop(f), pts, sdot=sdot)
+    reference = transport_phases(M, HamiltonianLoop(_eval_wrapped(f)), pts, rel_tol=1e-12, sdot=sdot)
+    assert max(abs(a.omega - b.omega) for a, b in zip(states, reference)) < 1e-9
+
+
+def test_which_compositions_are_words():
+    # the path product of words is one, at the k of its longer words;
+    # scaling a one-letter word gives one, scaling a longer word does not
+    # (it is no reparametrization of it), and neither does a part whose
+    # multi-letter inner starts away from its own start
+    M = OrbitSphere(2)
+    mix, inv = mixing_loop(M, 0.8), invariant_loop(M, DIR_B)
+    one_letter = linear_hamiltonian(dynamics.SubgroupWord(((M.k * DIR_A.axis(), np.sin, np.cos),)))
+    product = linear_axis(product_loop(mix, inv).hamiltonian)
+    assert isinstance(product, dynamics.SubgroupWord) and product.k == M.k and len(product.letters) == 3
+    constant_product = linear_axis(product_loop(inv, inv).hamiltonian)
+    assert isinstance(constant_product, dynamics.SubgroupWord) and constant_product.k is None
+    assert isinstance(linear_axis(scale_hamiltonian(one_letter, 3.0)), dynamics.SubgroupWord)
+    assert not isinstance(linear_axis(scale_hamiltonian(mix.hamiltonian, 3.0)), dynamics.SubgroupWord)
+    shifted = dynamics.compose_hamiltonian([(math.inf, mix.hamiltonian, 1.0, 0.25, 1.0)])
+    assert not isinstance(linear_axis(shifted), dynamics.SubgroupWord)
+    # the product's axis is the generator it stands for, built part by part
+    ts = _times(product_loop(mix, inv).hamiltonian.breakpoints)
+    generator = linear_axis(product_loop(plain_loop(mix), inv).hamiltonian)
+    assert np.abs(product(ts) - generator(ts)).max() < 1e-13
+
+
+def test_a_scaled_mix_loop_is_solved_and_has_its_closed_form_kappa(monkeypatch):
+    # 3 f of the constant-drift mix loop at a = 2 pi is a loop, V(1) =
+    # exp(-2 pi i sigma_z) exp(i t (3 pi sigma_x - 4 pi sigma_z)) = -I, so
+    # kappa = n/2 mod 1; it is no word, so it is solved
+    solves = _solve_log(monkeypatch)
+    for n in (1, 2, 3):
+        M = OrbitSphere(n)
+        spec = {"name": "scaled", "base": {"name": "mix", "amplitude": 2.0 * math.pi, "profile": "constant"}}
+        loop = build_loop(M, {**spec, "factor": 3}, Tolerances())
+        vals = [st.phase for st in transport_phases(M, loop, fibonacci_sphere(5))]
+        assert max(circle_distance(v, (n % 2) / 2.0) for v in vals) < Tolerances().phase_tol
+    assert len(solves) == 3
+
+
+def test_gauss_legendre_rule_is_numpys():
+    # the quadrature's own 16-point rule on [0, 1], against numpy's
+    x, w = np.polynomial.legendre.leggauss(16)
+    nodes, weights = dynamics._gauss_legendre(16)
+    order = np.argsort(nodes)
+    assert np.abs(nodes[order] - 0.5 * (x + 1.0)).max() <= 1e-15
+    assert np.abs(weights[order] - 0.5 * w).max() <= 1e-15

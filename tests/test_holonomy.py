@@ -46,7 +46,7 @@ from preqholo import (
 from preqholo import dynamics, families, holonomy, verify
 from preqholo.config import Tolerances, build_loop
 from preqholo.holonomy import phase_spread
-from preqholo.sphere import random_rotation_matrix
+from preqholo.sphere import random_rotation_matrix, random_tangent
 from preqholo.verify import verify_level
 from scipy.integrate import quad
 
@@ -387,7 +387,8 @@ def test_kappas_of_a_linear_loop_are_one_five_number_solve(monkeypatch):
 
     monkeypatch.setattr(dynamics, "solve_ivp", counted)
     M = OrbitSphere(2)
-    vals = kappas(M, mixing_loop(M, 1.3), fibonacci_sphere(10))
+    # behind a plain function, so that it is solved and not read as a word
+    vals = kappas(M, plain_loop(mixing_loop(M, 1.3)), fibonacci_sphere(10))
     assert sizes == [5]
     assert max(circle_distance(v, 0.0) for v in vals) < 1e-9
 
@@ -433,12 +434,13 @@ def test_tight_tolerance_batch_stays_above_solver_floor(monkeypatch):
         return _inner(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    # (each mix axis behind a plain function, so that it is solved)
     M = OrbitSphere(1)
     pts = fibonacci_sphere(40)
-    states = transport_phases(M, mixing_loop(M, 0.8), pts, rel_tol=1e-13)
+    states = transport_phases(M, plain_loop(mixing_loop(M, 0.8)), pts, rel_tol=1e-13)
     assert rtols == [1e-13]
     rtols.clear()
-    loops = [mixing_loop(M, 0.8 + 0.01 * i) for i in range(40)]
+    loops = [plain_loop(mixing_loop(M, 0.8 + 0.01 * i)) for i in range(40)]
     states += transport_phases(M, loops, pts, rel_tol=1e-13)
     assert len(rtols) > 1
     assert min(rtols) >= 100 * np.finfo(float).eps
@@ -896,3 +898,47 @@ def test_there_and_back_segments_cost_alike(monkeypatch):
     # stepper, not by an installed solver; the defect this guards against
     # moves them by ~700.
     assert abs(forth - back) <= 36
+
+
+def test_verify_level_makes_one_solve(monkeypatch):
+    # every loop verify reads is a word but the solver-oracle check's, whose
+    # mix axis is behind a plain function: one DOP853 solve, of 8 points
+    calls = []
+
+    def counted(fun, t_span, y0, *args, _inner=dynamics.solve_ivp, **kwargs):
+        calls.append(len(y0))
+        return _inner(fun, t_span, y0, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_ivp", counted)
+    checks = verify_level(1)
+    assert all(c["passed"] for c in checks)
+    assert calls == [5]
+    assert [c for c in checks if c["name"] == "solver-oracle"][0]["residual"] < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_field_identity_is_the_residual_of_its_loop(monkeypatch, n):
+    # the batched field-identity check draws its times and tangents in the
+    # order of the per-point loop it replaced, and its residual is that
+    # loop's within 1e-15
+    states = []
+
+    def recorded(count, rng=None, _inner=verify.fibonacci_sphere):
+        if count == 200:
+            states.append(rng.bit_generator.state)
+        return _inner(count, rng=rng)
+
+    monkeypatch.setattr(verify, "fibonacci_sphere", recorded)
+    check = [c for c in verify_level(n) if c["name"] == "field-identity"][0]
+    rng = np.random.default_rng()
+    rng.bit_generator.state = states[0]
+    M = OrbitSphere(n)
+    f = mixing_loop(M, 0.8).hamiltonian
+    res = 0.0
+    for q in fibonacci_sphere(200, rng=rng):
+        t = rng.uniform()
+        x_vec = dynamics.hamiltonian_vector_field(M, f, t, q)
+        v = random_tangent(rng, q)
+        lhs = 0.5 * M.k * float(np.dot(q, np.cross(x_vec, v)))
+        res = max(res, abs(lhs + float(np.asarray(f.grad(t, q)) @ v)))
+    assert abs(check["residual"] - res) <= 1e-15

@@ -11,8 +11,6 @@ integrator in the package.
 __version__ = "0.1.0"
 
 from .dynamics import (
-    ConstantAxis,
-    ConstantField,
     HamiltonianLoop,
     IntegrationError,
     LoopClosureError,
@@ -21,6 +19,7 @@ from .dynamics import (
     Trajectory,
     WordField,
     compose_hamiltonian,
+    constant_axis,
     hamiltonian_vector_field,
     integrate_isotopy,
     linear_axis,

@@ -28,14 +28,15 @@ package are solved by none of that.  A propagator that is a word in
 one-parameter subgroups, V(t) = exp(i phi_1(t) X_1) ... exp(i phi_m(t) X_m)
 (``SubgroupWord``), is that product at every time, and h and h_s are then
 integrals of known smooth functions of t, taken by Gauss-Legendre panels
-(``_word_states``).  ``ConstantAxis``, the mix loop and the closed-mixing
-members, and products and reparametrizations of words are words; when no
-axis of a batch depends on t, h and h_s are closed forms too
-(``_closed_form``).  Only a batch with an axis that is no word, or a
-non-linear row, is solved.  The holonomy transport reads its state at
-t = 1; ``trajectories`` and ``integrate_isotopy`` read it at requested
-times, each of which ends one more segment of the solve or of the
-quadrature.  The runtime needs numpy only.
+(``_word_states``).  An axis that does not depend on t is the one-letter
+word with phi = t (``constant_axis``); the mix loop and the closed-mixing
+members, and products and reparametrizations of words are words too.  A
+word of one such letter whose s-derivative does not depend on t either has
+closed-form h and h_s (``_closed_form``).  Only a batch with an axis that
+is no word, or a non-linear row, is solved.  The holonomy transport reads
+its state at t = 1; ``trajectories`` and ``integrate_isotopy`` read it at
+requested times, each of which ends one more segment of the solve or of
+the quadrature.  The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -108,14 +109,12 @@ class TimeDepHamiltonian:
     ``SubgroupWord`` or a ``MemberAxis`` of a ``WordField``, as those of
     ``su2.mixing_loop``, the mixing families' members, path products and
     one-letter scalings of words and verify's rotated copies do.  An axis
-    that does not depend on t is the one-letter word with phi = t, and says
-    so by its type too, ``ConstantAxis`` or a ``MemberAxis`` of a
-    ``ConstantField``, as those of ``zero_hamiltonian``,
+    that does not depend on t is the one-letter word with phi = t
+    (``constant_axis``), as those of ``zero_hamiltonian``,
     ``su2.invariant_hamiltonian``, one-part compositions of them and the
-    subgroup-rotation members and s-derivatives do.  A batch of words is
-    read in closed form, with no solve (``_word_states``, and
-    ``_closed_form`` when every axis is constant); a batch with any other
-    axis is solved.
+    subgroup-rotation members and s-derivatives are.  A batch of words is
+    read in closed form, with no solve (``_word_states``); a batch with
+    any other axis is solved.
     ``parts``, when given, says that f is made of other Hamiltonians: a
     tuple of ``(end, inner, a, b, c)`` with rising ends, the last inf,
     meaning f_t = c inner_{a t + b} on the first part whose end lies above
@@ -141,40 +140,8 @@ class TimeDepHamiltonian:
     parts: tuple = ()
 
 
-def _over_times(t, value: np.ndarray) -> np.ndarray:
-    """``value`` at a scalar t, and a read-only view of one copy per time at an array of times."""
-    return value if np.ndim(t) == 0 else np.broadcast_to(value, np.shape(t) + np.shape(value))
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantAxis:
-    """An axis that does not depend on t: ``value`` (3,), kept as a read-only copy, at every time."""
-
-    value: np.ndarray
-
-    def __post_init__(self):
-        value = np.array(self.value, dtype=float)
-        if value.shape != (3,):
-            raise ValueError(f"a constant axis is one 3-vector, got shape {value.shape}")
-        value.flags.writeable = False
-        object.__setattr__(self, "value", value)
-
-    def __call__(self, t) -> np.ndarray:
-        return _over_times(t, self.value)
-
-
-@dataclass(frozen=True, eq=False)
-class ConstantField:
-    """A family's field (``MemberAxis``) that does not depend on t: ``value(svals)`` (S, 3) at every time."""
-
-    value: Callable
-
-    def __call__(self, svals, t) -> np.ndarray:
-        return _over_times(t, self.value(svals))
-
-
 def steady_angle(t):
-    """The angle phi = t of a letter that turns at a constant rate: ``ConstantAxis`` is that one-letter word."""
+    """The angle phi = t of a letter that turns at a constant rate: a constant axis is that one-letter word."""
     return t
 
 
@@ -243,9 +210,14 @@ class WordField:
         return w if np.ndim(t) else w[0]
 
 
+def constant_axis(w) -> SubgroupWord:
+    """The axis w (3,) at every time: the one-letter word of w with phi = t, w kept as a read-only copy."""
+    return SubgroupWord(((w, steady_angle, unit_rate),))
+
+
 def zero_hamiltonian() -> TimeDepHamiltonian:
     """f_t = 0, the linear Hamiltonian with the zero axis."""
-    return linear_hamiltonian(ConstantAxis(np.zeros(3)), label="zero")
+    return linear_hamiltonian(constant_axis(np.zeros(3)), label="zero")
 
 
 def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ()) -> TimeDepHamiltonian:
@@ -253,7 +225,7 @@ def linear_hamiltonian(axis: Callable, label: str = "", breakpoints: tuple = ())
 
     ``axis`` follows the contract of ``TimeDepHamiltonian.axis``: (3,) at a
     scalar t, (T, 3) at an array of times.  Give an axis that does not
-    depend on t as ``ConstantAxis(w)``, and one whose propagator is a
+    depend on t as ``constant_axis(w)``, and one whose propagator is a
     product of one-parameter subgroups as a ``SubgroupWord``: any other
     callable is solved for, and read on every step attempt
     (``_propagator_rhs``).  Its surface
@@ -291,21 +263,24 @@ class MemberAxis:
         return self.field(np.array([self.s]), t)[..., 0, :]
 
 
+def _steady(letters) -> bool:
+    """Whether a word is one letter with the angle ``steady_angle``: an axis that does not depend on t."""
+    return len(letters) == 1 and letters[0][1] is steady_angle
+
+
 def _constant(axis) -> bool:
-    """Whether a linear axis is a ``ConstantAxis`` or a member of a ``ConstantField``."""
-    return isinstance(axis, ConstantAxis) or isinstance(axis, MemberAxis) and isinstance(axis.field, ConstantField)
+    """Whether a linear axis is a steady one-letter word (``_steady``, ``constant_axis``) or a member of one."""
+    found = _letters_of(axis)
+    return found is not None and _steady(found[0])
 
 
 def _letters_of(axis, k=None):
     """(letters, k) of an axis that is a word at k (any k if None), or None.
 
-    A ``ConstantAxis`` is the one-letter word of its value with phi = t; a
-    ``SubgroupWord`` is one at its own k.  A member of a ``ConstantField``
-    or a ``WordField`` gives its letters with each x_j still a reader of s.
+    A ``SubgroupWord`` is one at its own k.  A member of a ``WordField``
+    gives its letters with each x_j still a reader of s.
     """
     source = axis.field if isinstance(axis, MemberAxis) else axis
-    if isinstance(source, (ConstantAxis, ConstantField)):
-        return ((source.value, steady_angle, unit_rate),), None
     if isinstance(source, (SubgroupWord, WordField)) and (k is None or source.k in (None, k)):
         return source.letters, source.k
     return None
@@ -404,12 +379,12 @@ def compose_hamiltonian(parts, label: str = "") -> TimeDepHamiltonian:
     (0, 1) and each inner's breakpoints mapped into its part's times.  When
     every inner is linear (``linear_axis``), so is f, with the axis
     c inner_axis(a t + b) read part by part: one part of a constant inner
-    is a ``ConstantAxis``, parts of words are a word where the algebra
-    gives one (``_composed_word``), and any other axis is read through its
-    parts.  Otherwise eval and grad read the inner's own (``_PartRead``).
-    Either way f carries ``parts``, and the doubles are
-    those of closures that apply each part's factor to its inner's value
-    (or axis) in turn.
+    is a constant axis (``constant_axis``), parts of words are a word
+    where the algebra gives one (``_composed_word``), and any other axis
+    is read through its parts.  Otherwise eval and grad read the inner's
+    own (``_PartRead``).  Either way f carries ``parts``, and the doubles
+    are those of closures that apply each part's factor to its inner's
+    value (or axis) in turn.
     """
     parts = tuple((float(end), inner, float(a), float(b), float(c)) for end, inner, a, b, c in parts)
     ends = [end for end, *_ in parts]
@@ -435,7 +410,7 @@ def compose_hamiltonian(parts, label: str = "") -> TimeDepHamiltonian:
         return lambda t: c * inner_axis(a * t + b)
 
     if len(parts) == 1 and _constant(axes[0]):
-        axis = ConstantAxis(parts[0][4] * axes[0](0.0))
+        axis = constant_axis(parts[0][4] * axes[0](0.0))
     elif (word := _composed_word(parts, axes)) is not None:
         axis = word
     elif len(parts) == 1:
@@ -471,14 +446,13 @@ def scale_hamiltonian(f: TimeDepHamiltonian, c: float, label: str | None = None)
 def hamiltonian_vector_field(M: OrbitSphere, f: TimeDepHamiltonian, t: float, p) -> np.ndarray:
     """Vector field X with omega(X, .) = -df_t, i.e. X = (2/k) u x grad f.
 
-    ``p`` is one point ``(3,)`` or a batch ``(N, 3)``.  The cross product is
-    built from cyclically shifted components, with the same arithmetic as
-    ``np.cross`` and a fraction of its call overhead on small inputs.
+    ``p`` is one point ``(3,)`` or a batch ``(N, 3)``.  The cross product
+    (``_cross``) is built from cyclically shifted components, with the same
+    arithmetic as ``np.cross`` and a fraction of its call overhead on small
+    inputs.
     """
     u = np.asarray(p, dtype=float)
-    g = np.asarray(f.grad(t, u), dtype=float)
-    cross = u.take(_NEXT, axis=-1) * g.take(_PREV, axis=-1) - u.take(_PREV, axis=-1) * g.take(_NEXT, axis=-1)
-    return (2.0 / M.k) * cross
+    return (2.0 / M.k) * _cross(u, np.asarray(f.grad(t, u), dtype=float))
 
 
 # The spinor equation works on the real view (Re a, Im a, Re b, Im b) of each
@@ -873,12 +847,12 @@ def _word_axis(k, xs, letters, ts: np.ndarray) -> np.ndarray:
     xs[j] (P, 3) are the axes of the letters, and ``letters`` their angles
     and rates.  Without k, every R(L_1 ... L_{j-1}) is the identity.
     """
-    w = np.zeros((len(ts), *np.shape(xs[0])))
-    prefix = None
+    w = prefix = None
     for j, (x, (_, phi, dphi)) in enumerate(zip(xs, letters)):
         # R(P) x = R(P^-1)^T x, and P^-1 = (q0, -q).
         turned = x if prefix is None else _rotated_back((prefix[0], -prefix[1]), x)
-        w += np.asarray(dphi(ts), dtype=float)[:, None, None] * turned
+        term = np.asarray(dphi(ts), dtype=float)[:, None, None] * turned
+        w = term if w is None else w + term
         if k is not None and j < len(xs) - 1:
             letter = _letter(k, x, np.asarray(phi(ts), dtype=float)[:, None])
             prefix = letter if prefix is None else _times(prefix, letter)
@@ -904,8 +878,7 @@ def _closed_form(k: float, w: np.ndarray, ws: np.ndarray, times: np.ndarray) -> 
     reach = np.divide(sin, omega, out=np.broadcast_to(t, sin.shape).copy(), where=omega > 0.0)
     along = (ws * e).sum(axis=1)[:, None] * e
     h_s = along * t[..., None] + (reach * cos)[..., None] * (ws - along)
-    cross = e.take(_NEXT, axis=1) * ws.take(_PREV, axis=1) - e.take(_PREV, axis=1) * ws.take(_NEXT, axis=1)
-    h_s += (reach * sin)[..., None] * cross
+    h_s += (reach * sin)[..., None] * _cross(e, ws)
     v = np.empty((len(times), len(w), 5), dtype=complex)
     v[..., 0], v[..., 1] = _column(_word_v(k, [w], [t]))
     v[..., 2:] = w * t[..., None] + 1j * h_s
@@ -1059,27 +1032,45 @@ def _span_integrals(integrand, spans: np.ndarray, count: int, rel_tol: float) ->
     return out
 
 
+def _stops(fs, times: np.ndarray):
+    """(breaks, stops): the rows' breakpoints inside (0, 1), and the sorted union of 0, 1, those and ``times``.
+
+    A breakpoint within 1e-14 of 0 or 1 is dropped.
+    """
+    breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
+    return breaks, sorted({0.0, 1.0, *breaks, *times.tolist()})
+
+
 def _word_states(M, rows, groups, times: np.ndarray, rel_tol: float) -> np.ndarray:
     """The states (T, P, 5) at ``times`` of propagators that are words (``_word_groups``), with no solve.
 
-    V is the product of the letters at each requested time.  h and h_s
-    are integrals of known smooth functions of t (``_word_integrand``),
-    taken by Gauss-Legendre panels on each segment between the rows'
-    breakpoints and the requested times (``_span_integrals``) and summed
-    up to each time.  The propagators of a group are read together, in
-    chunks of ``_WORD_CHUNK``.
+    V is the product of the letters at each requested time.  A group of
+    one steady letter (``_steady``) whose ``sdot`` axes do not depend on t
+    either (``_constant``) is a closed form (``_closed_form``), with w the
+    letter's x.  In any other group, h and h_s are integrals of known
+    smooth functions of t (``_word_integrand``), taken by Gauss-Legendre
+    panels on each segment between the rows' breakpoints and the requested
+    times (``_span_integrals``) and summed up to each time.  The
+    propagators of a group are read together, in chunks of ``_WORD_CHUNK``.
     """
     fs, _, sdots, sslot = rows
-    breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
-    stops = np.array(sorted({0.0, 1.0, *breaks, *times.tolist()}))
-    spans = np.stack([stops[:-1], stops[1:]], axis=1)
-    at = np.searchsorted(stops, times)
+    spans = None
     v = np.empty((len(times), len(rows[1]), 5), dtype=complex)
     for group_rows, letters, group_xs in groups:
         for lo in range(0, len(group_rows), _WORD_CHUNK):
             chunk = group_rows[lo : lo + _WORD_CHUNK]
             xs = [x[lo : lo + _WORD_CHUNK] for x in group_xs]
-            integrand = _word_integrand(M.k, letters, xs, _row_axes(sdots, sslot[chunk]) if sdots else None)
+            ws_at = _row_axes(sdots, sslot[chunk]) if sdots else None
+            chunk_sdots = set(sslot[chunk].tolist()) if sdots else ()
+            if _steady(letters) and all(_constant(linear_axis(sdots[j])) for j in chunk_sdots):
+                shape = (len(chunk), 3)
+                ws = np.zeros(shape) if ws_at is None else np.broadcast_to(ws_at(np.zeros(1))[0], shape)
+                v[:, chunk] = _closed_form(M.k, xs[0], ws, times)
+                continue
+            if spans is None:
+                stops = np.array(_stops(fs, times)[1])
+                spans, at = np.stack([stops[:-1], stops[1:]], axis=1), np.searchsorted(stops, times)
+            integrand = _word_integrand(M.k, letters, xs, ws_at)
             h = np.zeros((len(stops), len(chunk), 6))
             np.cumsum(_span_integrals(integrand, spans, len(chunk), rel_tol), axis=0, out=h[1:])
             angles = [np.asarray(phi(times), dtype=float)[:, None] for _, phi, _ in letters]
@@ -1107,16 +1098,14 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     point u0 and spinor chi0 then turns by d chi/dt = (i/k)(w . sigma - f_t)
     chi, so chi(t) = V(t) chi0 exp(-i h(t) . u0 / k), the integral of f_t
     is h(t) . u0 and that of ``sdot`` is h_s(t) . u0, rebuilt at every
-    requested time at once.  When every one of those axes is constant
-    (``_constant``), the propagators' states at the requested times are
-    a closed form (``_closed_form``).  When every f is a word
-    (``SubgroupWord``, ``_word_groups``), whatever its ``sdot``, V is the
-    product of its letters and h and h_s are taken by quadrature
-    (``_word_states``).  Either way nothing is solved; any other linear
-    batch is solved whole.  Otherwise every row carries
-    its own spinor: the right-hand side forms the Bloch vectors and calls,
-    for each row, the eval and grad of the base generator its Hamiltonian
-    resolves to on the segment (``_resolve``, once per segment;
+    requested time at once.  When every f is a word (``SubgroupWord``,
+    ``_word_groups``), whatever its ``sdot``, V is the product of its
+    letters, and h and h_s are closed forms for a constant f and
+    ``sdot`` and taken by quadrature otherwise (``_word_states``): nothing
+    is solved.  Any other linear batch is solved whole.  Otherwise every
+    row carries its own spinor: the right-hand side forms the Bloch vectors
+    and calls, for each row, the eval and grad of the base generator its
+    Hamiltonian resolves to on the segment (``_resolve``, once per segment;
     ``_general_rhs``), and only the eval of ``sdot``'s.
 
     A batch that is solved (``_solved``) splits [0, 1] at the union of the
@@ -1154,8 +1143,7 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
     fs, fslot = _distinct(f, n)
     sdots, sslot = _distinct(sdot, n) if sdot is not None else ([], None)
     chi0 = _spinors(u0)
-    axes = [linear_axis(h) for h in (*fs, *sdots)]
-    if None in axes:
+    if any(linear_axis(h) is None for h in (*fs, *sdots)):
         states = np.zeros((n, 3), dtype=complex)
         states[:, :2] = chi0
         return _solved(M, (fs, fslot, sdots, sslot), states, times, rel_tol, linear=False)
@@ -1166,12 +1154,7 @@ def _transport(M, f, u0, rel_tol, sdot=None, times=(1.0,)):
         fslot, sslot = fslot[first], sslot[first]
     else:
         fslot, slot = np.arange(len(fs)), fslot
-    if all(map(_constant, axes)):
-        shape = (len(fslot), 3)
-        w = np.broadcast_to(_row_axes(fs, fslot)(np.zeros(1))[0], shape)
-        ws = np.broadcast_to(_row_axes(sdots, sslot)(np.zeros(1))[0], shape) if sdots else np.zeros(shape)
-        v = _closed_form(M.k, w, ws, times)
-    elif (groups := _word_groups(M.k, fs, fslot)) is not None:
+    if (groups := _word_groups(M.k, fs, fslot)) is not None:
         v = _word_states(M, (fs, fslot, sdots, sslot), groups, times, rel_tol)
     else:
         states = np.zeros((len(fslot), 5), dtype=complex)
@@ -1192,8 +1175,7 @@ def _solved(M, rows, start, times, rel_tol, linear):
     for the segments, the chunks and the tolerances of the solves.
     """
     fs, fslot, sdots, sslot = rows
-    breaks = {b for h in fs for b in h.breakpoints if 1e-14 < b < 1.0 - 1e-14}
-    stops = sorted({0.0, 1.0, *breaks, *times.tolist()})
+    breaks, stops = _stops(fs, times)
     # states[i] is the state at stops[i], one row per propagator or base point.
     states = np.empty((len(stops), *start.shape), dtype=complex)
     states[0] = start

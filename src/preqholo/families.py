@@ -22,16 +22,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .dynamics import (
-    ConstantField,
     HamiltonianLoop,
     LoopClosureError,
     MemberAxis,
     TimeDepHamiltonian,
     linear_hamiltonian,
     WordField,
+    _gauss_legendre,
     scale_hamiltonian,
     steady_angle,
     unit_rate,
@@ -277,9 +276,9 @@ def double_integral_check(
 ) -> float:
     """Integral over s of Omega(s), one solve over the Gauss nodes; vanishes for
     degree-zero closed families."""
-    x, w = leggauss(s_nodes)
-    rows = member_states(M, fam, 0.5 * (x + 1.0), [q], rel_tol=rel_tol)
-    return float(sum(wt * row[0].omega for row, wt in zip(rows, 0.5 * w)))
+    x, w = _gauss_legendre(s_nodes)
+    rows = member_states(M, fam, x, [q], rel_tol=rel_tol)
+    return float(sum(wt * row[0].omega for row, wt in zip(rows, w)))
 
 
 def concatenate(fam1: LoopFamily, fam2: LoopFamily) -> LoopFamily:
@@ -334,19 +333,18 @@ def subgroup_rotation_family(
     Every member is a one-parameter-subgroup loop, the ``invariant_loop``
     of the direction (cos lam, sin lam, 0) with lam = start_angle +
     2 pi turns s; the family is closed in s exactly when ``turns`` is an
-    integer.
+    integer.  Its field and s-derivative do not depend on t: each is the
+    one-letter ``WordField`` of its value with phi = t.
     """
     rate = 2.0 * math.pi * float(turns)
     k = M.k
 
-    @ConstantField
-    def axis(svals):
+    def value(svals):
         # -pi times the axis k (-cos(lam), sin(lam), 0) of the direction's moment map
         lam = start_angle + rate * svals
         return -math.pi * (k * np.array([-np.cos(lam), np.sin(lam), np.zeros_like(lam)]).T)
 
-    @ConstantField
-    def s_axis(svals):
+    def s_value(svals):
         lam = start_angle + rate * svals
         return -math.pi * k * rate * np.array([np.sin(lam), np.cos(lam), np.zeros_like(lam)]).T
 
@@ -355,8 +353,8 @@ def subgroup_rotation_family(
         return f"invariant[h[a={math.cos(lam):g},b={math.sin(lam):g},z=0]]"
 
     return linear_family(
-        axis,
-        s_axis,
+        WordField(((value, steady_angle, unit_rate),)),
+        WordField(((s_value, steady_angle, unit_rate),)),
         member_label,
         closure_tol,
         closed=float(turns).is_integer(),

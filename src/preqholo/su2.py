@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    ConstantAxis,
     HamiltonianLoop,
     SubgroupWord,
     TimeDepHamiltonian,
+    constant_axis,
     linear_hamiltonian,
     scale_hamiltonian,
     steady_angle,
@@ -146,7 +146,7 @@ def closed_form_flow(direction: AlgebraDirection, t: float, p) -> np.ndarray:
 def invariant_hamiltonian(M: OrbitSphere, direction: AlgebraDirection) -> TimeDepHamiltonian:
     """Moment function h_dir(u) = k * w . u, a linear Hamiltonian with the constant axis k w."""
     label = f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]"
-    return linear_hamiltonian(ConstantAxis(M.k * direction.axis()), label=label)
+    return linear_hamiltonian(constant_axis(M.k * direction.axis()), label=label)
 
 
 def invariant_loop(

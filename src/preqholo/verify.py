@@ -13,11 +13,9 @@ import numpy as np
 
 from .config import Tolerances
 from .dynamics import (
-    ConstantAxis,
     HamiltonianLoop,
     SubgroupWord,
     TimeDepHamiltonian,
-    _constant,
     hamiltonian_vector_field,
     integrate_isotopy,
     linear_axis,
@@ -78,18 +76,18 @@ def _rotated(loop: HamiltonianLoop, R: np.ndarray) -> HamiltonianLoop:
     """The loop R psi_t R^-1, generated by f_t o R^-1 (rows u map to u @ R).
 
     A linear f_t(u) = w(t) . u becomes the linear f_t(u R) = (R w(t)) . u,
-    with R @ w taken at each time apart, or once for a constant w.  A word
-    (``SubgroupWord``) becomes the word of its letters with the axes R x_j.
+    with R @ w taken at each time apart.  A word (``SubgroupWord``), a
+    constant axis included, becomes the word of its letters with the axes
+    R x_j.
     """
     f = loop.hamiltonian
     label = f"R.{f.label}"
     axis = linear_axis(f)
     if axis is not None:
-        turned = lambda t: (R @ axis(t)[..., None])[..., 0]
-        if _constant(axis):
-            turned = ConstantAxis(turned(0.0))
-        elif isinstance(axis, SubgroupWord):
+        if isinstance(axis, SubgroupWord):
             turned = SubgroupWord(tuple((R @ x, phi, dphi) for x, phi, dphi in axis.letters), k=axis.k)
+        else:
+            turned = lambda t: (R @ axis(t)[..., None])[..., 0]
         g = linear_hamiltonian(turned, label=label, breakpoints=f.breakpoints)
     else:
         g = TimeDepHamiltonian(

@@ -37,7 +37,7 @@ from preqholo import (
     zero_hamiltonian,
 )
 from preqholo.config import Tolerances, build_family, build_loop
-from preqholo.dynamics import ConstantAxis, HamiltonianLoop, MemberAxis
+from preqholo.dynamics import HamiltonianLoop, MemberAxis, constant_axis
 from preqholo.families import linear_family
 from preqholo.sphere import random_rotation_matrix, random_tangent
 
@@ -447,7 +447,7 @@ def test_omega_column_steers_the_step(n, j):
     # read as a word (``test_a_fast_sdot_is_resolved_by_the_quadrature``)
     M = OrbitSphere(n)
     k = M.k
-    f = linear_hamiltonian(plain(ConstantAxis([k * math.pi, 0.0, 0.0])))
+    f = linear_hamiltonian(plain(constant_axis([k * math.pi, 0.0, 0.0])))
     sdot = linear_hamiltonian(lambda t: k * np.multiply.outer(np.sin(2.0 * math.pi * j * t), [0.0, 0.3, 0.9]))
     pts = fibonacci_sphere(4, rng=np.random.default_rng(12))
     states = transport_phases(M, HamiltonianLoop(f), pts, sdot=sdot)
@@ -681,23 +681,28 @@ def test_product_loop_axes_are_read_once_per_step_attempt(monkeypatch):
 
 
 def test_a_constant_axis_does_not_write_through():
-    # a read of a constant axis, at a scalar time or at an array of times,
-    # is read-only, and so is the value it keeps: writing into one raises
-    # and leaves the Hamiltonian as it was
+    # a constant axis keeps its value as the read-only letter of a
+    # one-letter word: writing into it raises, and writing into a read, at
+    # a scalar time or at an array of times, or into the array it was built
+    # from leaves the Hamiltonian as it was; a value that is not one
+    # 3-vector is refused
     M = OrbitSphere(1)
     f = invariant_hamiltonian(M, DIR_A)
     u = np.array([1.0, 0.0, 0.0])
     before = f.eval(0.7, u)
     for read in (f.axis(0.0), f.axis(np.array([0.1, 0.2]))):
-        with pytest.raises(ValueError):
+        if read.flags.writeable:
             read[..., 0] = 99.0
+    ((x, *_),) = f.axis.letters
+    with pytest.raises(ValueError):
+        x[0] = 99.0
     assert f.eval(0.7, u) == before
     w = np.array([1.0, 2.0, 3.0])
-    axis = ConstantAxis(w)
+    axis = constant_axis(w)
     w[0] = 99.0
     assert axis(0.5).tolist() == [1.0, 2.0, 3.0]
     with pytest.raises(ValueError):
-        ConstantAxis(np.zeros((2, 3)))
+        constant_axis(np.zeros((2, 3)))
 
 
 def _constant_rows(M, plain=False):
@@ -739,6 +744,33 @@ def test_an_all_constant_batch_makes_no_solve(monkeypatch):
     y = dynamics._transport(M, fs, u0, 1e-10, sdot=sdots, times=np.linspace(0.0, 1.0, 21))
     assert solves == [] and reads == [1, 1]
     assert y.shape == (21, 9, 3) and np.isfinite(y).all()
+
+
+def test_constant_rows_among_words_are_read_in_closed_form(monkeypatch):
+    # the all-constant batch with the mix loop and three closed-mixing
+    # members among its rows: one quadrature per group that is no steady
+    # letter (the mix word and the members' field), and the constant rows'
+    # states are those of the all-constant batch, bit for bit
+    M = OrbitSphere(2)
+    times = np.linspace(0.0, 1.0, 21)
+    fs, sdots = _constant_rows(M)
+    u0 = fibonacci_sphere(len(fs) + 5, rng=np.random.default_rng(21))
+    fam = closed_mixing_family(M, 0.9)
+    svals = (0.2, 0.5, 0.7)
+    mix = mixing_loop(M, 0.8).hamiltonian
+    words = [mix, mix] + [fam.loop_at(s).hamiltonian for s in svals]
+    word_sdots = [zero_hamiltonian()] * 2 + [fam.s_deriv(s) for s in svals]
+    calls = []
+
+    def span_integrals(*args, _inner=dynamics._span_integrals):
+        calls.append(1)
+        return _inner(*args)
+
+    monkeypatch.setattr(dynamics, "_span_integrals", span_integrals)
+    y = dynamics._transport(M, fs + words, u0, 1e-10, sdot=sdots + word_sdots, times=times)
+    assert len(calls) == 2
+    alone = dynamics._transport(M, fs, u0[: len(fs)], 1e-10, sdot=sdots, times=times)
+    assert _same(y[:, : len(fs)], alone)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -790,9 +822,15 @@ def _word_rows(M, case):
     "mix": the mix loop with both profiles at a in {0.8, 1.7, pi};
     "closed-mixing": its members at 9 values of s with their s-derivatives;
     "product": the path product of two invariant loops; "rotated": verify's
-    rotated copy of a mix loop.
+    rotated copy of a mix loop; "constant": constant loops whose
+    s-derivative, the mix loop's axis, depends on t, so that h_s is no
+    closed form.
     """
     zero = zero_hamiltonian()
+    if case == "constant":
+        fs = [invariant_hamiltonian(M, DIR_A), zero, invariant_hamiltonian(M, AlgebraDirection(0.6, 0.0, 0.8))]
+        sdots = [mixing_loop(M, 0.8).hamiltonian] * len(fs)
+        return (fs, sdots), ([plain_hamiltonian(f) for f in fs], [plain_hamiltonian(h) for h in sdots])
     if case == "closed-mixing":
         fam = closed_mixing_family(M, 0.9)
         svals = np.linspace(0.05, 0.95, 9)
@@ -813,7 +851,7 @@ def _word_rows(M, case):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("case", ["mix", "closed-mixing", "product", "rotated"])
+@pytest.mark.parametrize("case", ["mix", "closed-mixing", "product", "rotated", "constant"])
 def test_word_matches_a_solve_of_the_same_axes(case, n):
     # a batch of words is read in closed form: V from its letters, h and
     # h_s by Gauss-Legendre panels.  Against DOP853 solves of the same rows
@@ -858,9 +896,11 @@ def test_an_all_word_batch_makes_no_solve(monkeypatch):
 def test_a_word_past_its_node_budget_raises():
     # a letter turning 1e9 times faster than the loop's own turn: V is still
     # its closed form, but R(V)^T w_s of a constant sdot across it oscillates
-    # as fast, and no panel count within MAX_RHS_EVALS nodes resolves it
+    # as fast, and no panel count within MAX_RHS_EVALS nodes resolves it.
+    # Its angle t is behind a plain function, so that the letter is no
+    # steady one, whose h_s would be a closed form
     M = OrbitSphere(1)
-    word = dynamics.SubgroupWord(((np.array([0.0, 0.0, 1e9]), dynamics.steady_angle, dynamics.unit_rate),))
+    word = dynamics.SubgroupWord(((np.array([0.0, 0.0, 1e9]), plain(dynamics.steady_angle), dynamics.unit_rate),))
     f, sdot = linear_hamiltonian(word), invariant_hamiltonian(M, DIR_A)
     with pytest.raises(dynamics.IntegrationError, match=f"quadrature passed its budget of {dynamics.MAX_RHS_EVALS}"):
         dynamics._transport(M, f, fibonacci_sphere(2), 1e-10, sdot=sdot)
@@ -874,7 +914,7 @@ def test_a_fast_sdot_is_resolved_by_the_quadrature(n):
     # general path at rel_tol 1e-12
     M = OrbitSphere(n)
     k = M.k
-    f = linear_hamiltonian(ConstantAxis([k * math.pi, 0.0, 0.0]))
+    f = linear_hamiltonian(constant_axis([k * math.pi, 0.0, 0.0]))
     sdot = linear_hamiltonian(lambda t: k * np.multiply.outer(np.sin(2.0 * math.pi * 40 * t), [0.0, 0.3, 0.9]))
     pts = fibonacci_sphere(4, rng=np.random.default_rng(12))
     states = transport_phases(M, HamiltonianLoop(f), pts, sdot=sdot)
@@ -919,9 +959,11 @@ def test_a_scaled_mix_loop_is_solved_and_has_its_closed_form_kappa(monkeypatch):
 
 
 def test_gauss_legendre_rule_is_numpys():
-    # the quadrature's own 16-point rule on [0, 1], against numpy's
-    x, w = np.polynomial.legendre.leggauss(16)
-    nodes, weights = dynamics._gauss_legendre(16)
-    order = np.argsort(nodes)
-    assert np.abs(nodes[order] - 0.5 * (x + 1.0)).max() <= 1e-15
-    assert np.abs(weights[order] - 0.5 * w).max() <= 1e-15
+    # the quadrature's own 16-point rule on [0, 1], and the 8-point rule of
+    # verify's double-integral check, against numpy's
+    for n in (8, 16):
+        x, w = np.polynomial.legendre.leggauss(n)
+        nodes, weights = dynamics._gauss_legendre(n)
+        order = np.argsort(nodes)
+        assert np.abs(nodes[order] - 0.5 * (x + 1.0)).max() <= 1e-15
+        assert np.abs(weights[order] - 0.5 * w).max() <= 1e-15

@@ -1,7 +1,11 @@
-"""Tooling: every module-level import of the package is used, and every
-module-level private name of its modules is read."""
+"""Tooling: every module-level import of the package is used, every
+module-level private name of its modules is read, and a run of verify
+imports no module that only tests need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +103,19 @@ def test_the_guard_finds_an_unread_private_name():
 
 def test_every_module_level_private_name_is_read():
     assert unread_private_names(SOURCES) == []
+
+
+def test_verify_imports_neither_numpy_polynomial_nor_scipy():
+    # numpy.polynomial pages its eigensolver and ~4 ms of imports into a
+    # run; the package's own Gauss-Legendre rule stands in for it, and scipy
+    # is a test dependency only
+    script = (
+        "import sys\n"
+        "from preqholo.verify import verify_level\n"
+        "verify_level(1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

@@ -17,7 +17,6 @@ from .dynamics import (
     SubgroupWord,
     TimeDepHamiltonian,
     Trajectory,
-    WordField,
     compose_hamiltonian,
     constant_axis,
     hamiltonian_vector_field,

@@ -29,14 +29,15 @@ one-parameter subgroups, V(t) = exp(i phi_1(t) X_1) ... exp(i phi_m(t) X_m)
 (``SubgroupWord``), is that product at every time, and h and h_s are then
 integrals of known smooth functions of t, taken by Gauss-Legendre panels
 (``_word_states``).  An axis that does not depend on t is the one-letter
-word with phi = t (``constant_axis``); the mix loop and the closed-mixing
-members, and products and reparametrizations of words are words too.  A
-word of one such letter whose s-derivative does not depend on t either has
-closed-form h and h_s (``_closed_form``).  Only a batch with an axis that
-is no word, or a non-linear row, is solved.  The holonomy transport reads
-its state at t = 1; ``trajectories`` and ``integrate_isotopy`` read it at
-requested times, each of which ends one more segment of the solve or of
-the quadrature.  The runtime needs numpy only.
+word with phi = t (``constant_axis``); the mix loop, and with it the
+members of the mixing families, and products and reparametrizations of
+words are words too.  A word of one such letter whose s-derivative does
+not depend on t either has closed-form h and h_s (``_closed_form``).
+Only a batch with an axis that is no word, or a non-linear row, is
+solved.  The holonomy transport reads its state at t = 1;
+``trajectories`` and ``integrate_isotopy`` read it at requested times,
+each of which ends one more segment of the solve or of the quadrature.
+The runtime needs numpy only.
 """
 
 from __future__ import annotations
@@ -106,15 +107,16 @@ class TimeDepHamiltonian:
     time, each the same doubles as the scalar read: the transport reads
     it over all stage times of a step at once.  An axis whose propagator
     is a word in one-parameter subgroups says so by its type,
-    ``SubgroupWord`` or a ``MemberAxis`` of a ``WordField``, as those of
-    ``su2.mixing_loop``, the mixing families' members, path products and
-    one-letter scalings of words and verify's rotated copies do.  An axis
-    that does not depend on t is the one-letter word with phi = t
-    (``constant_axis``), as those of ``zero_hamiltonian``,
-    ``su2.invariant_hamiltonian``, one-part compositions of them and the
-    subgroup-rotation members and s-derivatives are.  A batch of words is
-    read in closed form, with no solve (``_word_states``); a batch with
-    any other axis is solved.
+    ``SubgroupWord``, as those of ``su2.mixing_loop`` (and so the mixing
+    families' members), path products and one-letter scalings of words and
+    verify's rotated copies do.  An axis that does not depend on t is the
+    one-letter word with phi = t (``constant_axis``), as those of
+    ``zero_hamiltonian``, ``su2.invariant_hamiltonian``,
+    ``su2.invariant_loop`` (and so the subgroup-rotation members), one-part
+    compositions of them and the subgroup-rotation s-derivatives are.  A
+    batch of words is read in closed form, with no solve
+    (``_word_states``); a batch with any other axis, such as a
+    ``MemberAxis``, is solved.
     ``parts``, when given, says that f is made of other Hamiltonians: a
     tuple of ``(end, inner, a, b, c)`` with rising ends, the last inf,
     meaning f_t = c inner_{a t + b} on the first part whose end lies above
@@ -191,25 +193,6 @@ class SubgroupWord:
         return w[:, 0] if np.ndim(t) else w[0, 0]
 
 
-@dataclass(frozen=True, eq=False)
-class WordField:
-    """A family's field (``MemberAxis``) whose member at s is the word of the letters (x_j(s), phi_j, dphi_j).
-
-    ``letters`` holds each x_j as a reader of an array of s, (S, 3), and
-    phi_j and dphi_j of t alone, as ``SubgroupWord`` does; ``k`` likewise.
-    ``field(svals, t)`` is the words' axes, one row per s, so that
-    ``_transport`` reads the letters of a batch of members in one call.
-    """
-
-    letters: tuple
-    k: float | None = None
-
-    def __call__(self, svals, t) -> np.ndarray:
-        xs = [x(np.asarray(svals, dtype=float)) for x, *_ in self.letters]
-        w = _word_axis(self.k, xs, self.letters, np.atleast_1d(np.asarray(t, float)))
-        return w if np.ndim(t) else w[0]
-
-
 def constant_axis(w) -> SubgroupWord:
     """The axis w (3,) at every time: the one-letter word of w with phi = t, w kept as a read-only copy."""
     return SubgroupWord(((w, steady_angle, unit_rate),))
@@ -253,7 +236,9 @@ class MemberAxis:
     ``field(svals, t)`` takes an array of s and returns their axes, one row
     each: (S, 3) at a scalar t and (T, S, 3) at an array of times.
     ``_transport`` reads the axes of all rows that share a field in one
-    call of it per step attempt.
+    call of it per step attempt or quadrature level (``_row_axes``).  It
+    is no word: the mixing families' s-derivatives are such members, read
+    as the ``sdot`` of their rows.
     """
 
     field: Callable
@@ -268,21 +253,19 @@ def _steady(letters) -> bool:
     return len(letters) == 1 and letters[0][1] is steady_angle
 
 
-def _constant(axis) -> bool:
-    """Whether a linear axis is a steady one-letter word (``_steady``, ``constant_axis``) or a member of one."""
+def _steady_x(axis):
+    """The x of an axis that does not depend on t, one steady letter (``_steady``, ``constant_axis``), else None."""
     found = _letters_of(axis)
-    return found is not None and _steady(found[0])
+    return found[0][0][0] if found is not None and _steady(found[0]) else None
 
 
 def _letters_of(axis, k=None):
-    """(letters, k) of an axis that is a word at k (any k if None), or None.
+    """(letters, k) of an axis that is a ``SubgroupWord`` at k, or None.
 
-    A ``SubgroupWord`` is one at its own k.  A member of a ``WordField``
-    gives its letters with each x_j still a reader of s.
+    Any k will do if k is None, and a word of k None is one at every k.
     """
-    source = axis.field if isinstance(axis, MemberAxis) else axis
-    if isinstance(source, (SubgroupWord, WordField)) and (k is None or source.k in (None, k)):
-        return source.letters, source.k
+    if isinstance(axis, SubgroupWord) and (k is None or axis.k in (None, k)):
+        return axis.letters, axis.k
     return None
 
 
@@ -316,13 +299,14 @@ def _composed_word(parts, axes) -> SubgroupWord | None:
     gives one only where the part is a reparametrization of it that starts
     at its own start, c = a and a t + b = 0 at the part's start, as
     ``holonomy.product_loop`` builds; and only if every such inner is a
-    word at one k.
+    word at one k.  An inner that is no ``SubgroupWord``, a ``MemberAxis``
+    or a plain callable, gives none.
     """
     letters, ks, lo = [], set(), -math.inf
     for (end, _, a, b, c), axis in zip(parts, axes):
         if end > 0.0 and lo < 1.0:
             inner = _letters_of(axis)
-            if inner is None or isinstance(axis, MemberAxis) or a == 0.0:
+            if inner is None or a == 0.0:
                 return None
             inner_letters, k = inner
             start = max(lo, 0.0)
@@ -378,11 +362,12 @@ def compose_hamiltonian(parts, label: str = "") -> TimeDepHamiltonian:
     rise and the last is inf.  The breakpoints are the part ends inside
     (0, 1) and each inner's breakpoints mapped into its part's times.  When
     every inner is linear (``linear_axis``), so is f, with the axis
-    c inner_axis(a t + b) read part by part: one part of a constant inner
-    is a constant axis (``constant_axis``), parts of words are a word
-    where the algebra gives one (``_composed_word``), and any other axis
-    is read through its parts.  Otherwise eval and grad read the inner's
-    own (``_PartRead``).  Either way f carries ``parts``, and the doubles
+    c inner_axis(a t + b) read part by part, in one of three ways: one
+    part of a constant inner is the constant axis c x of its steady letter
+    (``constant_axis``), parts of words are a word where the algebra gives
+    one (``_composed_word``), and any other axis is read through its parts
+    by a reader that picks each time's part.  Otherwise eval and grad read
+    the inner's own (``_PartRead``).  Either way f carries ``parts``, and the doubles
     are those of closures that apply each part's factor to its inner's
     value (or axis) in turn.
     """
@@ -405,16 +390,12 @@ def compose_hamiltonian(parts, label: str = "") -> TimeDepHamiltonian:
 
     def part_axis(part, inner_axis):
         _, _, a, b, c = part
-        if (a, b) == (1.0, 0.0):
-            return lambda t: c * inner_axis(t)
         return lambda t: c * inner_axis(a * t + b)
 
-    if len(parts) == 1 and _constant(axes[0]):
-        axis = constant_axis(parts[0][4] * axes[0](0.0))
+    if len(parts) == 1 and (x := _steady_x(axes[0])) is not None:
+        axis = constant_axis(parts[0][4] * x)
     elif (word := _composed_word(parts, axes)) is not None:
         axis = word
-    elif len(parts) == 1:
-        axis = part_axis(parts[0], axes[0])
     else:
         readers = [part_axis(part, inner_axis) for part, inner_axis in zip(parts, axes)]
         inner_ends = ends[:-1]
@@ -890,37 +871,26 @@ def _word_groups(k: float, fs, fslot):
 
     Propagator p is the word of ``fs[fslot[p]]``; None unless every one is
     a word at k (``_letters_of``).  The words of one group share their
-    angles and rates (``letters``), and ``xs[j]`` (G, 3) holds the axes of
-    letter j, one row per propagator in ``rows``.  The members of one field
-    are one group, whose letter axes are read in one call per letter.
+    angle and rate functions (``letters``, keyed by identity), and
+    ``xs[j]`` (G, 3) holds the axes of letter j, one row per propagator in
+    ``rows``.
     """
     words = {}
     for j in set(fslot.tolist()):
-        axis = linear_axis(fs[j])
-        found = _letters_of(axis, k)
+        found = _letters_of(linear_axis(fs[j]), k)
         if found is None:
             return None
-        letters = found[0]
-        if isinstance(axis, MemberAxis):
-            key, source = ("field", id(axis.field)), axis.s
-        else:
-            key, source = ("word", *(id(fn) for _, *fns in letters for fn in fns)), letters
-        words[j] = key, letters, source
+        words[j] = found[0]
     groups = {}
     for p, j in enumerate(fslot.tolist()):
-        key, letters, source = words[j]
-        group = groups.setdefault(key, (letters, [], []))
+        letters = words[j]
+        group = groups.setdefault(tuple(id(fn) for _, *fns in letters for fn in fns), (letters, [], []))
         group[1].append(p)
-        group[2].append(source)
-    out = []
-    for (kind, *_), (letters, rows, sources) in groups.items():
-        if kind == "field":
-            svals = np.array(sources, dtype=float)
-            xs = [np.broadcast_to(x(svals), (len(svals), 3)) for x, *_ in letters]
-        else:
-            xs = [np.array([source[j][0] for source in sources]) for j in range(len(letters))]
-        out.append((np.array(rows), letters, xs))
-    return out
+        group[2].append(letters)
+    return [
+        (np.array(rows), letters, [np.array([word[i][0] for word in members]) for i in range(len(letters))])
+        for letters, rows, members in groups.values()
+    ]
 
 
 def _word_integrand(k: float, letters, xs, ws_at):
@@ -1044,33 +1014,36 @@ def _stops(fs, times: np.ndarray):
 def _word_states(M, rows, groups, times: np.ndarray, rel_tol: float) -> np.ndarray:
     """The states (T, P, 5) at ``times`` of propagators that are words (``_word_groups``), with no solve.
 
-    V is the product of the letters at each requested time.  A group of
-    one steady letter (``_steady``) whose ``sdot`` axes do not depend on t
-    either (``_constant``) is a closed form (``_closed_form``), with w the
-    letter's x.  In any other group, h and h_s are integrals of known
-    smooth functions of t (``_word_integrand``), taken by Gauss-Legendre
-    panels on each segment between the rows' breakpoints and the requested
-    times (``_span_integrals``) and summed up to each time.  The
-    propagators of a group are read together, in chunks of ``_WORD_CHUNK``.
+    V is the product of the letters at each requested time.  A propagator
+    of one steady letter (``_steady``) whose ``sdot``, if any, is one too
+    (``_steady_x``) is a closed form (``_closed_form``), with w and w_s the
+    letters' x.  For every other propagator, h and h_s are integrals of
+    known smooth functions of t (``_word_integrand``), taken by
+    Gauss-Legendre panels on each segment between the rows' breakpoints and
+    the requested times (``_span_integrals``) and summed up to each time.
+    The propagators of a group are integrated together, in chunks of
+    ``_WORD_CHUNK``.
     """
     fs, _, sdots, sslot = rows
     spans = None
     v = np.empty((len(times), len(rows[1]), 5), dtype=complex)
     for group_rows, letters, group_xs in groups:
+        if _steady(letters):
+            ws = [np.zeros(3)] * len(group_rows)
+            if sdots:
+                ws = [_steady_x(linear_axis(sdots[j])) for j in sslot[group_rows].tolist()]
+            closed = np.array([w is not None for w in ws])
+            if closed.any():
+                w_s = np.array([w for w in ws if w is not None])
+                v[:, group_rows[closed]] = _closed_form(M.k, group_xs[0][closed], w_s, times)
+            group_rows, group_xs = group_rows[~closed], [x[~closed] for x in group_xs]
         for lo in range(0, len(group_rows), _WORD_CHUNK):
             chunk = group_rows[lo : lo + _WORD_CHUNK]
             xs = [x[lo : lo + _WORD_CHUNK] for x in group_xs]
-            ws_at = _row_axes(sdots, sslot[chunk]) if sdots else None
-            chunk_sdots = set(sslot[chunk].tolist()) if sdots else ()
-            if _steady(letters) and all(_constant(linear_axis(sdots[j])) for j in chunk_sdots):
-                shape = (len(chunk), 3)
-                ws = np.zeros(shape) if ws_at is None else np.broadcast_to(ws_at(np.zeros(1))[0], shape)
-                v[:, chunk] = _closed_form(M.k, xs[0], ws, times)
-                continue
             if spans is None:
                 stops = np.array(_stops(fs, times)[1])
                 spans, at = np.stack([stops[:-1], stops[1:]], axis=1), np.searchsorted(stops, times)
-            integrand = _word_integrand(M.k, letters, xs, ws_at)
+            integrand = _word_integrand(M.k, letters, xs, _row_axes(sdots, sslot[chunk]) if sdots else None)
             h = np.zeros((len(stops), len(chunk), 6))
             np.cumsum(_span_integrals(integrand, spans, len(chunk), rel_tol), axis=0, out=h[1:])
             angles = [np.asarray(phi(times), dtype=float)[:, None] for _, phi, _ in letters]

@@ -28,23 +28,22 @@ from .dynamics import (
     LoopClosureError,
     MemberAxis,
     TimeDepHamiltonian,
-    linear_hamiltonian,
-    WordField,
     _gauss_legendre,
+    constant_axis,
+    linear_hamiltonian,
     scale_hamiltonian,
-    steady_angle,
-    unit_rate,
     zero_hamiltonian,
 )
 from .holonomy import PhaseState, UnitPhase, transport_phases
 from .sphere import OrbitSphere
-from .su2 import profile_functions
+from .su2 import AlgebraDirection, invariant_loop, mixing_loop, profile_functions
 
 
 # Finest grid of the phase lift, in s-intervals.  A starting grid finer than
 # this could never be evaluated, so config rejects a larger s_samples.  A
 # `preqholo run` of omega on closed-mixing from 'auto:3' at s_samples 2^14
-# takes 1.7-1.9 s and 112 MB peak RSS on a 2-core Xeon with numpy 2.4.
+# takes 2.2-3.0 s and 120 MB peak RSS on a shared 2-core Xeon with numpy
+# 2.4; each of its 16,385 members is a mixing_loop, built once.
 MAX_LIFT_SAMPLES = 2**14
 
 
@@ -65,9 +64,11 @@ class LoopFamily:
     evaluates as it does f^s_t.  It is linear (``linear_axis``) whenever
     the generators are.  ``closed`` declares that the loops at s = 0 and
     s = 1 coincide; their generators may differ by a constant, which moves
-    no point.  The fields of a linear family live in its members' axes
-    (``MemberAxis``, see ``linear_family``).  ``loop_at`` builds each
-    member once, so the rows of a batch at one s share one propagator.
+    no point.  A registry family's member at s is the registry loop it
+    stands for, built by its su2 builder (``invariant_loop``,
+    ``mixing_loop``), so the transport reads a batch of members as it reads
+    those loops.  ``loop_at`` builds each member once, so the rows of a
+    batch at one s share one propagator.
     """
 
     loop_builder: Callable[[float], HamiltonianLoop]
@@ -81,30 +82,6 @@ class LoopFamily:
         if key not in self._cache:
             self._cache[key] = self.loop_builder(key)
         return self._cache[key]
-
-
-def linear_family(axis, s_axis, member_label, closure_tol: float, closed: bool, label: str) -> LoopFamily:
-    """The family whose member at s is generated by the linear f^s_t(u) = axis(s, t) . u.
-
-    ``axis`` and ``s_axis`` (the analytic d axis / ds) take an array of s
-    and a scalar t or an array of times, as ``MemberAxis`` reads them.
-    The family holds them only in its members: the axes of loop_at(s) and
-    s_deriv(s) are ``MemberAxis`` views of the two fields at s, so a batch
-    of members reads each field once per step attempt.
-    ``member_label(s)`` labels the loop at s.
-    """
-
-    def builder(s):
-        name = member_label(s)
-        f = linear_hamiltonian(MemberAxis(axis, s), label=name)
-        return HamiltonianLoop(f, closure_tol=closure_tol, label=name)
-
-    return LoopFamily(
-        loop_builder=builder,
-        s_deriv=lambda s: linear_hamiltonian(MemberAxis(s_axis, s)),
-        closed=closed,
-        label=label,
-    )
 
 
 def member_states(
@@ -333,47 +310,40 @@ def subgroup_rotation_family(
     Every member is a one-parameter-subgroup loop, the ``invariant_loop``
     of the direction (cos lam, sin lam, 0) with lam = start_angle +
     2 pi turns s; the family is closed in s exactly when ``turns`` is an
-    integer.  Its field and s-derivative do not depend on t: each is the
-    one-letter ``WordField`` of its value with phi = t.
+    integer.  The member's axis -pi k (-cos lam, sin lam, 0) does not
+    depend on t, and neither does its s-derivative, the ``constant_axis``
+    -2 pi^2 k turns (sin lam, cos lam, 0) of its value at s.
     """
     rate = 2.0 * math.pi * float(turns)
     k = M.k
 
-    def value(svals):
-        # -pi times the axis k (-cos(lam), sin(lam), 0) of the direction's moment map
-        lam = start_angle + rate * svals
-        return -math.pi * (k * np.array([-np.cos(lam), np.sin(lam), np.zeros_like(lam)]).T)
-
-    def s_value(svals):
-        lam = start_angle + rate * svals
-        return -math.pi * k * rate * np.array([np.sin(lam), np.cos(lam), np.zeros_like(lam)]).T
-
-    def member_label(s):
+    def member(s):
         lam = start_angle + rate * s
-        return f"invariant[h[a={math.cos(lam):g},b={math.sin(lam):g},z=0]]"
+        return invariant_loop(M, AlgebraDirection(math.cos(lam), math.sin(lam)), closure_tol=closure_tol)
 
-    return linear_family(
-        WordField(((value, steady_angle, unit_rate),)),
-        WordField(((s_value, steady_angle, unit_rate),)),
-        member_label,
-        closure_tol,
+    def s_deriv(s):
+        lam = start_angle + rate * s
+        value = -math.pi * k * rate * np.array([math.sin(lam), math.cos(lam), 0.0])
+        return linear_hamiltonian(constant_axis(value))
+
+    return LoopFamily(
+        loop_builder=member,
+        s_deriv=s_deriv,
         closed=float(turns).is_integer(),
         label=f"subgroup-rotation[turns={turns:g}]",
     )
 
 
 def _mixing_family(M, amp_fn, amp_dot_fn, profile, closure_tol, closed, label):
-    """The ``mixing_loop`` of amplitude a(s) = amp_fn(s) at every s; amp_fn and amp_dot_fn take arrays."""
+    """The ``mixing_loop`` of amplitude a(s) = amp_fn(s) at every s.
+
+    Its s-derivative is no word: the member s_deriv(s) is the
+    ``MemberAxis`` at s of one field over an array of s, read for a whole
+    batch of members in one call.  amp_fn reads a scalar s or an array of
+    s, to the same doubles at each s; amp_dot_fn reads an array.
+    """
     g_fn, gd_fn = profile_functions(profile)
     k = M.k
-    # the letters of mixing_loop, (-k a e_z, g) and (k pi e_x, t), with a = a(s)
-    axis = WordField(
-        (
-            (lambda svals: np.stack([0.0 * svals, 0.0 * svals, -k * amp_fn(svals)], axis=-1), g_fn, gd_fn),
-            (lambda svals: np.broadcast_to([k * math.pi, 0.0, 0.0], (len(svals), 3)), steady_angle, unit_rate),
-        ),
-        k=k,
-    )
 
     # g(t) and g'(t) as a column (T, 1) at an array of times, so that they
     # broadcast against a(s) (S,).
@@ -384,8 +354,11 @@ def _mixing_family(M, amp_fn, amp_dot_fn, profile, closure_tol, closed, label):
         d = [-2.0 * math.pi * g * np.sin(th), 2.0 * math.pi * g * np.cos(th), -np.expand_dims(gd_fn(t), -1)]
         return np.stack([c * np.broadcast_to(x, th.shape) for x in d], axis=-1)
 
-    return linear_family(
-        axis, s_axis, lambda s: f"mix[amp={amp_fn(s):g},{profile}]", closure_tol, closed=closed, label=label
+    return LoopFamily(
+        loop_builder=lambda s: mixing_loop(M, amp_fn(s), profile, closure_tol=closure_tol),
+        s_deriv=lambda s: linear_hamiltonian(MemberAxis(s_axis, s)),
+        closed=closed,
+        label=label,
     )
 
 
@@ -425,9 +398,12 @@ def closed_mixing_family(
     one by scaling the amplitude, hence has degree zero.
     """
     amp = float(amplitude)
+    # np.square, as an array's ** 2 computes it: a scalar's ** 2 is pow,
+    # which can round apart, and a member's a(s) must be the doubles its
+    # s-derivative field reads at s.
     return _mixing_family(
         M,
-        lambda s: amp * np.sin(np.pi * s) ** 2,
+        lambda s: amp * np.square(np.sin(np.pi * s)),
         lambda s: amp * np.pi * np.sin(2.0 * np.pi * s),
         profile,
         closure_tol,

@@ -30,7 +30,6 @@ from .dynamics import (
     TimeDepHamiltonian,
     constant_axis,
     linear_hamiltonian,
-    scale_hamiltonian,
     steady_angle,
     unit_rate,
 )
@@ -143,10 +142,13 @@ def closed_form_flow(direction: AlgebraDirection, t: float, p) -> np.ndarray:
     return act(exp_su2(direction, t), p)
 
 
+def _moment_label(direction: AlgebraDirection) -> str:
+    return f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]"
+
+
 def invariant_hamiltonian(M: OrbitSphere, direction: AlgebraDirection) -> TimeDepHamiltonian:
     """Moment function h_dir(u) = k * w . u, a linear Hamiltonian with the constant axis k w."""
-    label = f"h[a={direction.a:g},b={direction.b:g},z={direction.z:g}]"
-    return linear_hamiltonian(constant_axis(M.k * direction.axis()), label=label)
+    return linear_hamiltonian(constant_axis(M.k * direction.axis()), label=_moment_label(direction))
 
 
 def invariant_loop(
@@ -156,28 +158,40 @@ def invariant_loop(
 
     The underlying flow exp(t dir) has period pi on the sphere; scaling by pi
     reparametrizes it to [0, 1].  The moment functions are linear in u, so
-    the Hamiltonian already has zero mean.
+    the Hamiltonian already has zero mean.  Its axis is the constant
+    -pi k w (``constant_axis``), built directly: the doubles of scaling
+    ``invariant_hamiltonian`` by -pi, without its composition.
     """
     nrm = math.hypot(direction.a, direction.b, direction.z)  # direction.norm raises OverflowError from ~1.35e154
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError(f"invariant loops require a unit direction, got |(a,b,z)| = {nrm!r}")
-    h = invariant_hamiltonian(M, direction)
-    f = scale_hamiltonian(h, -math.pi, label=f"pi*(-{h.label})")
-    return HamiltonianLoop(f, closure_tol=closure_tol, label=f"invariant[{h.label}]")
+    label = _moment_label(direction)
+    f = linear_hamiltonian(constant_axis(-math.pi * (M.k * direction.axis())), label=f"pi*(-{label})")
+    return HamiltonianLoop(f, closure_tol=closure_tol, label=f"invariant[{label}]")
+
+
+def _ramp(t):
+    """The 'cosine-ramp' drift g(t) = (1 - cos 2 pi t) / 2."""
+    return 0.5 * (1.0 - np.cos(2.0 * np.pi * t))
+
+
+def _ramp_rate(t):
+    """g'(t) = pi sin 2 pi t of ``_ramp``."""
+    return np.pi * np.sin(2.0 * np.pi * t)
 
 
 def profile_functions(name: str):
     """Named drift profiles g(t) for the mixing loop, with derivatives.
 
-    Both read a scalar t or an array of times elementwise.
+    Both read a scalar t or an array of times elementwise.  They are the
+    same module-level functions at every call, so the words of any two
+    mixing loops of one profile, and of the members of a mixing family,
+    share their angles and are read as one group (``dynamics._word_groups``).
     """
     if name == "constant":
         return steady_angle, unit_rate
     if name == "cosine-ramp":
-        return (
-            lambda t: 0.5 * (1.0 - np.cos(2.0 * np.pi * t)),
-            lambda t: np.pi * np.sin(2.0 * np.pi * t),
-        )
+        return _ramp, _ramp_rate
     raise ValueError(f"unknown profile '{name}' (expected 'constant' or 'cosine-ramp')")
 
 

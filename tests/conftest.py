@@ -6,8 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from numpy.polynomial.legendre import leggauss
 
-from preqholo import OrbitSphere, TimeDepHamiltonian, linear_axis, linear_hamiltonian, potential_eval
-from preqholo.families import linear_family
+from preqholo import LoopFamily, OrbitSphere, TimeDepHamiltonian, linear_axis, linear_hamiltonian, potential_eval
 
 settings.register_profile(
     "ci",
@@ -108,13 +107,11 @@ def plain_loop(loop):
     return dataclasses.replace(loop, hamiltonian=plain_hamiltonian(loop.hamiltonian))
 
 
-def fields(fam):
-    """The fields of a family's members and of their s-derivatives, read through the member at s = 0."""
-    return fam.loop_at(0.0).hamiltonian.axis.field, fam.s_deriv(0.0).axis.field
-
-
 def plain_family(fam):
-    """A family of linear members (``linear_family``) with both its fields behind ``plain``."""
-    closure_tol = fam.loop_at(0.0).closure_tol
-    label = lambda s: fam.loop_at(s).label
-    return linear_family(*map(plain, fields(fam)), label, closure_tol, closed=fam.closed, label=fam.label)
+    """fam with each member's and each s-derivative's axis behind ``plain`` (``plain_loop``, ``plain_hamiltonian``)."""
+    return LoopFamily(
+        loop_builder=lambda s: plain_loop(fam.loop_at(s)),
+        s_deriv=lambda s: plain_hamiltonian(fam.s_deriv(s)),
+        closed=fam.closed,
+        label=fam.label,
+    )

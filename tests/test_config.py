@@ -18,7 +18,7 @@ from preqholo import (
     subgroup_rotation_family,
 )
 from preqholo.config import FAMILY_NAMES, HAMILTONIAN_NAMES, Tolerances, build_family, build_loop
-from preqholo.dynamics import _constant, linear_axis, scale_hamiltonian, zero_hamiltonian
+from preqholo.dynamics import _steady_x, linear_axis, scale_hamiltonian, zero_hamiltonian
 
 M = OrbitSphere(2)
 TIMES = (0.0, 0.3, 0.75, np.array([0.1, 0.5, 0.9]))
@@ -104,8 +104,8 @@ def test_constant_generators_build_constant_axes():
     assert {spec["name"] for spec, _ in CONSTANT_LOOPS} == set(HAMILTONIAN_NAMES)
     assert {spec["name"] for spec, _ in CONSTANT_FAMILIES} == set(FAMILY_NAMES)
     for spec, constant in CONSTANT_LOOPS:
-        assert _constant(linear_axis(build_loop(M, spec, Tolerances()).hamiltonian)) is constant, spec
+        assert (_steady_x(linear_axis(build_loop(M, spec, Tolerances()).hamiltonian)) is not None) is constant, spec
     for spec, constant in CONSTANT_FAMILIES:
         fam = build_family(M, spec, Tolerances())
         hs = [h for s in SVALS for h in (fam.loop_at(s).hamiltonian, fam.s_deriv(s))]
-        assert all(_constant(linear_axis(h)) for h in hs) is constant, spec
+        assert all(_steady_x(linear_axis(h)) is not None for h in hs) is constant, spec

@@ -8,6 +8,7 @@ from preqholo import (
     DIR_A,
     DIR_B,
     AlgebraDirection,
+    LoopFamily,
     OrbitSphere,
     TimeDepHamiltonian,
     circle_distance,
@@ -38,12 +39,11 @@ from preqholo import (
 )
 from preqholo.config import Tolerances, build_family, build_loop
 from preqholo.dynamics import HamiltonianLoop, MemberAxis, constant_axis
-from preqholo.families import linear_family
 from preqholo.sphere import random_rotation_matrix, random_tangent
+from preqholo.su2 import profile_functions
 
 from conftest import (
     constant_hamiltonian,
-    fields,
     plain,
     plain_family,
     plain_hamiltonian,
@@ -499,11 +499,13 @@ def _family(M, spec):
 
 @pytest.mark.parametrize("spec", FAMILY_SPECS)
 def test_family_axis_fields_match_their_members(spec):
-    # a field family's members share its two fields, which, read at an
-    # array of s, give the axes of loop_at(s) and s_deriv(s) row by row; a
-    # constant family's members are its loop with a zero s-derivative, and
-    # a concatenation's are its halves' members with twice their
-    # s-derivatives, bit for bit
+    # a registry family's members are words whose letters share their angle
+    # functions across s, so that the members, and a loop of the same kind
+    # built apart, are one group of _word_groups; a mixing family's
+    # s-derivatives are members of one field, which, read at an array of s,
+    # gives the axes of s_deriv(s) row by row; a constant family's members
+    # are its loop with a zero s-derivative, and a concatenation's are its
+    # halves' members with twice their s-derivatives, bit for bit
     M = OrbitSphere(2)
     fam = _family(M, spec)
     svals = np.linspace(0.0, 1.0, 7)
@@ -522,30 +524,62 @@ def test_family_axis_fields_match_their_members(spec):
             assert fam.loop_at(s) is loop
             assert _same(linear_axis(fam.s_deriv(s))(ts), np.zeros((len(ts), 3)))
         return
-    field, s_field = fields(fam)
-    for s in svals:
-        assert fam.loop_at(s).hamiltonian.axis.field is field and fam.s_deriv(s).axis.field is s_field
-    for t in ts:
-        w, ws = field(svals, t), s_field(svals, t)
-        assert w.shape == ws.shape == (len(svals), 3)
-        for s, w_s, ws_s in zip(svals, w, ws):
-            assert np.array_equal(w_s, linear_axis(fam.loop_at(s).hamiltonian)(t))
-            assert np.array_equal(ws_s, linear_axis(fam.s_deriv(s))(t))
+    hs = [fam.loop_at(s).hamiltonian for s in svals]
+    assert all(isinstance(linear_axis(h), dynamics.SubgroupWord) for h in hs)
+    s_axes = [linear_axis(fam.s_deriv(s)) for s in svals]
+    if spec["name"] == "subgroup-rotation":
+        hs.append(invariant_loop(M, DIR_B).hamiltonian)
+        assert all(dynamics._steady_x(axis) is not None for axis in s_axes)
+    else:
+        hs.append(mixing_loop(M, 0.5, profile=spec.get("profile", "cosine-ramp")).hamiltonian)
+        s_field = s_axes[0].field
+        assert all(isinstance(axis, MemberAxis) and axis.field is s_field for axis in s_axes)
+        for t in ts:
+            ws = s_field(svals, t)
+            assert ws.shape == (len(svals), 3)
+            for ws_s, axis in zip(ws, s_axes):
+                assert np.array_equal(ws_s, axis(t))
+    ((rows, _, xs),) = dynamics._word_groups(M.k, hs, np.arange(len(hs)))
+    assert rows.tolist() == list(range(len(hs)))
+    assert all(x.shape == (len(hs), 3) for x in xs)
 
 
 def test_family_axes_match_the_su2_loops(sphere2):
-    # the vectorized fields against the closed-form loops they stand for
-    svals = np.linspace(0.0, 1.0, 6)
-    fam = closed_mixing_family(sphere2, 0.9, profile="cosine-ramp")
-    sub = subgroup_rotation_family(sphere2, start_angle=0.4, turns=2.0)
-    mix_field, sub_field = fields(fam)[0], fields(sub)[0]
-    for t in (0.0, 0.3, 0.8):
-        for s, w_mix, w_sub in zip(svals, mix_field(svals, t), sub_field(svals, t)):
-            mix = mixing_loop(sphere2, 0.9 * math.sin(math.pi * s) ** 2).hamiltonian
-            lam = 0.4 + 4.0 * math.pi * s
-            inv = invariant_loop(sphere2, AlgebraDirection(math.cos(lam), math.sin(lam))).hamiltonian
-            assert np.allclose(w_mix, linear_axis(mix)(t), rtol=0, atol=1e-14)
-            assert np.allclose(w_sub, linear_axis(inv)(t), rtol=0, atol=1e-14)
+    # a registry family's member at s is the su2 loop it stands for, and its
+    # s-derivative the analytic d/ds of that loop's axis, bit for bit:
+    # mixing and closed-mixing under both profiles, and subgroup-rotation
+    M, k = sphere2, sphere2.k
+    svals = np.linspace(0.0, 1.0, 7)
+    ts = _times()
+
+    def same_loop(member, loop):
+        assert (member.label, member.closure_tol) == (loop.label, loop.closure_tol)
+        assert _same(linear_axis(member.hamiltonian)(ts), linear_axis(loop.hamiltonian)(ts))
+
+    for profile in ("cosine-ramp", "constant"):
+        g_fn, gd_fn = profile_functions(profile)
+        amplitudes = [
+            (mixing_family(M, 1.3, profile=profile), lambda s: 1.3 * s, lambda s: 1.3),
+            (
+                closed_mixing_family(M, 0.9, profile=profile),
+                lambda s: 0.9 * np.square(np.sin(np.pi * s)),
+                lambda s: 0.9 * np.pi * np.sin(2.0 * np.pi * s),
+            ),
+        ]
+        for fam, amp, amp_dot in amplitudes:
+            for s in svals:
+                same_loop(fam.loop_at(s), mixing_loop(M, amp(s), profile=profile))
+                # d/ds of k (pi cos 2ag, pi sin 2ag, -a g') at a = a(s)
+                g, th = g_fn(ts), 2.0 * amp(s) * g_fn(ts)
+                d = [-2.0 * math.pi * g * np.sin(th), 2.0 * math.pi * g * np.cos(th), -gd_fn(ts)]
+                assert _same(linear_axis(fam.s_deriv(s))(ts), np.stack([k * amp_dot(s) * x for x in d], axis=-1))
+    fam = subgroup_rotation_family(M, start_angle=0.4, turns=2.0)
+    for s in svals:
+        lam = 0.4 + 4.0 * math.pi * s
+        same_loop(fam.loop_at(s), invariant_loop(M, AlgebraDirection(math.cos(lam), math.sin(lam))))
+        # d/ds of -pi k (-cos lam, sin lam, 0)
+        s_axis = -math.pi * k * (4.0 * math.pi) * np.array([math.sin(lam), math.cos(lam), 0.0])
+        assert _same(linear_axis(fam.s_deriv(s))(ts), np.broadcast_to(s_axis, (len(ts), 3)))
 
 
 def _same(a, b):
@@ -637,25 +671,28 @@ def _reads_allowed(solves):
 
 
 def test_family_fields_are_read_once_per_step_attempt(monkeypatch):
-    # an omega batch of 6 members at 3 points: each field is one group,
-    # where one read per evaluation would make 12 per attempt.  loop_at
-    # builds each member once, so the 3 rows of a member share one
-    # propagator: a state of 6 x 5 numbers, where one member per row
-    # would make 18 x 5
+    # an omega batch of 6 members at 3 points, whose axes and s-derivatives
+    # are members (MemberAxis) of two counted fields, which no word is, so
+    # the batch is solved: each field is one group, where one read per
+    # evaluation would make 12 per attempt.  loop_at builds each member
+    # once, so the 3 rows of a member share one propagator: a state of
+    # 6 x 5 numbers, where one member per row would make 18 x 5
     M = OrbitSphere(2)
-    field, s_field = fields(closed_mixing_family(M, 0.9))
+    fam = closed_mixing_family(M, 0.9)
+    svals = np.linspace(0.05, 0.95, 6)
+    axes = {s: linear_axis(fam.loop_at(s).hamiltonian) for s in svals}
     counts = {"axis": 0, "s_axis": 0}
-    counted = linear_family(
-        _counted(field, counts, "axis"),
-        _counted(s_field, counts, "s_axis"),
-        lambda s: f"member {s}",
-        1e-6,
+    field = _counted(lambda ss, t: np.stack([axes[s](t) for s in ss], axis=-2), counts, "axis")
+    s_field = _counted(fam.s_deriv(0.0).axis.field, counts, "s_axis")
+    counted = LoopFamily(
+        loop_builder=lambda s: HamiltonianLoop(linear_hamiltonian(MemberAxis(field, s)), label=f"member {s}"),
+        s_deriv=lambda s: linear_hamiltonian(MemberAxis(s_field, s)),
         closed=True,
         label="counted",
     )
     solves = _solve_log(monkeypatch)
     sizes = _state_sizes(monkeypatch)
-    member_states(M, counted, np.linspace(0.05, 0.95, 6), fibonacci_sphere(3))
+    member_states(M, counted, svals, fibonacci_sphere(3))
     assert len(solves) == 1
     assert sizes == [30]
     assert 0 < counts["axis"] <= _reads_allowed(solves)
@@ -728,8 +765,8 @@ def _constant_rows(M, plain=False):
 
 def test_an_all_constant_batch_makes_no_solve(monkeypatch):
     # an all-constant batch read at 21 times, as energy-conservation reads a
-    # flow: its states are a closed form, with one read of each axis reader
-    # and no solve
+    # flow: its states are a closed form of its letters' x, with no read of
+    # an axis reader and no solve
     M = OrbitSphere(2)
     u0 = fibonacci_sphere(9, rng=np.random.default_rng(21))
     reads, solves = [], []
@@ -742,15 +779,16 @@ def test_an_all_constant_batch_makes_no_solve(monkeypatch):
     monkeypatch.setattr(dynamics, "solve_ivp", lambda *args, **kwargs: solves.append(1))
     fs, sdots = _constant_rows(M)
     y = dynamics._transport(M, fs, u0, 1e-10, sdot=sdots, times=np.linspace(0.0, 1.0, 21))
-    assert solves == [] and reads == [1, 1]
+    assert solves == [] and reads == []
     assert y.shape == (21, 9, 3) and np.isfinite(y).all()
 
 
 def test_constant_rows_among_words_are_read_in_closed_form(monkeypatch):
     # the all-constant batch with the mix loop and three closed-mixing
     # members among its rows: one quadrature per group that is no steady
-    # letter (the mix word and the members' field), and the constant rows'
-    # states are those of the all-constant batch, bit for bit
+    # letter, and the mix loop and the members, built apart, are one group
+    # (their letters share the profile's angle functions).  The constant
+    # rows' states are those of the all-constant batch, bit for bit
     M = OrbitSphere(2)
     times = np.linspace(0.0, 1.0, 21)
     fs, sdots = _constant_rows(M)
@@ -768,9 +806,31 @@ def test_constant_rows_among_words_are_read_in_closed_form(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_span_integrals", span_integrals)
     y = dynamics._transport(M, fs + words, u0, 1e-10, sdot=sdots + word_sdots, times=times)
-    assert len(calls) == 2
+    assert len(calls) == 1
     alone = dynamics._transport(M, fs, u0[: len(fs)], 1e-10, sdot=sdots, times=times)
     assert _same(y[:, : len(fs)], alone)
+
+
+def test_closed_form_is_decided_per_row(monkeypatch):
+    # two invariant rows are one group of steady letters, one with the zero
+    # sdot and one with the mix loop's axis as sdot: only the second needs
+    # the quadrature for its h_s, and the first is its all-constant read,
+    # bit for bit
+    M = OrbitSphere(2)
+    a, b = invariant_loop(M, DIR_A).hamiltonian, invariant_loop(M, DIR_B).hamiltonian
+    zero, mix = zero_hamiltonian(), mixing_loop(M, 0.8).hamiltonian
+    u0 = fibonacci_sphere(2, rng=np.random.default_rng(21))
+    times = np.linspace(0.0, 1.0, 21)
+    counts = []
+
+    def span_integrals(integrand, spans, count, rel_tol, _inner=dynamics._span_integrals):
+        counts.append(count)
+        return _inner(integrand, spans, count, rel_tol)
+
+    monkeypatch.setattr(dynamics, "_span_integrals", span_integrals)
+    y = dynamics._transport(M, [a, b], u0, 1e-10, sdot=[zero, mix], times=times)
+    assert counts == [1]
+    assert _same(y[:, :1], dynamics._transport(M, a, u0[:1], 1e-10, sdot=zero, times=times))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -797,10 +857,10 @@ def test_a_rotated_constant_loop_stays_constant():
     R = random_rotation_matrix(np.random.default_rng(4))
     loop = invariant_loop(M, DIR_A)
     axis = linear_axis(verify._rotated(loop, R).hamiltonian)
-    assert dynamics._constant(axis)
+    assert dynamics._steady_x(axis) is not None
     w = linear_axis(loop.hamiltonian)(0.0)
     assert _same(axis(0.4), (R @ w[..., None])[..., 0])
-    assert not dynamics._constant(linear_axis(verify._rotated(mixing_loop(M, 0.9), R).hamiltonian))
+    assert dynamics._steady_x(linear_axis(verify._rotated(mixing_loop(M, 0.9), R).hamiltonian)) is None
 
 
 def test_a_rotated_word_is_the_word_of_its_rotated_letters():
@@ -862,7 +922,7 @@ def test_word_matches_a_solve_of_the_same_axes(case, n):
     M = OrbitSphere(n)
     times = np.linspace(0.0, 1.0, 21)
     (fs, sdots), (plain_fs, plain_sdots) = _word_rows(M, case)
-    assert all(isinstance(linear_axis(f), (dynamics.SubgroupWord, MemberAxis)) for f in fs)
+    assert all(isinstance(linear_axis(f), dynamics.SubgroupWord) for f in fs)
     u0 = fibonacci_sphere(9, rng=np.random.default_rng(21))
     rows = [i % len(fs) for i in range(9)]
     y = dynamics._transport(M, [fs[i] for i in rows], u0, 1e-10, sdot=[sdots[i] for i in rows], times=times)
